@@ -23,7 +23,6 @@ from .contfrac import (
     ContinuedFraction,
     cf_density_from_slope,
     cf_slope_from_density,
-    cf_value,
     christoffel_length,
     continuant,
     density_from_slope,

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from . import fixtures
 from .bwgroup import (
+    ChristoffelParams,
     bw_matrix,
     christoffel_matrix,
     det_closed,
     group_inverse,
     group_mul,
-    params,
 )
 from .contfrac import (
     ContinuedFraction,
@@ -65,10 +65,6 @@ def _parse_letters(text: str) -> tuple:
                  for t in text.split(","))
 
 
-def _word_out(w: Word) -> str:
-    return str(w)
-
-
 def _emit(args, command: str, inputs: dict, result, text_lines) -> int:
     if args.format == "json":
         envelope = {
@@ -86,18 +82,12 @@ def _emit(args, command: str, inputs: dict, result, text_lines) -> int:
     return 0
 
 
-def _scalar(text: str) -> FieldScalar:
-    return FieldScalar.parse(text)
-
-
-def _params_from(args, suffix: str = ""):
-    a = _scalar(getattr(args, "a" + suffix))
-    b = _scalar(getattr(args, "b" + suffix))
-    return params(args.n, a, b, getattr(args, "r" + suffix))
-
-
-def _matrix_payload(m) -> list[list[str]]:
-    return m.to_string_rows()
+def _params_from(args, suffix: str = "") -> ChristoffelParams:
+    """Parameters from --a/--b/--r (or --a2/--b2/--r2); the scalars keep
+    the kind they were written in, rational or GF(p)."""
+    return ChristoffelParams(args.n, FieldScalar.parse(getattr(args, "a" + suffix)),
+                             FieldScalar.parse(getattr(args, "b" + suffix)),
+                             getattr(args, "r" + suffix))
 
 
 def _sign_str(x: int) -> str:
@@ -113,7 +103,7 @@ def _cmd_word_christoffel(args) -> int:
     return _emit(args, "word christoffel",
                  {"ones": args.ones, "zeros": args.zeros, "upper": args.upper,
                   "alphabet": [str(x) for x in alphabet]},
-                 {"word": _word_out(w)}, _word_out(w))
+                 {"word": str(w)}, str(w))
 
 
 def _cmd_word_factorize(args) -> int:
@@ -122,28 +112,28 @@ def _cmd_word_factorize(args) -> int:
     lines = []
     try:
         left, right = standard_factorization(w)
-        result["standard"] = [_word_out(left), _word_out(right)]
+        result["standard"] = [str(left), str(right)]
         lines.append(f"standard: {left} . {right}")
     except NotChristoffelError:
         result["standard"] = None
         lines.append("standard: (not a Christoffel word)")
     try:
         first, second = palindromic_factorization(w)
-        result["palindromic"] = [_word_out(first), _word_out(second)]
+        result["palindromic"] = [str(first), str(second)]
         lines.append(f"palindromic: {first} . {second}")
     except ChristoffelError:
         result["palindromic"] = None
         lines.append("palindromic: (no unique palindromic split)")
     if result["standard"] is None and result["palindromic"] is None:
         raise NotChristoffelError(f"{w} admits neither factorization")
-    return _emit(args, "word factorize", {"word": _word_out(w)}, result, lines)
+    return _emit(args, "word factorize", {"word": str(w)}, result, lines)
 
 
 def _cmd_word_pc_check(args) -> int:
     w = _parse_word(args.word, args.numeric)
     ok = is_perfectly_clustering(w)
     kind = is_christoffel(w)
-    return _emit(args, "word pc-check", {"word": _word_out(w)},
+    return _emit(args, "word pc-check", {"word": str(w)},
                  {"perfectly_clustering": ok, "christoffel": kind},
                  f"perfectly clustering: {ok} (christoffel: {kind})")
 
@@ -151,8 +141,8 @@ def _cmd_word_pc_check(args) -> int:
 def _cmd_matrix_bw(args) -> int:
     w = _parse_word(args.word, args.numeric)
     m = bw_matrix(w)
-    return _emit(args, "matrix bw", {"word": _word_out(w)},
-                 {"matrix": _matrix_payload(m)},
+    return _emit(args, "matrix bw", {"word": str(w)},
+                 {"matrix": m.to_string_rows()},
                  ["".join(r) if all(len(x) == 1 for x in r) else " ".join(r)
                   for r in m.to_string_rows()])
 
@@ -162,7 +152,7 @@ def _cmd_matrix_christoffel(args) -> int:
     m = christoffel_matrix(p)
     return _emit(args, "matrix christoffel",
                  {"n": p.n, "a": str(p.a), "b": str(p.b), "r": p.r},
-                 {"matrix": _matrix_payload(m)},
+                 {"matrix": m.to_string_rows()},
                  ["".join(r) if all(len(x) == 1 for x in r) else " ".join(r)
                   for r in m.to_string_rows()])
 
@@ -171,7 +161,7 @@ def _cmd_matrix_mul(args) -> int:
     p1 = _params_from(args)
     if args.a2 is None or args.b2 is None or args.r2 is None:
         raise ChristoffelError("matrix mul needs --a2, --b2 and --r2")
-    p2 = params(args.n, _scalar(args.a2), _scalar(args.b2), args.r2)
+    p2 = _params_from(args, "2")
     product = group_mul(p1, p2)
     m = christoffel_matrix(product)
     return _emit(args, "matrix mul",
@@ -179,7 +169,7 @@ def _cmd_matrix_mul(args) -> int:
                   "a2": str(p2.a), "b2": str(p2.b), "r2": p2.r},
                  {"params": {"n": product.n, "a": str(product.a),
                              "b": str(product.b), "r": product.r},
-                  "matrix": _matrix_payload(m)},
+                  "matrix": m.to_string_rows()},
                  [f"product: n={product.n} a={product.a} b={product.b} r={product.r}"])
 
 
@@ -191,7 +181,7 @@ def _cmd_matrix_inv(args) -> int:
                  {"n": p.n, "a": str(p.a), "b": str(p.b), "r": p.r},
                  {"params": {"n": inv.n, "a": str(inv.a), "b": str(inv.b),
                              "r": inv.r},
-                  "matrix": _matrix_payload(m)},
+                  "matrix": m.to_string_rows()},
                  [f"inverse: n={inv.n} a={inv.a} b={inv.b} r={inv.r}"])
 
 
@@ -245,7 +235,7 @@ def _cmd_iet_encode(args) -> int:
     if labels is not None:
         out = "".join(labels[x] for x in w.letters)
     else:
-        out = _word_out(w)
+        out = str(w)
     return _emit(args, "iet encode",
                  {"composition": list(comp.parts),
                   "alphabet": labels or [str(x) for x in alphabet]},

@@ -93,10 +93,6 @@ class ContinuedFraction:
         return f"[{head};{','.join(map(str, rest))}]" if rest else f"[{head}]"
 
 
-def cf_value(cf: ContinuedFraction) -> SlopeRatio:
-    return cf.value()
-
-
 def semiconvergents(cf: ContinuedFraction) -> list[SlopeRatio]:
     """All [n0,...,n_{m-1},h] with 1 <= h <= n_m, in tree order."""
     out = []

@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitError,
 )
 from .permsign import Permutation
-from .words import Letter, Word, is_perfectly_clustering, lyndon_words
+from .words import Letter, Word
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ def cyclic_restriction(p: IetPermutation, k: int) -> IetPermutation:
 
     Deleting the elements >= k from the cycle form of the exchange with
     composition (gamma, rho) leaves the exchange with composition
-    (gamma-i, i, rho-i), i = n-k; the two constructions are computed
-    independently and must agree.
+    (gamma-i, i, rho-i), i = n-k, which is returned.
     """
     if len(p.composition.parts) != 2:
         raise RestrictionOutOfRangeError("cyclic restriction needs a two-interval exchange")
@@ -151,14 +150,7 @@ def cyclic_restriction(p: IetPermutation, k: int) -> IetPermutation:
     if not 0 <= i <= min(gamma, rho):
         raise RestrictionOutOfRangeError(
             f"restriction to [{k}] outside range for composition {(gamma, rho)}")
-    survivors = [x for x in standard_cycle(p) if x < k]
-    images = [0] * k
-    for idx, x in enumerate(survivors):
-        images[x] = survivors[(idx + 1) % len(survivors)]
-    restricted = Permutation(images)
-    by_composition = build_sigma(Composition((gamma - i, i, rho - i)))
-    assert restricted == by_composition.sigma, (gamma, rho, k)
-    return by_composition
+    return build_sigma(Composition((gamma - i, i, rho - i)))
 
 
 def restriction_word_chain(gamma: int, rho: int,
@@ -196,9 +188,9 @@ def enumerate_pc_words(length: int, num_letters: int,
                        alphabet: Sequence[Letter] | None = None) -> list[Word]:
     """All perfectly clustering Lyndon words of the given length.
 
-    Computed two ways and cross-checked: by filtering Lyndon words with
-    the Burrows-Wheeler last-column test, and by encoding every circular
-    composition of the length into ``num_letters`` parts (zeros allowed).
+    Each is the standard encoding of a circular exchange, one for every
+    composition of the length into ``num_letters`` parts (zeros allowed)
+    whose exchange is a single cycle (Ferenczi-Zamboni).
     """
     if num_letters not in (2, 3):
         raise SizeLimitError(f"alphabet size {num_letters} not supported")
@@ -209,21 +201,12 @@ def enumerate_pc_words(length: int, num_letters: int,
     if len(alphabet) != num_letters:
         raise AlphabetSizeMismatchError(
             f"{len(alphabet)} letters for alphabet size {num_letters}")
-
-    filtered = {w for w in lyndon_words(length, alphabet)
-                if is_perfectly_clustering(w)}
-
-    encoded = set()
+    words = []
     for parts in _compositions(length, num_letters):
         exchange = build_sigma(Composition(parts))
         if is_circular(exchange):
-            encoded.add(standard_encoding(exchange, alphabet))
-
-    if filtered != encoded:
-        raise AssertionError(
-            f"enumeration mismatch at length {length}: "
-            f"{sorted(filtered - encoded)} vs {sorted(encoded - filtered)}")
-    return sorted(filtered)
+            words.append(standard_encoding(exchange, alphabet))
+    return sorted(words)
 
 
 def _compositions(total: int, parts: int):

@@ -39,7 +39,9 @@ class FieldScalar:
     ``value`` is a :class:`fractions.Fraction` when ``modulus`` is None,
     otherwise an int in ``[0, modulus)``.  Arithmetic between different
     kinds (or different moduli) raises :class:`KindMismatchError`;
-    division by zero raises ``ZeroDivisionError``.
+    division by zero raises ``ZeroDivisionError``.  Plain ints and
+    Fractions combine with either kind from both sides; other operand
+    types raise ``TypeError``.  A rational scalar hashes like its value.
     """
 
     __slots__ = ("value", "modulus")
@@ -84,30 +86,52 @@ class FieldScalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def _same_kind(self, other: "FieldScalar") -> None:
-        if self.modulus != other.modulus:
-            raise KindMismatchError(
-                f"mixed scalar kinds: {self!r} and {other!r}")
+    def _operand(self, other) -> "FieldScalar | None":
+        """other as a scalar of this kind; None for an unsupported type."""
+        if isinstance(other, FieldScalar):
+            if self.modulus != other.modulus:
+                raise KindMismatchError(
+                    f"mixed scalar kinds: {self!r} and {other!r}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FieldScalar.coerce(other, self.modulus)
+        return None
 
     def __add__(self, other):
-        other = self._lift(other)
-        self._same_kind(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return FieldScalar(self.value + other.value, self.modulus)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        self._same_kind(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return FieldScalar(self.value - other.value, self.modulus)
 
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other):
-        other = self._lift(other)
-        self._same_kind(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return FieldScalar(self.value * other.value, self.modulus)
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        self._same_kind(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __neg__(self):
         return FieldScalar(-self.value, self.modulus)
@@ -126,14 +150,6 @@ class FieldScalar:
             return FieldScalar(1 / self.value)
         return FieldScalar(pow(self.value, -1, self.modulus), self.modulus)
 
-    def _lift(self, other):
-        """Allow plain ints/Fractions on either side of rational arithmetic."""
-        if isinstance(other, FieldScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldScalar.coerce(other, self.modulus)
-        return NotImplemented
-
     __radd__ = __add__
     __rmul__ = __mul__
 
@@ -148,6 +164,8 @@ class FieldScalar:
         return NotImplemented
 
     def __hash__(self):
+        if self.modulus is None:
+            return hash(self.value)
         return hash((self.value, self.modulus))
 
     def __str__(self):

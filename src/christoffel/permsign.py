@@ -137,14 +137,6 @@ def cycle_type_string(cycle_type: dict[int, int]) -> str:
                     for length, mult in sorted(cycle_type.items()))
 
 
-def sign_by_inversions(p: Permutation) -> int:
-    """Parity by counting inversions; quadratic, used as a cross-check."""
-    imgs = p.images
-    inv = sum(1 for i in range(len(imgs)) for j in range(i + 1, len(imgs))
-              if imgs[i] > imgs[j])
-    return 1 if inv % 2 == 0 else -1
-
-
 @lru_cache(maxsize=None)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization by trial division, as ((p, e), ...)."""

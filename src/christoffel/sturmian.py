@@ -256,7 +256,7 @@ def g_chain(slope: SturmianSlope, nu: int) -> list[GChainStep]:
 
     N and L are the lengths of chain words nu and nu-1.  Step i removes
     row h_i = (iq mod N) - d_i; in the previous matrix the rows h_i - 1
-    and h_i agree except for final entries 1 and 0, which is verified.
+    and h_i agree except for final entries 1 and 0.
     """
     chain = _full_chain(slope)
     if not 1 <= nu < len(chain):
@@ -268,12 +268,7 @@ def g_chain(slope: SturmianSlope, nu: int) -> list[GChainStep]:
     i_max = big_n - small
     _, merge_rows = _chain_step_data(w, i_max)
     steps = [GChainStep(_factor_matrix_of_word(w, big_n - 1), None)]
-    for i in range(1, i_max + 1):
-        h = merge_rows[i - 1]
-        previous = steps[-1].matrix
-        top, bottom = previous.rows[h - 1].letters, previous.rows[h].letters
-        assert top[:-1] == bottom[:-1] and top[-1] == 1 and bottom[-1] == 0, \
-            (w, i, h)
+    for i, h in enumerate(merge_rows, start=1):
         steps.append(GChainStep(_factor_matrix_of_word(w, big_n - 1 - i), h))
     return steps
 
@@ -299,8 +294,9 @@ def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
     """Determinant of the n factors of length n without the right-special one.
 
     Defined in the three-letter range (i >= 1); the value is plus or
-    minus the middle alphabet letter, and is returned with the sign the
-    exact minor computation produces.
+    minus the middle alphabet letter |w''|_1 - |w'|_1, and is returned
+    with the sign the exact minor computation produces.  The right-special
+    factor is the single one that extends by both letters.
     """
     chain = _full_chain(slope)
     nu = _locate(chain, n)
@@ -309,14 +305,8 @@ def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
         raise OutOfRangeError(f"factor length {n} has a two-letter vector; no middle value")
     matrix = _factor_matrix_of_word(w, n)
     longer = {u.letters for u in circular_factors(w, n + 1)}
-    special = [idx for idx, u in enumerate(matrix.rows)
-               if u.letters + (0,) in longer and u.letters + (1,) in longer]
-    assert len(special) == 1, (w, n, special)
-    h = special[0]
+    h = next(idx for idx, u in enumerate(matrix.rows)
+             if u.letters + (0,) in longer and u.letters + (1,) in longer)
     rows = matrix.int_rows()
     minor = det_int([row for idx, row in enumerate(rows) if idx != h])
-    value = minor if (n - h) % 2 == 0 else -minor
-    w1, w2 = standard_factorization(w)
-    middle = w2.count(1) - w1.count(1)
-    assert abs(value) == abs(middle), (w, n, value, middle)
-    return value
+    return minor if (n - h) % 2 == 0 else -minor

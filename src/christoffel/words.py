@@ -229,75 +229,40 @@ def upper_christoffel(slope: SlopeRatio, alphabet: tuple[Letter, Letter] = (0, 1
 def is_christoffel(w: Word) -> str:
     """Classify w as "lower", "upper" or "no".
 
-    Checks the three-part characterization: coprime letter counts, w is
-    the lowermost (resp. uppermost) row of its BW table, and the last
-    column of that table is nondecreasing.  Words whose content is not
-    exactly two letters yield "no".
+    w is compared with the lower and upper Christoffel words of its own
+    letter counts, which exist exactly when the counts are coprime.
+    Words whose content is not exactly two letters yield "no".
     """
     letters = w.alphabet()
     if len(letters) != 2:
         return "no"
     a, b = letters
-    if gcd(w.count(a), w.count(b)) != 1:
+    ones, zeros = w.count(b), w.count(a)
+    if gcd(ones, zeros) != 1:
         return "no"
-    if not is_primitive(w):
-        return "no"
-    t = w.letters
-    starts = _sorted_rotation_starts(t)
-    last = [t[i - 1] for i in starts]
-    if any(last[i] > last[i + 1] for i in range(len(last) - 1)):
-        return "no"
-    if starts[-1] == 0:
+    slope = SlopeRatio(ones, zeros)
+    if w == lower_christoffel(slope, letters):
         return "lower"
-    if starts[0] == 0:
+    if w == upper_christoffel(slope, letters):
         return "upper"
     return "no"
-
-
-def _matches_christoffel_slice(t: tuple, start: int, end: int, hi: Letter,
-                               r: int, lower: bool) -> bool:
-    """Does t[start:end] equal the Christoffel word with r high letters?"""
-    n = end - start
-    q = n - r
-    base = n - 1 if lower else 0
-    for j in range(n):
-        if ((base + q * j) % n < r) != (t[start + j] == hi):
-            return False
-    return True
 
 
 def standard_factorization(w: Word) -> tuple[Word, Word]:
     """The unique split of a Christoffel word into two of the same kind.
 
-    Found by scanning the cut points; cuts where both sides have coprime
-    letter counts are checked letter-by-letter against the generated
-    Christoffel word.  Single-letter sides (slopes 0/1 and 1/0) qualify.
+    With N = |w| and r the count of the high letter, the first factor has
+    length r^(-1) mod N for a lower word and N - (r^(-1) mod N) for an
+    upper one.  Single-letter sides (slopes 0/1 and 1/0) qualify.
     """
     kind = is_christoffel(w)
-    if kind == "no" or len(w) < 2:
+    if kind == "no":
         raise NotChristoffelError(f"{w} has no standard factorization")
-    lower = kind == "lower"
-    lo, hi = w.alphabet()
-    t = w.letters
-    n = len(t)
-    total_hi = sum(1 for x in t if x == hi)
-    matches = []
-    left_hi = 0
-    for cut in range(1, n):
-        if t[cut - 1] == hi:
-            left_hi += 1
-        right_hi = total_hi - left_hi
-        left_lo = cut - left_hi
-        right_lo = (n - cut) - right_hi
-        if gcd(left_hi, left_lo) != 1 or gcd(right_hi, right_lo) != 1:
-            continue
-        if (_matches_christoffel_slice(t, 0, cut, hi, left_hi, lower)
-                and _matches_christoffel_slice(t, cut, n, hi, right_hi, lower)):
-            matches.append(cut)
-    # Borel-Laubie: exactly one cut qualifies for a Christoffel word.
-    assert len(matches) == 1, (w, matches)
-    cut = matches[0]
-    return Word(t[:cut]), Word(t[cut:])
+    n = len(w)
+    cut = pow(w.count(w.alphabet()[1]), -1, n)
+    if kind == "upper":
+        cut = n - cut
+    return w[:cut], w[cut:]
 
 
 def palindromic_factorization(w: Word) -> tuple[Word, Word]:

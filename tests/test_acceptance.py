@@ -12,6 +12,7 @@ from math import gcd
 from christoffel import (
     ContinuedFraction,
     ExactMatrix,
+    Permutation,
     SlopeRatio,
     SturmianSlope,
     build_sigma,
@@ -55,6 +56,7 @@ from christoffel.fixtures import (
     V10_UP_TO_SIGN,
 )
 from christoffel.iet import Composition
+from oracles import pc_words_by_lyndon_filter, standard_factorization_by_scan
 
 ORDER11 = (2, 1, 2)
 FIBONACCI = (0,) + (1,) * 9
@@ -219,13 +221,16 @@ def test_criterion_09_merge_chain():
 
 
 def test_criterion_10_ferenczi_zamboni():
+    """Interval-exchange encodings = Lyndon words filtered by the BW last column."""
     total = 0
-    for length in range(1, 15):
-        for letters in (2, 3):
-            words = enumerate_pc_words(length, letters)  # dual-path checked inside
+    for letters, max_length in ((2, 16), (3, 14)):
+        for length in range(1, max_length + 1):
+            words = enumerate_pc_words(length, letters)
+            assert words == pc_words_by_lyndon_filter(length, letters), (letters, length)
             total += len(words)
     assert total > 0
-    report(10, "perfectly clustering enumeration agrees both ways, lengths <= 14")
+    report(10, "perfectly clustering enumeration agrees both ways, "
+               "lengths <= 16 (2 letters) and <= 14 (3 letters)")
 
 
 def test_criterion_11_pak_redlich():
@@ -252,18 +257,20 @@ def test_criterion_12_continuant_factorization():
             continue
         slope = SlopeRatio(ones, zeros)
         word = lower_christoffel(slope)
-        left, right = standard_factorization(word)
+        left, right = standard_factorization_by_scan(word)
+        assert standard_factorization(word) == (left, right), slope
         counts = ppp_factorization(ContinuedFraction.from_slope(slope)).factor_counts()
         assert counts == ((left.count(1), left.count(0)),
                           (right.count(1), right.count(0))), slope
         checked += 1
-    report(12, "continuant factorization = standard factorization, 50 slopes")
+    report(12, "continuant factorization = brute-force standard factorization, 50 slopes")
 
 
 def test_criterion_13_fibonacci_sign():
     for m in range(3, 26):
-        sign, cycle_type = fib_sign(m)  # asserts against the permutation inside
-        assert sum(length * mult for length, mult in cycle_type.items()) == fib(m)
+        sign, cycle_type = fib_sign(m)
+        actual = Permutation.multiplication(fib(m - 2), fib(m))
+        assert (sign, cycle_type) == (actual.sign(), actual.cycle_type()), m
     for m in range(3, 31):
         table = 1 if m % 12 in (1, 2, 3, 4, 9, 11) else -1
         assert zolotareff(fib(m - 2), fib(m)) == table, m

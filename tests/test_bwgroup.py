@@ -228,6 +228,14 @@ class TestInverse:
                 assert mat_mul(christoffel_matrix(params(n, 0, 1, r)),
                                christoffel_matrix(closed)) == ExactMatrix.identity(n)
 
+    def test_unit_inverse_agrees_with_triple_inverse(self):
+        for n in range(2, 31):
+            for r in range(1, n):
+                if gcd(r, n) != 1:
+                    continue
+                inv = group_inverse(params(n, 0, 1, r))
+                assert to_triple(inv) == to_triple(unit_inverse_params(n, r)), (n, r)
+
     def test_random_inverses(self):
         rng = random.Random(34)
         for _ in range(40):

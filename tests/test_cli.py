@@ -72,6 +72,49 @@ class TestMatrixCommands:
         assert json.dumps(json.loads(text), sort_keys=True) == text
 
 
+class TestPrimeFieldMatrixCommands:
+    """Scalars written as "v mod p" keep their kind through every subcommand."""
+
+    GF = ("--n", "7", "--a", "3 mod 65537", "--b", "4 mod 65537", "--r", "2")
+
+    @pytest.mark.parametrize("op, extra", [
+        ("christoffel", ()),
+        ("mul", ("--a2", "1 mod 65537", "--b2", "5 mod 65537", "--r2", "3")),
+        ("inv", ()),
+        ("det", ()),
+    ])
+    def test_exit_zero(self, capsys, op, extra):
+        code, out, err = run(capsys, "matrix", op, *self.GF, *extra, "--format", "json")
+        assert code == 0, err
+        assert "mod 65537" in out
+
+    def test_det_matches_elimination(self, capsys):
+        code, out, _ = run(capsys, "matrix", "det", *self.GF, "--format", "json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["match"] is True
+        assert result["det"] == result["det_exact"]
+
+    def test_inverse_times_matrix_is_identity(self, capsys):
+        code, out, _ = run(capsys, "matrix", "inv", *self.GF, "--format", "json")
+        inv = json.loads(out)["result"]["params"]
+        code, out, _ = run(capsys, "matrix", "mul", *self.GF, "--a2", inv["a"],
+                           "--b2", inv["b"], "--r2", str(inv["r"]), "--format", "json")
+        product = json.loads(out)["result"]["params"]
+        assert code == 0
+        assert (product["a"], product["b"], product["r"]) == \
+            ("0 mod 65537", "1 mod 65537", 1)
+
+    def test_mixed_kinds_rejected(self, capsys):
+        code, _, err = run(capsys, "matrix", "det", "--n", "7", "--a", "3 mod 65537",
+                           "--b", "4", "--r", "2")
+        assert code == 1 and "KindMismatchError" in err
+
+    def test_mixed_kinds_in_second_operand_rejected(self, capsys):
+        code, _, err = run(capsys, "matrix", "mul", *self.GF, "--a2", "0", "--b2", "1",
+                           "--r2", "4")
+        assert code == 1 and "KindMismatchError" in err
+
+
 class TestSignCommands:
     def test_zolotareff(self, capsys):
         code, out, _ = run(capsys, "sign", "zolotareff", "1", "9")

@@ -10,7 +10,6 @@ from christoffel import (
     SlopeRatio,
     cf_density_from_slope,
     cf_slope_from_density,
-    cf_value,
     christoffel_length,
     continuant,
     density_from_slope,
@@ -76,9 +75,9 @@ class TestContinuedFraction:
             CF((-1,))
 
     def test_value_examples(self):
-        assert cf_value(CF((0, 2, 2))) == SlopeRatio(2, 5)
-        assert cf_value(CF((1,))) == SlopeRatio(1, 1)
-        assert cf_value(CF((2, 1, 2))) == SlopeRatio(8, 3)
+        assert CF((0, 2, 2)).value() == SlopeRatio(2, 5)
+        assert CF((1,)).value() == SlopeRatio(1, 1)
+        assert CF((2, 1, 2)).value() == SlopeRatio(8, 3)
 
     def test_from_slope_roundtrip(self):
         for ones in range(0, 30):
@@ -86,7 +85,7 @@ class TestContinuedFraction:
                 if gcd(ones, zeros) != 1:
                     continue
                 slope = SlopeRatio(ones, zeros)
-                assert cf_value(CF.from_slope(slope)) == slope
+                assert CF.from_slope(slope).value() == slope
 
     def test_normalized(self):
         assert CF((0, 2, 1)).normalized() == CF((0, 3))
@@ -179,7 +178,7 @@ class TestSlopeDensityConversion:
                     continue
                 density_cf = CF.from_slope(SlopeRatio(num, den))  # expansion of num/den < 1
                 slope_cf = cf_slope_from_density(density_cf)
-                assert cf_value(slope_cf) == slope_from_density(Fraction(num, den))
+                assert slope_cf.value() == slope_from_density(Fraction(num, den))
 
     def test_roundtrip(self):
         for ones in range(1, 25):

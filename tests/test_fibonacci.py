@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from christoffel import (
+    Permutation,
     SturmianSlope,
     christoffel_chain,
     cycle_type_string,
@@ -117,9 +118,12 @@ class TestSignFormula:
         assert cycle_type == {1: lucas(6), 2: (fib(12) - lucas(6)) // 2}
 
     def test_closed_form_verified_for_range(self):
-        # fib_sign itself asserts closed form == direct permutation data
+        """Closed form = cycle type and sign of the actual permutation."""
         for m in range(3, 26):
             sign, cycle_type = fib_sign(m)
+            actual = Permutation.multiplication(fib(m - 2), fib(m))
+            assert cycle_type == actual.cycle_type(), m
+            assert sign == actual.sign(), m
             assert sum(length * mult for length, mult in cycle_type.items()) == fib(m)
 
     def test_sign_table_is_zolotareff(self):

@@ -29,6 +29,7 @@ from christoffel.errors import (
     RestrictionOutOfRangeError,
     SizeLimitError,
 )
+from oracles import restriction_by_cycle_deletion
 
 W = Word.parse
 
@@ -169,6 +170,20 @@ class TestCyclicRestriction:
     def test_requires_coprime(self):
         with pytest.raises(NotCoprimeError):
             cyclic_restriction(build_sigma(Composition((2, 4))), 5)
+
+    def test_equals_cycle_deletion(self):
+        """The (gamma-i, i, rho-i) exchange = the cycle form with elements
+        >= n-i deleted, for every coprime pair with gamma + rho <= 20."""
+        for n in range(2, 21):
+            for gamma in range(1, n):
+                rho = n - gamma
+                if gcd(gamma, rho) != 1:
+                    continue
+                base = build_sigma(Composition((gamma, rho)))
+                for i in range(min(gamma, rho) + 1):
+                    restricted = cyclic_restriction(base, n - i)
+                    assert restricted.sigma == \
+                        restriction_by_cycle_deletion(gamma, rho, n - i), (gamma, rho, i)
 
     def test_random_two_interval_cases(self):
         rng = random.Random(12)

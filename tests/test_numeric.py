@@ -88,6 +88,52 @@ class TestFieldScalar:
         assert FieldScalar.rational(2) ** -1 == Fraction(1, 2)
 
 
+class TestScalarProtocol:
+    """FieldScalar keeps Python's numeric protocols."""
+
+    @given(v=rationals | st.integers())
+    def test_rational_hashes_like_its_value(self, v):
+        assert FieldScalar(v) == v
+        assert hash(FieldScalar(v)) == hash(v)
+        assert len({FieldScalar(v), v}) == 1
+
+    @given(a=rationals | st.integers(), b=rationals)
+    def test_reflected_rational_operators(self, a, b):
+        x = FieldScalar(b)
+        assert a - x == FieldScalar(a) - x
+        assert a + x == FieldScalar(a) + x
+        assert a * x == FieldScalar(a) * x
+        if b != 0:
+            assert a / x == FieldScalar(a) / x
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / x
+
+    @given(a=st.integers(), b=st.integers(min_value=1, max_value=30))
+    def test_reflected_residue_operators(self, a, b):
+        x = FieldScalar.residue(b, 31)
+        assert a - x == FieldScalar.residue(a, 31) - x
+        assert a / x == FieldScalar.residue(a, 31) / x
+
+    @given(other=st.floats(allow_nan=False) | st.complex_numbers(allow_nan=False)
+           | st.none() | st.text(max_size=3))
+    def test_unsupported_operand_raises_type_error(self, other):
+        for x in (FieldScalar.rational(1), FieldScalar.residue(1, 7)):
+            for op in (lambda u, v: u + v, lambda u, v: u - v,
+                       lambda u, v: u * v, lambda u, v: u / v):
+                with pytest.raises(TypeError):
+                    op(x, other)
+                with pytest.raises(TypeError):
+                    op(other, x)
+
+    def test_examples(self):
+        assert len({FieldScalar(3), 3}) == 1
+        assert 1 - FieldScalar(2) == -1
+        assert 1 / FieldScalar(2) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            FieldScalar(1) + 1.5
+
+
 class TestMatMul:
     def test_identity(self):
         a = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])

@@ -13,7 +13,14 @@ from christoffel import (
     zolotareff,
 )
 from christoffel.errors import EvenModulusError, NotBijectiveError, NotCoprimeError
-from christoffel.permsign import sign_by_inversions
+
+
+def sign_by_inversions(p):
+    """Parity by counting inversions; quadratic, the cycle-count oracle."""
+    imgs = p.images
+    inv = sum(1 for i in range(len(imgs)) for j in range(i + 1, len(imgs))
+              if imgs[i] > imgs[j])
+    return 1 if inv % 2 == 0 else -1
 
 
 class TestPermutation:

@@ -17,6 +17,7 @@ from christoffel import (
     is_lyndon,
     is_perfectly_clustering,
     special_factor_determinant,
+    standard_factorization,
     vector_merge_step,
 )
 from christoffel.errors import (
@@ -29,6 +30,7 @@ from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
 
 FIB = SturmianSlope.from_quotients((0, 1, 1, 1, 1, 1, 1, 1))
 ORDER11 = SturmianSlope.from_quotients((2, 1, 2))
+SQRT2ISH = SturmianSlope.from_quotients((0, 2, 2, 2))
 
 
 class TestChain:
@@ -192,6 +194,19 @@ class TestGChain:
             steps = g_chain(slope, nu)
             assert steps[1].merge_row == word.count(0) % len(word)
 
+    def test_merge_rows_differ_only_in_last_letter(self):
+        """Rows h-1 and h of the previous matrix agree except for final 1, 0."""
+        for slope in (ORDER11, FIB, SQRT2ISH):
+            chain = christoffel_chain(slope, 10 ** 6)
+            for nu in range(1, len(chain)):
+                steps = g_chain(slope, nu)
+                for previous, step in zip(steps, steps[1:]):
+                    h = step.merge_row
+                    top = previous.matrix.rows[h - 1].letters
+                    bottom = previous.matrix.rows[h].letters
+                    assert top[:-1] == bottom[:-1], (slope, nu, h)
+                    assert (top[-1], bottom[-1]) == (1, 0), (slope, nu, h)
+
     def test_bad_nu(self):
         with pytest.raises(InsufficientCFError):
             g_chain(ORDER11, 9)
@@ -230,6 +245,30 @@ class TestSpecialFactor:
     def test_two_letter_range_rejected(self):
         with pytest.raises(OutOfRangeError):
             special_factor_determinant(ORDER11, 10)
+
+    def test_single_right_special_factor(self):
+        """In the three-letter range n < N - 1 exactly one row extends by both letters."""
+        for slope in (ORDER11, FIB, SQRT2ISH):
+            chain = christoffel_chain(slope, 10 ** 6)
+            for n in range(1, len(chain[-1])):
+                covering = next(w for w in chain if len(w) >= n + 1)
+                if n >= len(covering) - 1:
+                    continue
+                longer = set(circular_factors(covering, n + 1))
+                special = [u for u in factor_matrix(slope, n).rows
+                           if u + Word((0,)) in longer and u + Word((1,)) in longer]
+                assert len(special) == 1, (slope, n)
+
+    def test_value_is_middle_letter(self):
+        """|value| = | |w''|_1 - |w'|_1 | for the standard factorization w'w''."""
+        for slope in (ORDER11, FIB, SQRT2ISH):
+            for covering in christoffel_chain(slope, 10 ** 6)[1:]:
+                left, right = standard_factorization(covering)
+                middle = right.count(1) - left.count(1)
+                shorter = christoffel_chain(slope, len(covering) - 1)[-1]
+                for n in range(len(shorter), len(covering) - 1):
+                    value = special_factor_determinant(slope, n)
+                    assert abs(value) == abs(middle), (slope, n)
 
     def test_matches_vector_component(self):
         for slope, n in ((ORDER11, 7), (ORDER11, 8), (FIB, 5), (FIB, 6), (FIB, 10)):

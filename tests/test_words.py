@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -29,6 +30,7 @@ from christoffel.errors import (
     NotChristoffelError,
     NotPrimitiveError,
 )
+from oracles import bw_christoffel_kind, standard_factorization_by_scan
 
 W = Word.parse
 
@@ -150,6 +152,19 @@ class TestIsChristoffel:
                 assert is_christoffel(lower_christoffel(slope)) == "lower"
                 assert is_christoffel(upper_christoffel(slope)) == "upper"
 
+    def test_equals_bw_characterization(self):
+        """Every binary word of length <= 14 classifies as the BW test says."""
+        for n in range(1, 15):
+            for letters in product((0, 1), repeat=n):
+                w = Word(letters)
+                assert is_christoffel(w) == bw_christoffel_kind(w), w
+
+    def test_other_alphabets(self):
+        assert is_christoffel(W("aacac")) == "lower"
+        assert is_christoffel(Word((-5, 3, -5, 3, 3))) == "lower"
+        assert is_christoffel(W("cacaa")) == "upper"
+        assert is_christoffel(W("abc")) == "no"
+
 
 class TestStandardFactorization:
     def test_examples(self):
@@ -165,6 +180,18 @@ class TestStandardFactorization:
             standard_factorization(W("010"))
         with pytest.raises(NotChristoffelError):
             standard_factorization(W("0"))
+
+    def test_equals_scan(self):
+        """The closed-form cut = the brute-force scan, for both kinds, N <= 100."""
+        for slope in all_slopes(100):
+            if slope.ones == 0 or slope.zeros == 0:
+                continue
+            lower = lower_christoffel(slope)
+            assert standard_factorization(lower) == \
+                standard_factorization_by_scan(lower, lower=True), slope
+            upper = upper_christoffel(slope)
+            assert standard_factorization(upper) == \
+                standard_factorization_by_scan(upper, lower=False), slope
 
     def test_determinant_one_identity(self):
         """|w'|_0 |w''|_1 - |w'|_1 |w''|_0 = 1 for every Christoffel word."""
