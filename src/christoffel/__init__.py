@@ -82,6 +82,7 @@ from .words import (
     SlopeRatio,
     Word,
     bw_rows,
+    christoffel_bw_row,
     circular_factors,
     conjugates,
     is_christoffel,

@@ -21,13 +21,12 @@ from .errors import (
     KindMismatchError,
     NonInvertibleRowSumError,
     NotCoprimeError,
-    NotPrimitiveError,
     OrderMismatchError,
     OutOfRangeError,
 )
 from .numeric import ExactMatrix, FieldScalar, ScalarLike
 from .permsign import zolotareff
-from .words import Word, is_primitive, bw_rows
+from .words import SlopeRatio, Word, bw_rows, christoffel_bw_row
 
 
 def _check_characteristic(n: int, modulus: int | None) -> None:
@@ -122,18 +121,15 @@ class GroupTriple:
 
 def bw_matrix(w: Word) -> ExactMatrix:
     """Burrows-Wheeler table of a primitive word as an exact matrix."""
-    if not is_primitive(w):
-        raise NotPrimitiveError(f"word {w} is not primitive")
     return ExactMatrix.from_rows([row.letters for row in bw_rows(w)])
 
 
 def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
-    """The table by the residue rule: entry (i,j) = b iff (i + qj) mod n < r."""
-    n, q, r = p.n, p.q, p.r
-    a, b = p.a, p.b
-    entries = [b if (i + q * j) % n < r else a
-               for i in range(n) for j in range(n)]
-    return ExactMatrix(n, n, entries)
+    """The Burrows-Wheeler table of slope r/q over {a, b}, row by row."""
+    slope = SlopeRatio(p.r, p.q)
+    return ExactMatrix.from_rows(
+        [christoffel_bw_row(slope, i, (p.a.value, p.b.value)) for i in range(p.n)],
+        p.modulus)
 
 
 def to_triple(p: ChristoffelParams) -> GroupTriple:
@@ -149,8 +145,7 @@ def from_triple(n: int, t: GroupTriple) -> ChristoffelParams:
         raise OrderMismatchError(f"triple of order {t.n} used at order {n}")
     _check_characteristic(n, t.c.modulus)
     r = t.r % n
-    n_scalar = FieldScalar.coerce(n, t.c.modulus)
-    a = (t.c - t.d * r) / n_scalar
+    a = (t.c - t.d * r) / n
     return ChristoffelParams(n, a, a + t.d, r)
 
 
@@ -182,8 +177,7 @@ def det_closed(p: ChristoffelParams) -> FieldScalar:
     """Determinant by the closed form ((n-r)a + rb)(b - a)^(n-1) sgn(x -> rx)."""
     c = p.a * (p.n - p.r) + p.b * p.r
     d = p.b - p.a
-    sign = zolotareff(p.r, p.n)
-    return c * d ** (p.n - 1) * FieldScalar.coerce(sign, p.modulus)
+    return c * d ** (p.n - 1) * zolotareff(p.r, p.n)
 
 
 def consecutive_rows_square(p: ChristoffelParams, i: int) -> int:

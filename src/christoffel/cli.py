@@ -33,7 +33,7 @@ from .contfrac import (
 from .errors import ChristoffelError, NotChristoffelError
 from .fibonacci import fib_detvec_prediction, fib_sign, fib_word_chain, gcd_lemma_check
 from .iet import Composition, build_sigma, is_circular, standard_encoding
-from .numeric import FieldScalar, det_exact
+from .numeric import ExactMatrix, FieldScalar, det_exact
 from .permsign import cycle_type_string, jacobi, zolotareff
 from .sturmian import (
     SturmianSlope,
@@ -138,13 +138,18 @@ def _cmd_word_pc_check(args) -> int:
                  f"perfectly clustering: {ok} (christoffel: {kind})")
 
 
+def _matrix_lines(m: ExactMatrix) -> list[str]:
+    """One text line per row; over GF(p) the values, then the modulus once."""
+    rows = [[str(v) for v in m.values[i * m.cols:(i + 1) * m.cols]] for i in range(m.rows)]
+    lines = ["".join(r) if all(len(x) == 1 for x in r) else " ".join(r) for r in rows]
+    return lines if m.modulus is None else lines + [f"mod {m.modulus}"]
+
+
 def _cmd_matrix_bw(args) -> int:
     w = _parse_word(args.word, args.numeric)
     m = bw_matrix(w)
     return _emit(args, "matrix bw", {"word": str(w)},
-                 {"matrix": m.to_string_rows()},
-                 ["".join(r) if all(len(x) == 1 for x in r) else " ".join(r)
-                  for r in m.to_string_rows()])
+                 {"matrix": m.to_string_rows()}, _matrix_lines(m))
 
 
 def _cmd_matrix_christoffel(args) -> int:
@@ -152,9 +157,7 @@ def _cmd_matrix_christoffel(args) -> int:
     m = christoffel_matrix(p)
     return _emit(args, "matrix christoffel",
                  {"n": p.n, "a": str(p.a), "b": str(p.b), "r": p.r},
-                 {"matrix": m.to_string_rows()},
-                 ["".join(r) if all(len(x) == 1 for x in r) else " ".join(r)
-                  for r in m.to_string_rows()])
+                 {"matrix": m.to_string_rows()}, _matrix_lines(m))
 
 
 def _cmd_matrix_mul(args) -> int:

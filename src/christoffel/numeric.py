@@ -2,35 +2,84 @@
 
 Scalars are either arbitrary-precision rationals (kept reduced, positive
 denominator) or elements of a prime field GF(p); the two kinds never mix.
-Matrices are immutable row-major containers of scalars of one kind, with
-exact multiplication and a fraction-free (Bareiss) determinant.
+A matrix stores its kind once (``modulus``, None over Q) and raw values:
+Fractions over Q, ints in [0, p) over GF(p).  Multiplication and the
+fraction-free (Bareiss) determinant both work on the integer matrix the
+values form over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import ChristoffelError, DimensionMismatchError, KindMismatchError
+from .errors import ChristoffelError, DimensionMismatchError, KindMismatchError, SizeLimitError
 
 ScalarLike = Union[int, Fraction, "FieldScalar"]
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; fine at the sizes used here."""
+    """Deterministic Miller-Rabin; p at or above the exactness bound raises
+    SizeLimitError."""
+    if p >= _MR_LIMIT:
+        raise SizeLimitError(f"primality is decided below {_MR_LIMIT}; got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(p):
-        if p % f == 0:
+    for base in _MR_BASES:
+        if p % base == 0:
+            return p == base
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MR_BASES:
+        x = pow(base, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _check_modulus(modulus: int | None) -> None:
+    if modulus is not None and not is_prime(modulus):
+        raise ChristoffelError(f"modulus {modulus} is not prime")
+
+
+def _lift(x, modulus: int | None):
+    """x as a raw value of the given kind: a Fraction over Q, an int in
+    [0, p) over GF(p)."""
+    if isinstance(x, FieldScalar):
+        if x.modulus != modulus:
+            raise KindMismatchError(
+                f"cannot coerce scalar of modulus {x.modulus} to modulus {modulus}")
+        return x.value
+    if modulus is None:
+        return Fraction(x)
+    if isinstance(x, int):
+        return x % modulus
+    x = Fraction(x)
+    if x.denominator % modulus == 0:
+        raise ZeroDivisionError(f"{x} has no value modulo {modulus}")
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def _scalar(value, modulus: int | None) -> "FieldScalar":
+    """A scalar from a raw value of its kind, whose modulus was checked before."""
+    out = object.__new__(FieldScalar)
+    out.value = value
+    out.modulus = modulus
+    return out
 
 
 class FieldScalar:
@@ -41,18 +90,15 @@ class FieldScalar:
     kinds (or different moduli) raises :class:`KindMismatchError`;
     division by zero raises ``ZeroDivisionError``.  Plain ints and
     Fractions combine with either kind from both sides; other operand
-    types raise ``TypeError``.  A rational scalar hashes like its value.
+    types raise ``TypeError``.  A scalar equals, and hashes like, its
+    value: a residue equals only the int in [0, p) that represents it.
     """
 
     __slots__ = ("value", "modulus")
 
     def __init__(self, value, modulus: int | None = None):
-        if modulus is None:
-            self.value = Fraction(value)
-        else:
-            if not is_prime(modulus):
-                raise ChristoffelError(f"modulus {modulus} is not prime")
-            self.value = int(value) % modulus
+        _check_modulus(modulus)
+        self.value = _lift(value, modulus)
         self.modulus = modulus
 
     @classmethod
@@ -66,89 +112,67 @@ class FieldScalar:
     @classmethod
     def coerce(cls, x: ScalarLike, modulus: int | None = None) -> "FieldScalar":
         """Lift an int/Fraction to a scalar of the requested kind."""
-        if isinstance(x, FieldScalar):
-            if x.modulus != modulus:
-                raise KindMismatchError(
-                    f"cannot coerce scalar of modulus {x.modulus} to modulus {modulus}")
-            return x
-        if modulus is None:
-            return cls(Fraction(x))
-        if isinstance(x, Fraction) and x.denominator != 1:
-            num = x.numerator % modulus
-            den = pow(x.denominator % modulus, -1, modulus)
-            return cls(num * den, modulus)
-        return cls(int(x), modulus)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.modulus is None
+        return x if isinstance(x, FieldScalar) and x.modulus == modulus else cls(x, modulus)
 
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def _operand(self, other) -> "FieldScalar | None":
-        """other as a scalar of this kind; None for an unsupported type."""
+    def _new(self, value) -> "FieldScalar":
+        return _scalar(value if self.modulus is None else value % self.modulus,
+                       self.modulus)
+
+    def _operand(self, other):
+        """The raw value of other in this kind; None for an unsupported type."""
         if isinstance(other, FieldScalar):
             if self.modulus != other.modulus:
                 raise KindMismatchError(
                     f"mixed scalar kinds: {self!r} and {other!r}")
-            return other
+            return other.value
         if isinstance(other, (int, Fraction)):
-            return FieldScalar.coerce(other, self.modulus)
+            return _lift(other, self.modulus)
         return None
 
+    def _reciprocal(self, value):
+        if value == 0:
+            raise ZeroDivisionError("division by zero field scalar")
+        return 1 / value if self.modulus is None else pow(value, -1, self.modulus)
+
     def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.value + other.value, self.modulus)
+        v = self._operand(other)
+        return NotImplemented if v is None else self._new(self.value + v)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.value - other.value, self.modulus)
+        v = self._operand(other)
+        return NotImplemented if v is None else self._new(self.value - v)
 
     def __rsub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        v = self._operand(other)
+        return NotImplemented if v is None else self._new(v - self.value)
 
     def __mul__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.value * other.value, self.modulus)
+        v = self._operand(other)
+        return NotImplemented if v is None else self._new(self.value * v)
 
     def __truediv__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        v = self._operand(other)
+        return NotImplemented if v is None else self._new(self.value * self._reciprocal(v))
 
     def __rtruediv__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        v = self._operand(other)
+        return NotImplemented if v is None else self._new(v * self._reciprocal(self.value))
 
     def __neg__(self):
-        return FieldScalar(-self.value, self.modulus)
+        return self._new(-self.value)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
         if self.modulus is None:
-            return FieldScalar(self.value ** exponent)
-        return FieldScalar(pow(self.value, exponent, self.modulus), self.modulus)
+            return self._new(self.value ** exponent)
+        return self._new(pow(self.value, exponent, self.modulus))
 
     def inverse(self) -> "FieldScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("division by zero field scalar")
-        if self.modulus is None:
-            return FieldScalar(1 / self.value)
-        return FieldScalar(pow(self.value, -1, self.modulus), self.modulus)
+        return self._new(self._reciprocal(self.value))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -157,16 +181,11 @@ class FieldScalar:
         if isinstance(other, FieldScalar):
             return self.modulus == other.modulus and self.value == other.value
         if isinstance(other, (int, Fraction)):
-            if self.modulus is None:
-                return self.value == other
-            if isinstance(other, int):
-                return self.value == other % self.modulus
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        if self.modulus is None:
-            return hash(self.value)
-        return hash((self.value, self.modulus))
+        return hash(self.value)
 
     def __str__(self):
         if self.modulus is None:
@@ -188,52 +207,61 @@ class FieldScalar:
 
 
 class ExactMatrix:
-    """Immutable dense matrix whose entries are FieldScalars of one kind."""
+    """Immutable dense matrix over Q or GF(p).
 
-    __slots__ = ("rows", "cols", "entries")
+    ``modulus`` (None over Q) is stored once; ``values`` holds the raw
+    entries row by row.  Entries read through ``entries``, ``entry``,
+    ``row`` and ``column`` are FieldScalars of the matrix's kind.
+    """
+
+    __slots__ = ("rows", "cols", "modulus", "values")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[FieldScalar]):
         if len(entries) != rows * cols:
             raise DimensionMismatchError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        entries = tuple(entries)
         moduli = {e.modulus for e in entries}
         if len(moduli) > 1:
             raise KindMismatchError(f"mixed scalar kinds in matrix: {moduli}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        self.rows, self.cols = rows, cols
+        self.modulus = moduli.pop() if moduli else None
+        self.values = tuple(e.value for e in entries)
+
+    @classmethod
+    def _raw(cls, rows: int, cols: int, modulus: int | None, values) -> "ExactMatrix":
+        """A matrix from rows * cols raw values of the kind of ``modulus``."""
+        out = object.__new__(cls)
+        out.rows, out.cols, out.modulus, out.values = rows, cols, modulus, tuple(values)
+        return out
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[ScalarLike]],
                   modulus: int | None = None) -> "ExactMatrix":
         data = [list(r) for r in rows]
-        nrows = len(data)
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise DimensionMismatchError("ragged rows")
-        flat = [FieldScalar.coerce(x, modulus) for r in data for x in r]
-        return cls(nrows, ncols, flat)
+        _check_modulus(modulus)
+        return cls._raw(len(data), ncols, modulus,
+                        [_lift(x, modulus) for r in data for x in r])
 
     @classmethod
     def identity(cls, n: int, modulus: int | None = None) -> "ExactMatrix":
-        one = FieldScalar.coerce(1, modulus)
-        zero = FieldScalar.coerce(0, modulus)
-        return cls(n, n, [one if i == j else zero
-                          for i in range(n) for j in range(n)])
+        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], modulus)
 
     @property
-    def modulus(self) -> int | None:
-        return self.entries[0].modulus if self.entries else None
+    def entries(self) -> tuple[FieldScalar, ...]:
+        return tuple(_scalar(v, self.modulus) for v in self.values)
 
     def entry(self, i: int, j: int) -> FieldScalar:
-        return self.entries[i * self.cols + j]
+        return _scalar(self.values[i * self.cols + j], self.modulus)
 
     def row(self, i: int) -> tuple[FieldScalar, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return tuple(_scalar(v, self.modulus)
+                     for v in self.values[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j: int) -> tuple[FieldScalar, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def to_string_rows(self) -> list[list[str]]:
         return [[str(x) for x in self.row(i)] for i in range(self.rows)]
@@ -246,39 +274,54 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.modulus, self.values) \
+            == (other.rows, other.cols, other.modulus, other.values)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.modulus, self.values))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {self.to_string_rows()})"
 
 
+def _cleared(a: ExactMatrix) -> tuple[list[int], int]:
+    """Integers d * a_ij row by row, and their common denominator d.
+
+    Over GF(p) the values are ints, so d = 1 and the integers are the
+    representatives in [0, p).
+    """
+    d = lcm(*(v.denominator for v in a.values))
+    return [v.numerator * (d // v.denominator) for v in a.values], d
+
+
+def _uncleared(x: int, d: int, modulus: int | None):
+    """The raw value x / d of the given kind (d = 1 over GF(p))."""
+    return Fraction(x, d) if modulus is None else x % modulus
+
+
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product."""
+    """Exact matrix product: one integer product over the denominators' product."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if a.entries and b.entries and a.modulus != b.modulus:
+    if a.modulus != b.modulus:
         raise KindMismatchError("mixed scalar kinds in product")
     n, k, m = a.rows, a.cols, b.cols
-    modulus = a.modulus if a.entries else b.modulus
-    av = [x.value for x in a.entries]
-    bv = [x.value for x in b.entries]
-    out = []
-    for i in range(n):
-        arow = av[i * k:(i + 1) * k]
-        for j in range(m):
-            s = sum(arow[t] * bv[t * m + j] for t in range(k))
-            out.append(FieldScalar(s, modulus))
-    return ExactMatrix(n, m, out)
+    av, da = _cleared(a)
+    bv, db = _cleared(b)
+    bcols = [bv[j::m] for j in range(m)]
+    d = da * db
+    values = [_uncleared(sum(map(mul, av[i * k:(i + 1) * k], col)), d, a.modulus)
+              for i in range(n) for col in bcols]
+    return ExactMatrix._raw(n, m, a.modulus, values)
 
 
-def _bareiss_int(m: list[list[int]]) -> int:
-    """Fraction-free elimination; all interior divisions are exact."""
-    n = len(m)
-    if n == 0:
-        return 1
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix (Bareiss fraction-free
+    elimination; every interior division is exact)."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatchError("matrix is not square")
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -299,38 +342,19 @@ def _bareiss_int(m: list[list[int]]) -> int:
                 row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
             row[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("matrix is not square")
-    return _bareiss_int([list(r) for r in rows])
+    return sign * m[-1][-1] if m else 1
 
 
 def det_exact(a: ExactMatrix) -> FieldScalar:
     """Exact determinant of a square matrix.
 
-    Rational matrices are cleared to integer matrices row by row (LCM of
-    the denominators), the integer determinant is computed fraction-free,
-    and the scaling is divided back out.  Residue matrices are lifted to
-    integer representatives and reduced mod p at the end.
+    The values over their common denominator d form an integer matrix;
+    its determinant, divided by d^n over Q or reduced mod p, is the
+    answer.
     """
     if a.rows != a.cols:
         raise DimensionMismatchError(f"determinant of {a.rows}x{a.cols} matrix")
     n = a.rows
-    if n == 0:
-        return FieldScalar.coerce(1, a.modulus)
-    if a.modulus is not None:
-        m = [[x.value for x in a.row(i)] for i in range(n)]
-        return FieldScalar(_bareiss_int(m) % a.modulus, a.modulus)
-    m = []
-    scale = 1
-    for i in range(n):
-        vals = [x.value for x in a.row(i)]
-        mult = lcm(*(v.denominator for v in vals)) if vals else 1
-        scale *= mult
-        m.append([int(v * mult) for v in vals])
-    return FieldScalar(Fraction(_bareiss_int(m), scale))
+    values, d = _cleared(a)
+    det = det_int([values[i * n:(i + 1) * n] for i in range(n)])
+    return _scalar(_uncleared(det, d ** n, a.modulus), a.modulus)

@@ -36,8 +36,9 @@ from .iet import Composition, build_sigma, standard_encoding
 from .numeric import det_int
 from .permsign import zolotareff
 from .words import (
+    SlopeRatio,
     Word,
-    bw_rows,
+    christoffel_bw_row,
     circular_factors,
     lower_christoffel,
     palindromic_factorization,
@@ -63,26 +64,17 @@ def christoffel_chain(slope: SturmianSlope, max_len: int) -> list[Word]:
     prefix yields a finite chain; operations that need longer words raise
     InsufficientCFError instead.
     """
-    out = []
-    for s in semiconvergents(slope.cf):
-        w = lower_christoffel(s)
-        if len(w) > max_len:
-            break
-        out.append(w)
-    return out
+    return [lower_christoffel(s) for s in semiconvergents(slope.cf) if s.length <= max_len]
 
 
-def _full_chain(slope: SturmianSlope) -> list[Word]:
-    return [lower_christoffel(s) for s in semiconvergents(slope.cf)]
-
-
-def _locate(chain: list[Word], n: int) -> int:
-    """Least nu with |w_nu| >= n + 1."""
-    for nu, w in enumerate(chain):
-        if len(w) >= n + 1:
-            return nu
+def _covering(slope: SturmianSlope, n: int) -> tuple[int, SlopeRatio]:
+    """The least chain index nu with |w_nu| >= n + 1, and its slope."""
+    chain = semiconvergents(slope.cf)
+    for nu, s in enumerate(chain):
+        if s.length >= n + 1:
+            return nu, s
     raise InsufficientCFError(
-        f"chain ends at length {len(chain[-1]) if chain else 0}; "
+        f"chain ends at length {chain[-1].length if chain else 0}; "
         f"extend the continued fraction to cover factor length {n}")
 
 
@@ -102,30 +94,24 @@ class FactorMatrix:
         return [list(r.letters) for r in self.rows]
 
 
-def _factor_matrix_of_word(w: Word, n: int) -> FactorMatrix:
-    table = bw_rows(w)
-    rows: list[Word] = []
-    origin: list[int] = []
-    prev = None
-    for idx, row in enumerate(table):
-        prefix = row.letters[:n]
-        if prefix != prev:
-            rows.append(Word(prefix))
-            origin.append(idx)
-            prev = prefix
-    if len(rows) != n + 1:
-        raise OutOfRangeError(
-            f"{len(rows)} distinct circular factors of length {n} in {w}; expected {n + 1}")
-    return FactorMatrix(n, tuple(rows), tuple(origin))
+def _factor_matrix(s: SlopeRatio, n: int) -> FactorMatrix:
+    """G_n from the chain word of slope s (length N > n).
+
+    The rows are the length-n prefixes of the Burrows-Wheeler rows left
+    after removing the rows jq mod N, 1 <= j <= N-1-n.
+    """
+    big_n = s.length
+    removed = {(j * s.zeros) % big_n for j in range(1, big_n - n)}
+    origin = tuple(x for x in range(big_n) if x not in removed)
+    rows = tuple(christoffel_bw_row(s, x)[:n] for x in origin)
+    return FactorMatrix(n, rows, origin)
 
 
 def factor_matrix(slope: SturmianSlope, n: int) -> FactorMatrix:
     """G_n for the given slope."""
     if n < 0:
         raise OutOfRangeError(f"factor length {n} must be >= 0")
-    chain = _full_chain(slope)
-    w = chain[_locate(chain, n)]
-    return _factor_matrix_of_word(w, n)
+    return _factor_matrix(_covering(slope, n)[1], n)
 
 
 @dataclass(frozen=True)
@@ -194,37 +180,26 @@ def determinantal_vector_oracle(matrix: FactorMatrix) -> DeterminantalVector:
     return DeterminantalVector(determinantal_vector(matrix.int_rows()))
 
 
-def _chain_step_data(w: Word, i_max: int) -> tuple[list[int], list[int]]:
-    """Removal marks jq mod N and merge rows h_j for j = 1..i_max."""
-    big_n = len(w)
-    q = w.count(0)
+def _merge_rows(big_n: int, q: int, i_max: int) -> list[int]:
+    """Merge rows h_j = (jq mod N) - d_j for j = 1..i_max, d_j counting the
+    earlier removal marks jq mod N below the current one."""
     marks = [(j * q) % big_n for j in range(1, i_max + 1)]
-    rows = []
-    for j in range(1, i_max + 1):
-        d = sum(1 for x in marks[:j] if x < marks[j - 1])
-        rows.append(marks[j - 1] - d)
-    return marks, rows
+    return [m - sum(1 for x in marks[:j] if x < m) for j, m in enumerate(marks)]
 
 
 def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVector:
     """V_n in closed form, exact global sign included."""
     if n < 2:
         raise OutOfRangeError("closed form needs n >= 2; use the oracle below that")
-    chain = _full_chain(slope)
-    nu = _locate(chain, n)
-    w = chain[nu]
-    big_n = len(w)
-    r = w.count(1)
+    nu, s = _covering(slope, n)
+    big_n = s.length
     i = big_n - 1 - n
-    w1, w2 = standard_factorization(w)
+    w1, w2 = standard_factorization(lower_christoffel(s))
     m1, m2 = w1.count(1), w2.count(1)
     lo, mid, hi = -m1, m2 - m1, m2
 
-    epsilon = zolotareff(r, big_n)
-    _, merge_rows = _chain_step_data(w, i)
-    t = 0
-    for j, h in enumerate(merge_rows, start=1):
-        t += (big_n - j) - h
+    epsilon = zolotareff(s.ones, big_n)
+    t = sum(big_n - j - h for j, h in enumerate(_merge_rows(big_n, s.zeros, i), start=1))
 
     composition = Composition((len(w2) - i, i, len(w1) - i))
     encoded = standard_encoding(build_sigma(composition), (lo, mid, hi))
@@ -258,19 +233,14 @@ def g_chain(slope: SturmianSlope, nu: int) -> list[GChainStep]:
     row h_i = (iq mod N) - d_i; in the previous matrix the rows h_i - 1
     and h_i agree except for final entries 1 and 0.
     """
-    chain = _full_chain(slope)
+    chain = semiconvergents(slope.cf)
     if not 1 <= nu < len(chain):
         raise InsufficientCFError(
             f"chain index {nu} outside [1, {len(chain) - 1}]")
-    w = chain[nu]
-    big_n = len(w)
-    small = len(chain[nu - 1])
-    i_max = big_n - small
-    _, merge_rows = _chain_step_data(w, i_max)
-    steps = [GChainStep(_factor_matrix_of_word(w, big_n - 1), None)]
-    for i, h in enumerate(merge_rows, start=1):
-        steps.append(GChainStep(_factor_matrix_of_word(w, big_n - 1 - i), h))
-    return steps
+    s = chain[nu]
+    big_n = s.length
+    merge_rows = [None] + _merge_rows(big_n, s.zeros, big_n - chain[nu - 1].length)
+    return [GChainStep(_factor_matrix(s, big_n - 1 - i), h) for i, h in enumerate(merge_rows)]
 
 
 def vector_merge_step(v: DeterminantalVector) -> DeterminantalVector:
@@ -298,12 +268,11 @@ def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
     with the sign the exact minor computation produces.  The right-special
     factor is the single one that extends by both letters.
     """
-    chain = _full_chain(slope)
-    nu = _locate(chain, n)
-    w = chain[nu]
-    if n >= len(w) - 1:
+    s = _covering(slope, n)[1]
+    if n >= s.length - 1:
         raise OutOfRangeError(f"factor length {n} has a two-letter vector; no middle value")
-    matrix = _factor_matrix_of_word(w, n)
+    w = lower_christoffel(s)
+    matrix = _factor_matrix(s, n)
     longer = {u.letters for u in circular_factors(w, n + 1)}
     h = next(idx for idx, u in enumerate(matrix.rows)
              if u.letters + (0,) in longer and u.letters + (1,) in longer)

@@ -1,11 +1,11 @@
 """Words over totally ordered numeric alphabets.
 
 Letters are exact numbers (ints or Fractions) compared numerically.
-Christoffel words of slope r/q over {a < b} are generated by the residue
-rule: position j of the lower word carries the high letter exactly when
-(n-1+qj) mod n < r, with n = q+r; the upper word uses (qj) mod n < r.
 Burrows-Wheeler tables sort the rotations of a primitive word in
-*decreasing* lexicographic order throughout.
+*decreasing* lexicographic order throughout.  For Christoffel words of
+slope r/q (n = q+r) one residue rule gives every row of the table: in
+row i, position j carries the high letter exactly when (i + qj) mod n < r.
+The lower Christoffel word is row n-1 and the upper one row 0.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     AmbiguousSplitError,
+    IndexOutOfRangeError,
     InvalidSlopeError,
     LengthOutOfRangeError,
     NoPalindromicSplitError,
@@ -200,30 +201,36 @@ def circular_factors(w: Word, n: int) -> list[Word]:
     return [Word(p) for p in sorted(seen, reverse=True)]
 
 
-def _christoffel_letter_is_high(j: int, q: int, r: int, lower: bool) -> bool:
+def christoffel_bw_row(slope: SlopeRatio, i: int,
+                       alphabet: tuple[Letter, Letter] = (0, 1)) -> Word:
+    """Row i of the Burrows-Wheeler table of the Christoffel words of a slope.
+
+    With q = |w|_0, r = |w|_1 and n = q + r, position j carries the high
+    letter exactly when (i + qj) mod n < r.  Row n-1 is the lower and
+    row 0 the upper Christoffel word.
+    """
+    q, r = slope.zeros, slope.ones
     n = q + r
-    base = n - 1 if lower else 0
-    return (base + q * j) % n < r
+    if not 0 <= i < n:
+        raise IndexOutOfRangeError(f"row {i} outside [0, {n - 1}]")
+    a, b = alphabet
+    return Word(b if (i + q * j) % n < r else a for j in range(n))
+
+
+def _ordered(alphabet: tuple[Letter, Letter]) -> tuple[Letter, Letter]:
+    if not alphabet[0] < alphabet[1]:
+        raise InvalidSlopeError(f"alphabet {alphabet} is not strictly ordered")
+    return alphabet
 
 
 def lower_christoffel(slope: SlopeRatio, alphabet: tuple[Letter, Letter] = (0, 1)) -> Word:
     """Lower Christoffel word of the given slope over {a < b}."""
-    a, b = alphabet
-    if not a < b:
-        raise InvalidSlopeError(f"alphabet {alphabet} is not strictly ordered")
-    q, r = slope.zeros, slope.ones
-    return Word(b if _christoffel_letter_is_high(j, q, r, lower=True) else a
-                for j in range(q + r))
+    return christoffel_bw_row(slope, slope.length - 1, _ordered(alphabet))
 
 
 def upper_christoffel(slope: SlopeRatio, alphabet: tuple[Letter, Letter] = (0, 1)) -> Word:
     """Upper Christoffel word: reversal (and a conjugate) of the lower one."""
-    a, b = alphabet
-    if not a < b:
-        raise InvalidSlopeError(f"alphabet {alphabet} is not strictly ordered")
-    q, r = slope.zeros, slope.ones
-    return Word(b if _christoffel_letter_is_high(j, q, r, lower=False) else a
-                for j in range(q + r))
+    return christoffel_bw_row(slope, 0, _ordered(alphabet))
 
 
 def is_christoffel(w: Word) -> str:

@@ -4,17 +4,86 @@ Each function recomputes a library result by a second, independent
 construction that is too slow or too indirect to run inside the library.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 from christoffel import (
     Composition,
+    ExactMatrix,
+    FactorMatrix,
+    FieldScalar,
     Permutation,
     Word,
     build_sigma,
+    bw_rows,
     is_perfectly_clustering,
     lyndon_words,
 )
 from christoffel.iet import standard_cycle
+
+
+def is_prime_by_trial_division(p):
+    """Primality by trial division up to the square root."""
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f <= isqrt(p):
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def mat_mul_per_entry(a, b):
+    """The product entry by entry, each a sum of FieldScalar products."""
+    zero = FieldScalar.coerce(0, a.modulus)
+    return ExactMatrix(a.rows, b.cols, [
+        sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), zero)
+        for i in range(a.rows) for j in range(b.cols)])
+
+
+def cofactor_det(rows):
+    """Naive cofactor expansion along the first row; the determinant oracle."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * cofactor_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def factor_matrix_by_rotation_sort(w, n):
+    """G_n of the chain word w: the distinct length-n prefixes of the
+    Burrows-Wheeler rows of w, each with the first row it starts."""
+    rows, origin = [], []
+    for idx, row in enumerate(bw_rows(w)):
+        prefix = row[:n]
+        if not rows or prefix != rows[-1]:
+            rows.append(prefix)
+            origin.append(idx)
+    return FactorMatrix(n, tuple(rows), tuple(origin))
+
+
+def g_chain_by_rotation_sort(w, small):
+    """(G_n, merge row) for n = |w|-1 down to small-1, each G_n by rotation
+    sort.  The merge row into G_n is the row h of G_{n+1} whose length-n
+    prefix equals that of row h-1."""
+    steps = []
+    for n in range(len(w) - 1, small - 2, -1):
+        h = None
+        if steps:
+            prev = steps[-1][0].rows
+            h = next(h for h in range(1, len(prev)) if prev[h - 1][:n] == prev[h][:n])
+        steps.append((factor_matrix_by_rotation_sort(w, n), h))
+    return steps
 
 
 def pc_words_by_lyndon_filter(length, num_letters):

@@ -109,6 +109,32 @@ class TestPrimeFieldMatrixCommands:
                            "--b", "4", "--r", "2")
         assert code == 1 and "KindMismatchError" in err
 
+    def test_text_states_modulus_once(self, capsys):
+        code, out, _ = run(capsys, "matrix", "christoffel", "--n", "3", "--a", "3 mod 65537",
+                           "--b", "4 mod 65537", "--r", "1")
+        assert code == 0 and out.splitlines() == ["433", "343", "334", "mod 65537"]
+        code, out, _ = run(capsys, "matrix", "christoffel", "--n", "3", "--a", "30 mod 65537",
+                           "--b", "-1 mod 65537", "--r", "1")
+        assert out.splitlines() == ["65536 30 30", "30 65536 30", "30 30 65536", "mod 65537"]
+
+    def test_rational_text_unchanged(self, capsys):
+        code, out, _ = run(capsys, "matrix", "christoffel", "--n", "3", "--a", "1/2",
+                           "--b", "-4", "--r", "1")
+        assert code == 0 and out.splitlines() == ["-4 1/2 1/2", "1/2 -4 1/2", "1/2 1/2 -4"]
+
+    def test_61_bit_modulus(self, capsys):
+        p = str(2 ** 61 - 1)
+        code, out, err = run(capsys, "matrix", "det", "--n", "7", "--a", f"1 mod {p}",
+                             "--b", f"2 mod {p}", "--r", "2", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["result"]["match"] is True
+
+    def test_modulus_beyond_primality_bound(self, capsys):
+        p = str(2 ** 89 - 1)
+        code, _, err = run(capsys, "matrix", "det", "--n", "7", "--a", f"1 mod {p}",
+                           "--b", f"2 mod {p}", "--r", "2")
+        assert code == 1 and "SizeLimitError" in err
+
     def test_mixed_kinds_in_second_operand_rejected(self, capsys):
         code, _, err = run(capsys, "matrix", "mul", *self.GF, "--a2", "0", "--b2", "1",
                            "--r2", "4")

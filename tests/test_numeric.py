@@ -3,28 +3,22 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import christoffel.numeric as numeric
 from christoffel import ExactMatrix, FieldScalar, det_exact, det_int, mat_mul
-from christoffel.errors import ChristoffelError, DimensionMismatchError, KindMismatchError
+from christoffel.errors import (
+    ChristoffelError,
+    DimensionMismatchError,
+    KindMismatchError,
+    SizeLimitError,
+)
+from oracles import cofactor_det, is_prime_by_trial_division, mat_mul_per_entry
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
-
-
-def cofactor_det(rows):
-    """Naive cofactor expansion along the first row; the determinant oracle."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+PRIMES = (2, 3, 7, 31, 65537, 1_000_000_007, 2 ** 61 - 1)
+primes = st.sampled_from(PRIMES)
 
 
 def permanent_free_det(rows):
@@ -39,6 +33,37 @@ def permanent_free_det(rows):
             prod *= rows[i][perm[i]]
         total += prod if inversions % 2 == 0 else -prod
     return total
+
+
+class TestPrimality:
+    def test_equals_trial_division(self):
+        assert [p for p in range(-5, 200_000) if numeric.is_prime(p)] \
+            == [p for p in range(-5, 200_000) if is_prime_by_trial_division(p)]
+
+    def test_strong_pseudoprimes_rejected(self):
+        """Composites that pass Miller-Rabin for the first 4, 9 and 12 prime
+        bases respectively (the last needs the 13th base, 41)."""
+        for n, factor in ((3215031751, 151), (3825123056546413051, 149491),
+                          (318665857834031151167461, 399165290221)):
+            assert n % factor == 0
+            assert not numeric.is_prime(n)
+
+    def test_large_numbers(self):
+        assert 2 ** 67 - 1 == 193707721 * 761838257287
+        for n, prime in ((2 ** 31 - 1, True), (1_000_000_007, True), (2 ** 61 - 1, True),
+                         (2 ** 67 - 1, False), ((2 ** 31 - 1) * 1_000_000_007, False)):
+            assert numeric.is_prime(n) is prime
+
+    def test_beyond_exactness_bound(self):
+        bound = 3_317_044_064_679_887_385_961_981
+        assert not numeric.is_prime(bound - 2)
+        with pytest.raises(SizeLimitError):
+            numeric.is_prime(bound)
+        with pytest.raises(SizeLimitError):
+            FieldScalar.residue(1, 2 ** 89 - 1)
+
+    def test_61_bit_modulus(self):
+        assert FieldScalar(1, 2 ** 61 - 1) * 2 == 2
 
 
 class TestFieldScalar:
@@ -126,8 +151,31 @@ class TestScalarProtocol:
                 with pytest.raises(TypeError):
                     op(other, x)
 
+    @given(v=st.integers(), k=st.integers(), p=primes)
+    def test_residue_equals_only_its_representative(self, v, k, p):
+        x = FieldScalar.residue(v, p)
+        assert (x == k) == (k == v % p)
+        assert x != v % p + p
+        assert hash(x) == hash(v % p)
+        assert len({x, v % p}) == 1
+
+    @given(num=st.integers(), k=st.integers(min_value=1, max_value=10 ** 6), p=primes)
+    def test_fraction_without_residue_raises_zero_division(self, num, k, p):
+        assume(num % p != 0)
+        bad = Fraction(num, k * p)
+        x = FieldScalar.residue(1, p)
+        for attempt in (lambda: FieldScalar.coerce(bad, p), lambda: x + bad,
+                        lambda: bad - x, lambda: x * bad, lambda: FieldScalar(bad, p),
+                        lambda: ExactMatrix.from_rows([[bad]], p)):
+            with pytest.raises(ZeroDivisionError):
+                attempt()
+
     def test_examples(self):
         assert len({FieldScalar(3), 3}) == 1
+        assert FieldScalar.residue(3, 7) == 3 and FieldScalar.residue(3, 7) != 10
+        assert len({FieldScalar.residue(3, 7), 3}) == 1
+        with pytest.raises(ZeroDivisionError):
+            FieldScalar.residue(1, 7) + Fraction(1, 7)
         assert 1 - FieldScalar(2) == -1
         assert 1 / FieldScalar(2) == Fraction(1, 2)
         with pytest.raises(TypeError):
@@ -150,6 +198,35 @@ class TestMatMul:
         a = ExactMatrix.from_rows([[1, 2]])
         with pytest.raises(DimensionMismatchError):
             mat_mul(a, a)
+
+    @given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4), m=st.integers(1, 4))
+    def test_rational_equals_per_entry_product(self, data, n, k, m):
+        """Entries of unequal denominators, cleared to one integer product."""
+        a = ExactMatrix.from_rows(data.draw(st.lists(
+            st.lists(rationals, min_size=k, max_size=k), min_size=n, max_size=n)))
+        b = ExactMatrix.from_rows(data.draw(st.lists(
+            st.lists(rationals, min_size=m, max_size=m), min_size=k, max_size=k)))
+        product = mat_mul(a, b)
+        assert product.modulus is None and product == mat_mul_per_entry(a, b)
+
+    @given(data=st.data(), p=primes, n=st.integers(1, 4), k=st.integers(1, 4),
+           m=st.integers(1, 4))
+    def test_residue_equals_per_entry_product(self, data, p, n, k, m):
+        entries = st.integers(-10 ** 20, 10 ** 20) | rationals.filter(
+            lambda x: x.denominator % p)
+        a = ExactMatrix.from_rows(data.draw(st.lists(
+            st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)), p)
+        b = ExactMatrix.from_rows(data.draw(st.lists(
+            st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k)), p)
+        product = mat_mul(a, b)
+        assert product.modulus == p and product == mat_mul_per_entry(a, b)
+        assert all(0 <= v < p for v in product.values)
+
+    def test_kind_mismatch(self):
+        with pytest.raises(KindMismatchError):
+            mat_mul(ExactMatrix.identity(2), ExactMatrix.identity(2, modulus=7))
+        with pytest.raises(KindMismatchError):
+            mat_mul(ExactMatrix.identity(2, 5), ExactMatrix.identity(2, modulus=7))
 
     def test_residue_product(self):
         a = ExactMatrix.from_rows([[3, 1], [0, 2]], modulus=7)
@@ -201,6 +278,61 @@ class TestDeterminant:
                 [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
             assert det_exact(mat_mul(a, b)) == det_exact(a) * det_exact(b)
 
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_row_denominators_against_cofactor_expansion(self, data, n):
+        """Each row has its own denominator; the result is cofactor_det on Fractions."""
+        dens = data.draw(st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
+        rows = [[Fraction(data.draw(st.integers(-99, 99)), d) for _ in range(n)]
+                for d in dens]
+        det = det_exact(ExactMatrix.from_rows(rows))
+        assert det.modulus is None and det == cofactor_det(rows)
+
+    @given(data=st.data(), p=primes, n=st.integers(1, 5))
+    def test_residue_against_cofactor_expansion(self, data, p, n):
+        rows = data.draw(st.lists(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=n,
+                                           max_size=n), min_size=n, max_size=n))
+        assert det_exact(ExactMatrix.from_rows(rows, p)) \
+            == FieldScalar.residue(cofactor_det(rows), p)
+
     def test_not_square(self):
         with pytest.raises(DimensionMismatchError):
             det_exact(ExactMatrix.from_rows([[1, 2]]))
+
+
+class TestKindStoredOnce:
+    """A matrix holds its modulus once and raw values, not FieldScalars."""
+
+    def test_raw_values(self):
+        q = ExactMatrix.from_rows([[1, Fraction(1, 2)], [3, 4]])
+        gf = ExactMatrix.from_rows([[1, -1], [Fraction(1, 2), 10]], 7)
+        assert q.modulus is None and q.values == (1, Fraction(1, 2), 3, 4)
+        assert all(type(v) is Fraction for v in q.values)
+        assert gf.modulus == 7 and gf.values == (1, 6, 4, 3)
+        assert all(type(v) is int for v in gf.values)
+        assert all(isinstance(x, FieldScalar) and x.modulus == 7 for x in gf.entries)
+
+    def test_mixed_kinds_rejected(self):
+        with pytest.raises(KindMismatchError):
+            ExactMatrix(1, 2, [FieldScalar(1), FieldScalar.residue(1, 7)])
+        with pytest.raises(KindMismatchError):
+            ExactMatrix.from_rows([[FieldScalar.residue(1, 5)]], 7)
+
+    def test_primality_checked_at_most_once(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return is_prime_by_trial_division(p)
+
+        monkeypatch.setattr(numeric, "is_prime", counting)
+        rng = random.Random(12)
+        p = 1_000_000_007
+        a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(6)] for _ in range(6)], p)
+        assert calls == [p]
+        b = ExactMatrix.identity(6, p)
+        calls.clear()
+        product = mat_mul(a, b)
+        assert len(calls) <= 1
+        det_exact(product)
+        product.to_string_rows()
+        assert len(calls) <= 1 and product == a

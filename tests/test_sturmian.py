@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from christoffel import (
     DeterminantalVector,
@@ -27,10 +28,16 @@ from christoffel.errors import (
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
+from oracles import factor_matrix_by_rotation_sort, g_chain_by_rotation_sort
 
 FIB = SturmianSlope.from_quotients((0, 1, 1, 1, 1, 1, 1, 1))
 ORDER11 = SturmianSlope.from_quotients((2, 1, 2))
 SQRT2ISH = SturmianSlope.from_quotients((0, 2, 2, 2))
+
+# Continued-fraction prefixes [n0; n1, ...] with n0 >= 0 and the rest >= 1.
+cf_prefixes = st.tuples(st.integers(0, 4), st.lists(st.integers(1, 5), min_size=1,
+                                                    max_size=5)).map(
+    lambda t: SturmianSlope.from_quotients((t[0],) + tuple(t[1])))
 
 
 class TestChain:
@@ -80,6 +87,15 @@ class TestFactorMatrix:
     def test_insufficient_cf(self):
         with pytest.raises(InsufficientCFError):
             factor_matrix(SturmianSlope.from_quotients((2,)), 5)
+
+    @given(slope=cf_prefixes, data=st.data())
+    def test_equals_rotation_sort(self, slope, data):
+        """Rows and origins by the residue rule equal the distinct prefixes of
+        the rotation-sorted table of the covering chain word."""
+        chain = christoffel_chain(slope, 200)
+        n = data.draw(st.integers(0, len(chain[-1]) - 1))
+        covering = next(w for w in chain if len(w) >= n + 1)
+        assert factor_matrix(slope, n) == factor_matrix_by_rotation_sort(covering, n)
 
 
 class TestOracle:
@@ -210,6 +226,16 @@ class TestGChain:
     def test_bad_nu(self):
         with pytest.raises(InsufficientCFError):
             g_chain(ORDER11, 9)
+
+    @given(slope=cf_prefixes, data=st.data())
+    def test_equals_rotation_sort(self, slope, data):
+        """Each matrix by rotation sort; each merge row where two rows of the
+        previous matrix stop being distinct."""
+        chain = christoffel_chain(slope, 80)
+        assume(len(chain) >= 2)
+        nu = data.draw(st.integers(1, len(chain) - 1))
+        expected = g_chain_by_rotation_sort(chain[nu], len(chain[nu - 1]))
+        assert [(s.matrix, s.merge_row) for s in g_chain(slope, nu)] == expected
 
 
 class TestMergeChain:

@@ -8,6 +8,7 @@ from christoffel import (
     SlopeRatio,
     Word,
     bw_rows,
+    christoffel_bw_row,
     circular_factors,
     conjugates,
     is_christoffel,
@@ -24,6 +25,7 @@ from christoffel import (
 )
 from christoffel.errors import (
     AmbiguousSplitError,
+    IndexOutOfRangeError,
     InvalidSlopeError,
     LengthOutOfRangeError,
     NoPalindromicSplitError,
@@ -81,6 +83,28 @@ class TestChristoffelGeneration:
         for slope in all_slopes(40):
             w = lower_christoffel(slope)
             assert w.count(1) == slope.ones and w.count(0) == slope.zeros
+
+
+class TestBwRow:
+    def test_equals_sorted_rotations(self):
+        """Row i by the residue rule is row i of the rotation-sorted table,
+        for every slope with N <= 60."""
+        for slope in all_slopes(60):
+            rows = [christoffel_bw_row(slope, i) for i in range(slope.length)]
+            assert rows == bw_rows(lower_christoffel(slope))
+            assert rows[-1] == lower_christoffel(slope) and rows[0] == upper_christoffel(slope)
+
+    def test_any_two_letters(self):
+        """The letters need no order; bwgroup passes field values as they are."""
+        assert christoffel_bw_row(SlopeRatio(2, 5), 0, (3, -1)).letters \
+            == (-1, 3, 3, -1, 3, 3, 3)
+        assert christoffel_bw_row(SlopeRatio(2, 5), 6, (5, 2)).letters \
+            == (5, 5, 5, 2, 5, 5, 2)
+
+    def test_row_out_of_range(self):
+        for i in (-1, 7):
+            with pytest.raises(IndexOutOfRangeError):
+                christoffel_bw_row(SlopeRatio(2, 5), i)
 
 
 class TestBasicPredicates:
