@@ -521,6 +521,9 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"error [DivisionByZero]: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a malformed number, word or scalar argument
+        print(f"error [usage]: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -85,9 +85,20 @@ def build_sigma(composition: Composition) -> IetPermutation:
     return IetPermutation(Permutation(images), composition)
 
 
+def _cycle_of_zero(p: IetPermutation) -> list[int]:
+    """The cycle through 0; the exchange is circular iff it has every element."""
+    images = p.sigma.images
+    cyc = [0]
+    x = images[0]
+    while x != 0:
+        cyc.append(x)
+        x = images[x]
+    return cyc
+
+
 def is_circular(p: IetPermutation) -> bool:
     """True when the exchange is a single cycle."""
-    return p.sigma.cycle_count() == 1
+    return len(_cycle_of_zero(p)) == len(p.sigma)
 
 
 def two_interval_circular(c1: int, c2: int) -> bool:
@@ -102,14 +113,9 @@ def pak_redlich_circular(c1: int, c2: int, c3: int) -> bool:
 
 def standard_cycle(p: IetPermutation) -> tuple[int, ...]:
     """Cycle form starting at 0 of a circular exchange."""
-    if not is_circular(p):
+    cyc = _cycle_of_zero(p)
+    if len(cyc) != len(p.sigma):
         raise NotCircularError(f"exchange of {p.composition.parts} is not circular")
-    images = p.sigma.images
-    cyc = [0]
-    x = images[0]
-    while x != 0:
-        cyc.append(x)
-        x = images[x]
     return tuple(cyc)
 
 
@@ -161,7 +167,7 @@ def restriction_word_chain(gamma: int, rho: int,
     Starting from the two-letter word of composition (gamma, rho) with
     gamma < rho, each step replaces one factor "ac" by "b"; the position
     recorded with step i is (i*gamma^{-1} mod n) - d_i where d_i counts
-    the earlier removals landing below the current one.
+    the earlier removals landing below the current one (merge_positions).
     """
     if gcd(gamma, rho) != 1:
         raise NotCoprimeError(f"gcd{(gamma, rho)} != 1")
@@ -170,18 +176,29 @@ def restriction_word_chain(gamma: int, rho: int,
     if len(alphabet) != 3:
         raise AlphabetSizeMismatchError("restriction chain needs a three-letter alphabet")
     n = gamma + rho
-    gamma_inv = pow(gamma, -1, n)
-    marks = [(j * gamma_inv) % n for j in range(1, gamma + 1)]
-    chain: list[tuple[Word, int | None]] = []
-    for i in range(gamma + 1):
-        word = standard_encoding(
-            build_sigma(Composition((gamma - i, i, rho - i))), alphabet)
-        if i == 0:
-            chain.append((word, None))
-        else:
-            d = sum(1 for j in range(i) if marks[j] < marks[i - 1])
-            chain.append((word, marks[i - 1] - d))
-    return chain
+    words = [standard_encoding(build_sigma(Composition((gamma - i, i, rho - i))), alphabet)
+             for i in range(gamma + 1)]
+    return list(zip(words, [None] + merge_positions(n, pow(gamma, -1, n), gamma)))
+
+
+def merge_positions(n: int, step: int, count: int) -> list[int]:
+    """h_j = (j*step mod n) - d_j for j = 1..count, where d_j counts the
+    earlier marks i*step mod n (i < j) below the current one; a Fenwick
+    tree over the marks seen so far counts each d_j in O(log n)."""
+    tree = [0] * (n + 1)  # mark x is stored at index x + 1
+    out = []
+    for j in range(1, count + 1):
+        mark = j * step % n
+        d, x = 0, mark
+        while x:
+            d += tree[x]
+            x &= x - 1
+        out.append(mark - d)
+        x = mark + 1
+        while x <= n:
+            tree[x] += 1
+            x += x & -x
+    return out
 
 
 def enumerate_pc_words(length: int, num_letters: int,

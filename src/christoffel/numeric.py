@@ -315,34 +315,52 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._raw(n, m, a.modulus, values)
 
 
+def _eliminate(m: list[list[int]], cols: int) -> int:
+    """Fraction-free (Bareiss) elimination of the first ``cols`` columns of
+    the integer matrix m, in place; every division is exact.  Afterwards
+    entry (i, j), i, j >= cols, is the minor of the row-swapped matrix on
+    rows 0..cols-1, i and columns 0..cols-1, j.  Returns the sign of the
+    row swaps, or 0 when a column has no pivot (the first cols + 1 columns
+    are then dependent)."""
+    sign, prev = 1, 1
+    for k in range(cols):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign
+
+
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss fraction-free
-    elimination; every interior division is exact)."""
+    """Exact determinant of an integer matrix, by one Bareiss elimination."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("matrix is not square")
     m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return sign * m[-1][-1] if m else 1
+    return _eliminate(m, n - 1) * m[-1][-1] if m else 1
+
+
+def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Signed maximal minors of a (k+1) x k integer matrix G.
+
+    Component j is (-1)^(k-j) times the determinant of G without row j,
+    which is det[G | e_j].  One elimination of the first k columns of
+    [G | I_{k+1}] gives all of them at once: det[G | e_j] is the sign of
+    its row swaps times the last row's entry in identity column j.
+    """
+    k = len(rows) - 1
+    if k < 0 or any(len(r) != k for r in rows):
+        raise DimensionMismatchError("need a (k+1) x k matrix")
+    m = [list(r) + [int(i == j) for j in range(k + 1)] for i, r in enumerate(rows)]
+    sign = _eliminate(m, k)
+    return tuple(sign * x for x in m[-1][k:])
 
 
 def det_exact(a: ExactMatrix) -> FieldScalar:

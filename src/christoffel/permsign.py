@@ -102,23 +102,9 @@ class Permutation:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def cycle_count(self) -> int:
-        imgs = self.images
-        seen = bytearray(len(imgs))
-        count = 0
-        for start in range(len(imgs)):
-            if seen[start]:
-                continue
-            count += 1
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                j = imgs[j]
-        return count
-
     def sign(self) -> int:
         """+1 for even permutations, -1 for odd: (-1)^(n - #cycles)."""
-        return 1 if (len(self) - self.cycle_count()) % 2 == 0 else -1
+        return 1 if (len(self) - len(self.cycles())) % 2 == 0 else -1
 
     def cycle_type(self) -> dict[int, int]:
         """Multiset of cycle lengths as a {length: multiplicity} dict."""

@@ -26,14 +26,13 @@ from typing import Sequence
 from .contfrac import ContinuedFraction, semiconvergents
 from .errors import (
     AmbiguousSplitError,
-    DimensionMismatchError,
     InsufficientCFError,
     NoPalindromicSplitError,
     NotPerfectlyClusteringError,
     OutOfRangeError,
 )
-from .iet import Composition, build_sigma, standard_encoding
-from .numeric import det_int
+from .iet import Composition, build_sigma, merge_positions, standard_encoding
+from .numeric import determinantal_vector
 from .permsign import zolotareff
 from .words import (
     SlopeRatio,
@@ -158,33 +157,9 @@ class DeterminantalVector:
         return out
 
 
-def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Signed maximal minors of a (k+1) x k integer matrix.
-
-    Component i is (-1)^(k-i) times the determinant of the matrix with
-    row i removed; each determinant is computed independently.
-    """
-    k = len(rows) - 1
-    if k < 0 or any(len(r) != k for r in rows):
-        raise DimensionMismatchError("need a (k+1) x k matrix")
-    out = []
-    for i in range(k + 1):
-        minor = [list(r) for j, r in enumerate(rows) if j != i]
-        d = det_int(minor)
-        out.append(d if (k - i) % 2 == 0 else -d)
-    return tuple(out)
-
-
 def determinantal_vector_oracle(matrix: FactorMatrix) -> DeterminantalVector:
-    """V_n by brute-force exact determinants of the factor matrix."""
+    """V_n as the signed maximal minors of G_n, by one exact elimination."""
     return DeterminantalVector(determinantal_vector(matrix.int_rows()))
-
-
-def _merge_rows(big_n: int, q: int, i_max: int) -> list[int]:
-    """Merge rows h_j = (jq mod N) - d_j for j = 1..i_max, d_j counting the
-    earlier removal marks jq mod N below the current one."""
-    marks = [(j * q) % big_n for j in range(1, i_max + 1)]
-    return [m - sum(1 for x in marks[:j] if x < m) for j, m in enumerate(marks)]
 
 
 def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVector:
@@ -199,7 +174,7 @@ def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVe
     lo, mid, hi = -m1, m2 - m1, m2
 
     epsilon = zolotareff(s.ones, big_n)
-    t = sum(big_n - j - h for j, h in enumerate(_merge_rows(big_n, s.zeros, i), start=1))
+    t = sum(big_n - j - h for j, h in enumerate(merge_positions(big_n, s.zeros, i), start=1))
 
     composition = Composition((len(w2) - i, i, len(w1) - i))
     encoded = standard_encoding(build_sigma(composition), (lo, mid, hi))
@@ -239,7 +214,7 @@ def g_chain(slope: SturmianSlope, nu: int) -> list[GChainStep]:
             f"chain index {nu} outside [1, {len(chain) - 1}]")
     s = chain[nu]
     big_n = s.length
-    merge_rows = [None] + _merge_rows(big_n, s.zeros, big_n - chain[nu - 1].length)
+    merge_rows = [None] + merge_positions(big_n, s.zeros, big_n - chain[nu - 1].length)
     return [GChainStep(_factor_matrix(s, big_n - 1 - i), h) for i, h in enumerate(merge_rows)]
 
 
@@ -265,8 +240,8 @@ def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
 
     Defined in the three-letter range (i >= 1); the value is plus or
     minus the middle alphabet letter |w''|_1 - |w'|_1, and is returned
-    with the sign the exact minor computation produces.  The right-special
-    factor is the single one that extends by both letters.
+    with the sign of its component in V_n.  The right-special factor is
+    the single one that extends by both letters.
     """
     s = _covering(slope, n)[1]
     if n >= s.length - 1:
@@ -276,6 +251,4 @@ def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
     longer = {u.letters for u in circular_factors(w, n + 1)}
     h = next(idx for idx, u in enumerate(matrix.rows)
              if u.letters + (0,) in longer and u.letters + (1,) in longer)
-    rows = matrix.int_rows()
-    minor = det_int([row for idx, row in enumerate(rows) if idx != h])
-    return minor if (n - h) % 2 == 0 else -minor
+    return determinantal_vector(matrix.int_rows())[h]

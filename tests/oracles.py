@@ -60,6 +60,21 @@ def cofactor_det(rows):
     return total
 
 
+def determinantal_vector_by_minors(rows):
+    """Signed maximal minors of a (k+1) x k matrix, one cofactor expansion
+    per removed row: component i is (-1)^(k-i) det(rows without row i)."""
+    k = len(rows) - 1
+    return tuple((-1) ** (k - i) * cofactor_det([r for j, r in enumerate(rows) if j != i])
+                 for i in range(k + 1))
+
+
+def merge_positions_by_scan(n, step, count):
+    """h_j = (j*step mod n) - d_j, each d_j counted by a scan over all
+    earlier marks (O(count^2))."""
+    marks = [(j * step) % n for j in range(1, count + 1)]
+    return [m - sum(1 for x in marks[:j] if x < m) for j, m in enumerate(marks)]
+
+
 def factor_matrix_by_rotation_sort(w, n):
     """G_n of the chain word w: the distinct length-n prefixes of the
     Burrows-Wheeler rows of w, each with the first row it starts."""

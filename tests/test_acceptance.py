@@ -9,6 +9,8 @@ import random
 from functools import lru_cache
 from math import gcd
 
+from hypothesis import assume, given, settings, strategies as st
+
 from christoffel import (
     ContinuedFraction,
     ExactMatrix,
@@ -35,6 +37,7 @@ from christoffel import (
     params,
     ppp_factorization,
     restriction_word_chain,
+    semiconvergents,
     standard_factorization,
     to_triple,
     vector_merge_step,
@@ -194,6 +197,19 @@ def test_criterion_07_closed_form_vs_oracle():
     for n in range(2, 30):
         assert closed(SQRT2ISH, n) == oracle(SQRT2ISH, n), n
     report(7, "closed form = oracle on three slopes, signs included")
+
+
+@settings(max_examples=20, deadline=None)
+@given(quotients=st.tuples(st.integers(0, 4), st.lists(st.integers(1, 5), min_size=1,
+                                                       max_size=12)),
+       data=st.data())
+def test_criterion_07_closed_form_vs_oracle_drawn_slopes(quotients, data):
+    """Closed form = one-pass oracle on drawn continued-fraction prefixes, n <= 150."""
+    quotients = (quotients[0],) + tuple(quotients[1])
+    longest = semiconvergents(ContinuedFraction(quotients))[-1].length
+    assume(longest >= 3)
+    n = data.draw(st.integers(2, min(150, longest - 1)))
+    assert closed(quotients, n) == oracle(quotients, n), (quotients, n)
 
 
 def test_criterion_08_golden_chain():

@@ -246,6 +246,23 @@ class TestReproduce:
         assert code == 0 and payload["result"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["word", "pc-check", "A"],
+    ["word", "factorize", "01a"],
+    ["cf", "continuant", "1,x"],
+    ["cf", "semiconvergents", "1,a"],
+    ["iet", "sigma", "--composition", "1,x"],
+    ["sturmian", "detvec", "--cf", "1,x", "--len", "3"],
+    ["matrix", "christoffel", "--n", "3", "--a", "x", "--b", "1", "--r", "1"],
+    ["matrix", "christoffel", "--n", "3", "--a", "1 mod x", "--b", "1", "--r", "1"],
+])
+def test_malformed_argument_exit_code(capsys, argv):
+    """A malformed number, word or scalar is a usage error: exit 2, one line."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error [usage]: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["word", "christoffel", "--ones", "x", "--zeros", "5"])

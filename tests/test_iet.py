@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from christoffel import (
     Composition,
@@ -29,7 +30,8 @@ from christoffel.errors import (
     RestrictionOutOfRangeError,
     SizeLimitError,
 )
-from oracles import restriction_by_cycle_deletion
+from christoffel.iet import merge_positions
+from oracles import merge_positions_by_scan, restriction_by_cycle_deletion
 
 W = Word.parse
 
@@ -94,6 +96,13 @@ class TestCircularity:
             for c1 in range(total + 1):
                 parts = (c1, total - c1)
                 assert two_interval_circular(*parts) == is_circular(build_sigma(Composition(parts)))
+
+    def test_walk_from_zero_equals_cycle_decomposition(self):
+        """One cycle through 0 of full length iff the decomposition has one cycle."""
+        for total in range(1, 13):
+            for parts in compositions(total, 3):
+                exchange = build_sigma(Composition(parts))
+                assert is_circular(exchange) == (len(exchange.sigma.cycles()) == 1), parts
 
 
 class TestStandardEncoding:
@@ -248,6 +257,19 @@ class TestRestrictionWordChain:
                 assert t[pos - 1] == 0 and t[pos] == 2
                 assert t[:pos - 1] + (1,) + t[pos + 1:] == cur.letters
             checked += 1
+
+
+@st.composite
+def coprime_steps(draw):
+    n = draw(st.integers(1, 150))
+    step = draw(st.integers(1, n).filter(lambda s: gcd(s, n) == 1))
+    return n, step, draw(st.integers(0, n - 1))
+
+
+class TestMergePositions:
+    @given(case=coprime_steps())
+    def test_equals_quadratic_count(self, case):
+        assert merge_positions(*case) == merge_positions_by_scan(*case)
 
 
 class TestEnumeration:

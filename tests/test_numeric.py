@@ -3,17 +3,29 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import christoffel.numeric as numeric
-from christoffel import ExactMatrix, FieldScalar, det_exact, det_int, mat_mul
+from christoffel import (
+    ExactMatrix,
+    FieldScalar,
+    det_exact,
+    det_int,
+    determinantal_vector,
+    mat_mul,
+)
 from christoffel.errors import (
     ChristoffelError,
     DimensionMismatchError,
     KindMismatchError,
     SizeLimitError,
 )
-from oracles import cofactor_det, is_prime_by_trial_division, mat_mul_per_entry
+from oracles import (
+    cofactor_det,
+    determinantal_vector_by_minors,
+    is_prime_by_trial_division,
+    mat_mul_per_entry,
+)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
@@ -297,6 +309,45 @@ class TestDeterminant:
     def test_not_square(self):
         with pytest.raises(DimensionMismatchError):
             det_exact(ExactMatrix.from_rows([[1, 2]]))
+
+
+@st.composite
+def tall_matrices(draw):
+    """(k+1) x k integer matrices, k <= 7; about half have a column that is
+    a multiple of another, so every maximal minor vanishes."""
+    k = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                         min_size=k + 1, max_size=k + 1))
+    if k >= 2 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(k)))[:2]
+        factor = draw(st.integers(-2, 2))
+        for r in rows:
+            r[dst] = factor * r[src]
+    return rows
+
+
+class TestDeterminantalVector:
+    @settings(max_examples=40)
+    @given(rows=tall_matrices())
+    def test_equals_per_minor_cofactor_expansion(self, rows):
+        assert determinantal_vector(rows) == determinantal_vector_by_minors(rows)
+
+    def test_one_elimination_and_no_determinant(self, monkeypatch):
+        calls = []
+        eliminate = numeric._eliminate
+
+        def counting(m, cols):
+            calls.append(cols)
+            return eliminate(m, cols)
+
+        def forbidden(rows):
+            raise AssertionError("determinantal_vector called det_int")
+
+        monkeypatch.setattr(numeric, "_eliminate", counting)
+        monkeypatch.setattr(numeric, "det_int", forbidden)
+        rows = [[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 1]]
+        assert determinantal_vector(rows) == determinantal_vector_by_minors(rows)
+        assert calls == [3]
 
 
 class TestKindStoredOnce:

@@ -114,6 +114,8 @@ class TestOracle:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             determinantal_vector([[1, 0], [0, 1]])
+        with pytest.raises(DimensionMismatchError):
+            determinantal_vector([])
 
     def test_merge_lemma_on_random_matrices(self):
         """If rows h-1, h agree except trailing 1, 0 then the minor vectors
