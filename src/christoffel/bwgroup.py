@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     CharacteristicTooSmallError,
@@ -125,11 +125,17 @@ def bw_matrix(w: Word) -> ExactMatrix:
 
 
 def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
-    """The Burrows-Wheeler table of slope r/q over {a, b}, row by row."""
+    """The Burrows-Wheeler table of slope r/q over {a, b}, row by row.
+
+    a and b are cleared over the lcm of their denominators (1 over GF(p)),
+    so the table of the two integers over that denominator is the matrix.
+    """
     slope = SlopeRatio(p.r, p.q)
-    return ExactMatrix.from_rows(
-        [christoffel_bw_row(slope, i, (p.a.value, p.b.value)) for i in range(p.n)],
-        p.modulus)
+    a, b = p.a.value, p.b.value
+    den = lcm(a.denominator, b.denominator)
+    letters = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+    ints = [x for i in range(p.n) for x in christoffel_bw_row(slope, i, letters).letters]
+    return ExactMatrix._from_ints(p.n, p.n, p.modulus, ints, den)
 
 
 def to_triple(p: ChristoffelParams) -> GroupTriple:
@@ -212,11 +218,9 @@ def column_shift_check(p: ChristoffelParams) -> bool:
     first = m.column(0)
     if any(first[i] != (p.b if i < r else p.a) for i in range(n)):
         return False
-    for j in range(1, n):
-        for i in range(n):
-            if m.entry(i, j) != m.entry((i - r) % n, j - 1):
-                return False
-    return True
+    # Entries over one denominator are equal exactly when their ints are.
+    columns = [m.ints[j::n] for j in range(n)]
+    return all(columns[j] == columns[j - 1][-r:] + columns[j - 1][:-r] for j in range(1, n))
 
 
 def row_pair_prefix_check(p: ChristoffelParams) -> bool:

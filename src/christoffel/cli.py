@@ -30,7 +30,7 @@ from .contfrac import (
     ppp_factorization,
     semiconvergents,
 )
-from .errors import ChristoffelError, NotChristoffelError
+from .errors import ChristoffelError, NotChristoffelError, SizeLimitError
 from .fibonacci import fib_detvec_prediction, fib_sign, fib_word_chain, gcd_lemma_check
 from .iet import Composition, build_sigma, is_circular, standard_encoding
 from .numeric import ExactMatrix, FieldScalar, det_exact
@@ -82,10 +82,25 @@ def _emit(args, command: str, inputs: dict, result, text_lines) -> int:
     return 0
 
 
+# Caps on sizes whose cost grows without bound, checked before any work:
+# a matrix command builds n^2 entries (`det` then eliminates in O(n^3),
+# under 2 s at the cap), and `fib chain` words grow about 1.6x per word
+# (5.7 MB of output at the cap).
+MAX_MATRIX_ORDER = 256
+MAX_FIB_CHAIN_COUNT = 30
+
+
+def _capped(value: int, cap: int, option: str) -> int:
+    if value > cap:
+        raise SizeLimitError(f"{option} {value} exceeds the cap {cap}")
+    return value
+
+
 def _params_from(args, suffix: str = "") -> ChristoffelParams:
     """Parameters from --a/--b/--r (or --a2/--b2/--r2); the scalars keep
     the kind they were written in, rational or GF(p)."""
-    return ChristoffelParams(args.n, FieldScalar.parse(getattr(args, "a" + suffix)),
+    return ChristoffelParams(_capped(args.n, MAX_MATRIX_ORDER, "--n"),
+                             FieldScalar.parse(getattr(args, "a" + suffix)),
                              FieldScalar.parse(getattr(args, "b" + suffix)),
                              getattr(args, "r" + suffix))
 
@@ -140,7 +155,8 @@ def _cmd_word_pc_check(args) -> int:
 
 def _matrix_lines(m: ExactMatrix) -> list[str]:
     """One text line per row; over GF(p) the values, then the modulus once."""
-    rows = [[str(v) for v in m.values[i * m.cols:(i + 1) * m.cols]] for i in range(m.rows)]
+    values = [str(v) for v in m.values]
+    rows = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
     lines = ["".join(r) if all(len(x) == 1 for x in r) else " ".join(r) for r in rows]
     return lines if m.modulus is None else lines + [f"mod {m.modulus}"]
 
@@ -342,7 +358,7 @@ def _cmd_fib_sign(args) -> int:
 
 
 def _cmd_fib_chain(args) -> int:
-    words = fib_word_chain(args.count)
+    words = fib_word_chain(_capped(args.count, MAX_FIB_CHAIN_COUNT, "--count"))
     return _emit(args, "fib chain", {"count": args.count},
                  {"words": [str(w) for w in words]},
                  " ".join(str(w) for w in words))

@@ -87,7 +87,7 @@ class RestrictionOutOfRangeError(ChristoffelError):
 
 
 class SizeLimitError(ChristoffelError):
-    """Enumeration request beyond the supported size limits."""
+    """Request beyond the supported size limits."""
 
 
 class InsufficientCFError(ChristoffelError):

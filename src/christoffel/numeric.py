@@ -2,16 +2,18 @@
 
 Scalars are either arbitrary-precision rationals (kept reduced, positive
 denominator) or elements of a prime field GF(p); the two kinds never mix.
-A matrix stores its kind once (``modulus``, None over Q) and raw values:
-Fractions over Q, ints in [0, p) over GF(p).  Multiplication and the
-fraction-free (Bareiss) determinant both work on the integer matrix the
-values form over one common denominator.
+A matrix stores its kind once (``modulus``, None over Q) and its entries
+as one tuple of ints over one positive common denominator, in lowest
+terms over Q and as residues in [0, p) over GF(p); FieldScalars are built
+only where entries are read.  The product is one integer product, each
+row a sum of big-int multiples of b's rows packed one per integer; the
+determinant is the fraction-free (Bareiss) one of the stored ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -209,12 +211,17 @@ class FieldScalar:
 class ExactMatrix:
     """Immutable dense matrix over Q or GF(p).
 
-    ``modulus`` (None over Q) is stored once; ``values`` holds the raw
-    entries row by row.  Entries read through ``entries``, ``entry``,
-    ``row`` and ``column`` are FieldScalars of the matrix's kind.
+    ``modulus`` (None over Q) is stored once, and the entries as one tuple
+    of ints, row by row, over one positive common denominator ``den``:
+    entry k is ``ints[k] / den``.  Over Q the pair is in lowest terms
+    (gcd(den, *ints) = 1); over GF(p), den = 1 and the ints lie in
+    [0, p).  The form is canonical, so equal matrices compare and hash
+    equal.  ``values``, ``entries``, ``entry``, ``row`` and ``column`` are
+    read-only views: raw values (Fractions over Q, ints over GF(p)), or
+    FieldScalars of the matrix's kind.
     """
 
-    __slots__ = ("rows", "cols", "modulus", "values")
+    __slots__ = ("rows", "cols", "modulus", "ints", "den")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[FieldScalar]):
         if len(entries) != rows * cols:
@@ -223,15 +230,25 @@ class ExactMatrix:
         moduli = {e.modulus for e in entries}
         if len(moduli) > 1:
             raise KindMismatchError(f"mixed scalar kinds in matrix: {moduli}")
-        self.rows, self.cols = rows, cols
-        self.modulus = moduli.pop() if moduli else None
-        self.values = tuple(e.value for e in entries)
+        modulus = moduli.pop() if moduli else None
+        ints, den = _integer_form([e.value for e in entries], modulus)
+        self.rows, self.cols, self.modulus, self.ints, self.den = \
+            rows, cols, modulus, tuple(ints), den
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, modulus: int | None, values) -> "ExactMatrix":
-        """A matrix from rows * cols raw values of the kind of ``modulus``."""
+    def _from_ints(cls, rows: int, cols: int, modulus: int | None, ints,
+                   den: int = 1) -> "ExactMatrix":
+        """The matrix of entries ints[k] / den, row by row, brought to the
+        canonical form.  den > 0, and den = 1 over GF(p); the modulus was
+        checked before."""
+        if modulus is not None:
+            ints = [x % modulus for x in ints]
+        elif den > 1:
+            g = gcd(den, *ints)
+            if g > 1:
+                ints, den = [x // g for x in ints], den // g
         out = object.__new__(cls)
-        out.rows, out.cols, out.modulus, out.values = rows, cols, modulus, tuple(values)
+        out.rows, out.cols, out.modulus, out.ints, out.den = rows, cols, modulus, tuple(ints), den
         return out
 
     @classmethod
@@ -242,23 +259,33 @@ class ExactMatrix:
         if any(len(r) != ncols for r in data):
             raise DimensionMismatchError("ragged rows")
         _check_modulus(modulus)
-        return cls._raw(len(data), ncols, modulus,
-                        [_lift(x, modulus) for r in data for x in r])
+        ints, den = _integer_form([x for r in data for x in r], modulus)
+        return cls._from_ints(len(data), ncols, modulus, ints, den)
 
     @classmethod
     def identity(cls, n: int, modulus: int | None = None) -> "ExactMatrix":
-        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], modulus)
+        _check_modulus(modulus)
+        return cls._from_ints(n, n, modulus, [int(i == j) for i in range(n) for j in range(n)])
+
+    def _value(self, x: int):
+        """The raw value of the stored int x."""
+        return Fraction(x, self.den) if self.modulus is None else x
+
+    @property
+    def values(self) -> tuple:
+        """Raw entries row by row: Fractions over Q, ints in [0, p) over GF(p)."""
+        return tuple(map(self._value, self.ints))
 
     @property
     def entries(self) -> tuple[FieldScalar, ...]:
         return tuple(_scalar(v, self.modulus) for v in self.values)
 
     def entry(self, i: int, j: int) -> FieldScalar:
-        return _scalar(self.values[i * self.cols + j], self.modulus)
+        return _scalar(self._value(self.ints[i * self.cols + j]), self.modulus)
 
     def row(self, i: int) -> tuple[FieldScalar, ...]:
-        return tuple(_scalar(v, self.modulus)
-                     for v in self.values[i * self.cols:(i + 1) * self.cols])
+        return tuple(_scalar(self._value(x), self.modulus)
+                     for x in self.ints[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j: int) -> tuple[FieldScalar, ...]:
         return tuple(self.entry(i, j) for i in range(self.rows))
@@ -274,45 +301,59 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.modulus, self.values) \
-            == (other.rows, other.cols, other.modulus, other.values)
+        return (self.rows, self.cols, self.modulus, self.den, self.ints) \
+            == (other.rows, other.cols, other.modulus, other.den, other.ints)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.modulus, self.values))
+        return hash((self.rows, self.cols, self.modulus, self.den, self.ints))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {self.to_string_rows()})"
 
 
-def _cleared(a: ExactMatrix) -> tuple[list[int], int]:
-    """Integers d * a_ij row by row, and their common denominator d.
-
-    Over GF(p) the values are ints, so d = 1 and the integers are the
-    representatives in [0, p).
-    """
-    d = lcm(*(v.denominator for v in a.values))
-    return [v.numerator * (d // v.denominator) for v in a.values], d
-
-
-def _uncleared(x: int, d: int, modulus: int | None):
-    """The raw value x / d of the given kind (d = 1 over GF(p))."""
-    return Fraction(x, d) if modulus is None else x % modulus
+def _integer_form(values: list, modulus: int | None) -> tuple[list[int], int]:
+    """Ints, Fractions or scalars of the given kind as ints over one common
+    denominator: over Q the least one, over GF(p) 1.  Int values pass
+    through unchanged."""
+    if all(type(x) is int for x in values):
+        return values, 1
+    lifted = [_lift(x, modulus) for x in values]
+    if modulus is not None:
+        return lifted, 1
+    den = lcm(*(x.denominator for x in lifted))
+    return [x.numerator * (den // x.denominator) for x in lifted], den
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product: one integer product over the denominators' product."""
+    """Exact matrix product: one integer product over the denominators' product.
+
+    Row t of b is packed into one integer, its entries in slots of
+    ``width`` bytes; a slot holds any entry of the product, whose size is
+    at most k * max|a| * max|b|, with a spare top bit for the sign.  Row i
+    of the product is then sum_t a_it * packed_t (n^2 big-int products
+    instead of n^3 small ones); adding half a slot to every slot makes
+    each slot nonnegative, so the entries are read back byte-wise.
+    """
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.modulus != b.modulus:
         raise KindMismatchError("mixed scalar kinds in product")
     n, k, m = a.rows, a.cols, b.cols
-    av, da = _cleared(a)
-    bv, db = _cleared(b)
-    bcols = [bv[j::m] for j in range(m)]
-    d = da * db
-    values = [_uncleared(sum(map(mul, av[i * k:(i + 1) * k], col)), d, a.modulus)
-              for i in range(n) for col in bcols]
-    return ExactMatrix._raw(n, m, a.modulus, values)
+    bound = k * max(map(abs, a.ints), default=0) * max(map(abs, b.ints), default=0)
+    width = bound.bit_length() // 8 + 1
+    shift, half = 8 * width, 1 << (8 * width - 1)
+    packed = []
+    for t in range(k):
+        p = 0
+        for x in reversed(b.ints[t * m:(t + 1) * m]):
+            p = (p << shift) + x
+        packed.append(p)
+    offset = int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    blob = b"".join((sum(map(mul, a.ints[i * k:(i + 1) * k], packed)) + offset)
+                    .to_bytes(width * m, "little") for i in range(n))
+    ints = [int.from_bytes(blob[s:s + width], "little") - half
+            for s in range(0, len(blob), width)]
+    return ExactMatrix._from_ints(n, m, a.modulus, ints, a.den * b.den)
 
 
 def _eliminate(m: list[list[int]], cols: int) -> int:
@@ -366,13 +407,12 @@ def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def det_exact(a: ExactMatrix) -> FieldScalar:
     """Exact determinant of a square matrix.
 
-    The values over their common denominator d form an integer matrix;
-    its determinant, divided by d^n over Q or reduced mod p, is the
-    answer.
+    The stored ints form an integer matrix; its determinant, divided by
+    den^n over Q or reduced mod p, is the answer.
     """
     if a.rows != a.cols:
         raise DimensionMismatchError(f"determinant of {a.rows}x{a.cols} matrix")
     n = a.rows
-    values, d = _cleared(a)
-    det = det_int([values[i * n:(i + 1) * n] for i in range(n)])
-    return _scalar(_uncleared(det, d ** n, a.modulus), a.modulus)
+    det = det_int([a.ints[i * n:(i + 1) * n] for i in range(n)])
+    return _scalar(Fraction(det, a.den ** n) if a.modulus is None else det % a.modulus,
+                   a.modulus)

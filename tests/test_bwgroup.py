@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import christoffel.bwgroup as bwgroup
 from christoffel import (
     ExactMatrix,
     FieldScalar,
@@ -83,6 +84,12 @@ class TestMatrices:
         expected = ExactMatrix.from_rows(
             [[2 if i == j else 1 for j in range(7)] for i in range(7)])
         assert m == expected
+
+    def test_fraction_letters(self):
+        m = bw_matrix(Word.parse("-5,3,-5/2"))
+        half = Fraction(-5, 2)
+        assert m == ExactMatrix.from_rows([[3, half, -5], [half, -5, 3], [-5, 3, half]])
+        assert (m.ints, m.den) == ((6, -5, -10, -5, -10, 6, -10, 6, -5), 2)
 
     def test_bw_matrix_requires_primitive(self):
         with pytest.raises(NotPrimitiveError):
@@ -306,6 +313,17 @@ class TestStructure:
     def test_column_shift(self):
         assert column_shift_check(params(7, 0, 1, 2))
         assert column_shift_check(params(2, 0, 1, 1))
+
+    def test_column_shift_rejects_swapped_columns(self, monkeypatch):
+        """The first column stays right; the shift from column 1 to 2 breaks."""
+        p = params(7, Fraction(1, 2), 3, 2)
+        m = christoffel_matrix(p)
+        rows = [list(m.row(i)) for i in range(7)]
+        for r in rows:
+            r[1], r[2] = r[2], r[1]
+        monkeypatch.setattr(bwgroup, "christoffel_matrix",
+                            lambda _: ExactMatrix.from_rows(rows))
+        assert not column_shift_check(p)
 
     def test_column_shift_random(self):
         rng = random.Random(35)

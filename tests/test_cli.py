@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from christoffel import cli
 from christoffel.cli import main
 
 
@@ -261,6 +262,32 @@ def test_malformed_argument_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error [usage]: ")
+
+
+@pytest.mark.parametrize("op", ["christoffel", "mul", "inv", "det"])
+def test_matrix_order_cap(capsys, monkeypatch, op):
+    """An order above the cap exits 1 before any matrix is built."""
+    def forbidden(p):
+        raise AssertionError("christoffel_matrix ran past the cap")
+
+    monkeypatch.setattr(cli, "christoffel_matrix", forbidden)
+    order = str(cli.MAX_MATRIX_ORDER + 1)
+    second = ["--a2", "0", "--b2", "1", "--r2", "1"] if op == "mul" else []
+    code, out, err = run(capsys, "matrix", op, "--n", order, "--a", "0", "--b", "1",
+                         "--r", "1", *second)
+    assert code == 1 and out == ""
+    assert err.startswith("error [SizeLimitError]: ") and order in err
+
+
+def test_fib_chain_count_cap(capsys, monkeypatch):
+    """A count above the cap exits 1 before any word is built; the cap
+    itself is accepted."""
+    chain = cli.fib_word_chain
+    monkeypatch.setattr(cli, "fib_word_chain", lambda count: chain(min(count, 3)))
+    code, out, err = run(capsys, "fib", "chain", "--count", str(cli.MAX_FIB_CHAIN_COUNT + 1))
+    assert code == 1 and out == "" and err.startswith("error [SizeLimitError]: ")
+    code, out, _ = run(capsys, "fib", "chain", "--count", str(cli.MAX_FIB_CHAIN_COUNT))
+    assert code == 0 and out.split() == ["01", "001", "00101"]
 
 
 def test_usage_error_exit_code():

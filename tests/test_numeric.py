@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,10 +10,12 @@ import christoffel.numeric as numeric
 from christoffel import (
     ExactMatrix,
     FieldScalar,
+    christoffel_matrix,
     det_exact,
     det_int,
     determinantal_vector,
     mat_mul,
+    params,
 )
 from christoffel.errors import (
     ChristoffelError,
@@ -246,6 +249,74 @@ class TestMatMul:
         assert mat_mul(a, b) == ExactMatrix.from_rows([[2, 1], [2, 2]], modulus=7)
 
 
+def shaped(entries, rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def matrix(rows, cols, modulus=None):
+    """from_rows, keeping the column count (and the kind) of a matrix
+    without rows, which from_rows cannot express."""
+    if rows:
+        return ExactMatrix.from_rows(rows, modulus)
+    return ExactMatrix._from_ints(0, cols, modulus, [])
+
+
+def assert_equals_per_entry_product(a, b):
+    product, expected = mat_mul(a, b), mat_mul_per_entry(a, b)
+    assert (product.rows, product.cols, product.modulus) == (a.rows, b.cols, a.modulus)
+    assert product.entries == expected.entries
+    if product.entries:  # an empty oracle matrix has no entry to take its kind from
+        assert product == expected and hash(product) == hash(expected)
+
+
+class TestPackedProduct:
+    """The packed-row kernel against the per-entry product, on every shape
+    up to 8 x 8 x 8, empty and one-wide inner dimensions included."""
+
+    shapes = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
+
+    @settings(max_examples=60)
+    @given(data=st.data(), shape=shapes)
+    def test_rational_equals_per_entry_product(self, data, shape):
+        n, k, m = shape
+        big = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 70))
+        entries = st.integers(-3, 3) | rationals | big
+        a = matrix(data.draw(shaped(entries, n, k)), k)
+        b = matrix(data.draw(shaped(entries, k, m)), m)
+        assert_equals_per_entry_product(a, b)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), p=primes, shape=shapes)
+    def test_residue_equals_per_entry_product(self, data, p, shape):
+        n, k, m = shape
+        entries = st.integers(-1, 1) | st.integers(0, p - 1) | st.integers(-2 ** 70, 2 ** 70)
+        a = matrix(data.draw(shaped(entries, n, k)), k, p)
+        b = matrix(data.draw(shaped(entries, k, m)), m, p)
+        assert_equals_per_entry_product(a, b)
+
+    @pytest.mark.parametrize("inner", [0, 1])
+    def test_thin_inner_dimension(self, inner):
+        a = ExactMatrix.from_rows([[Fraction(-2 ** 65, 3)] * inner] * 3)
+        b = matrix([[Fraction(5, 2 ** 66), -7]] * inner, 2)
+        assert_equals_per_entry_product(a, b)
+
+    def test_canonical_form(self):
+        half = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]])
+        product = mat_mul(half, ExactMatrix.from_rows([[1], [1]]))
+        one = ExactMatrix.from_rows([[1]])
+        assert product == one and hash(product) == hash(one)
+        assert (product.ints, product.den) == ((1,), 1)
+
+    def test_identity_keeps_christoffel_matrix(self):
+        for n, a, b, r in ((7, Fraction(1, 3), Fraction(-5, 2), 2),
+                           (31, Fraction(7, 6), Fraction(2 ** 70, 9), 12)):
+            m = christoffel_matrix(params(n, a, b, r))
+            for side in (mat_mul(m, ExactMatrix.identity(n)),
+                         mat_mul(ExactMatrix.identity(n), m)):
+                assert side == m and hash(side) == hash(m)
+
+
 class TestDeterminant:
     def test_identity(self):
         for n in (1, 2, 5):
@@ -387,3 +458,46 @@ class TestKindStoredOnce:
         det_exact(product)
         product.to_string_rows()
         assert len(calls) <= 1 and product == a
+
+    def test_stored_form(self):
+        q = ExactMatrix.from_rows([[1, Fraction(1, 2)], [3, Fraction(-4, 3)]])
+        gf = ExactMatrix.from_rows([[1, -1], [Fraction(1, 2), 10]], 7)
+        assert (q.ints, q.den) == ((6, 3, 18, -8), 6)
+        assert (gf.ints, gf.den) == ((1, 6, 4, 3), 1)
+        rng = random.Random(13)
+        for _ in range(20):
+            rows = [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(3)]
+                    for _ in range(3)]
+            a = ExactMatrix.from_rows(rows)
+            for m in (a, mat_mul(a, a)):
+                assert m.den > 0 and gcd(m.den, *m.ints) == 1
+                assert all(type(x) is int for x in m.ints)
+
+    def test_reading_builds_fractions_only_for_what_is_read(self, monkeypatch):
+        """entry builds one Fraction and row one per column, not one per
+        entry of the matrix; int rows go in without any."""
+        rng = random.Random(14)
+        n = 200
+        rows = [[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(n)]
+                for _ in range(n)]
+        m = ExactMatrix.from_rows(rows)
+        built = []
+        fraction = numeric.Fraction
+
+        def counting(*args):
+            built.append(args)
+            return fraction(*args)
+
+        monkeypatch.setattr(numeric, "Fraction", counting)
+        entry = m.entry(17, 42)
+        assert len(built) <= 1
+        built.clear()
+        row = m.row(17)
+        assert len(built) <= n
+        built.clear()
+        ints = ExactMatrix.from_rows([[i * j - 50 for j in range(n)] for i in range(n)])
+        identity = ExactMatrix.identity(n)
+        assert built == []
+        monkeypatch.undo()
+        assert entry == rows[17][42] and row == tuple(rows[17])
+        assert ints.den == 1 and ints.entry(3, 7) == -29 and identity.entry(5, 5) == 1
