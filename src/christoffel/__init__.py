@@ -57,14 +57,7 @@ from .iet import (
     two_interval_circular,
 )
 from .numeric import ExactMatrix, FieldScalar, det_exact, det_int, mat_mul
-from .permsign import (
-    Permutation,
-    cycle_type_string,
-    euler_phi,
-    jacobi,
-    multiplicative_order,
-    zolotareff,
-)
+from .permsign import Permutation, cycle_type_string, jacobi, zolotareff
 from .sturmian import (
     DeterminantalVector,
     FactorMatrix,

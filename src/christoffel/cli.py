@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import fixtures
 from .bwgroup import (
@@ -54,12 +55,6 @@ from .words import (
 )
 
 
-def _parse_word(text: str, numeric: bool = False) -> Word:
-    if numeric and "," not in text:
-        return Word((int(text),))
-    return Word.parse(text)
-
-
 def _parse_letters(text: str) -> tuple:
     return tuple(int(t) if "/" not in t else Fraction(t)
                  for t in text.split(","))
@@ -82,18 +77,52 @@ def _emit(args, command: str, inputs: dict, result, text_lines) -> int:
     return 0
 
 
-# Caps on sizes whose cost grows without bound, checked before any work:
-# a matrix command builds n^2 entries (`det` then eliminates in O(n^3),
-# under 2 s at the cap), and `fib chain` words grow about 1.6x per word
-# (5.7 MB of output at the cap).
+# Caps on sizes whose cost grows without bound, checked before any work.
+# The costs quoted are single runs on 2 vCPUs at the cap.
+# A matrix command builds n^2 entries (`det` then eliminates in O(n^3),
+# under 2 s), and so does the exact-minor oracle of `sturmian detvec`
+# (1.2 s).
 MAX_MATRIX_ORDER = 256
+# `fib chain` words grow about 1.6x per word (5.7 MB of output).
 MAX_FIB_CHAIN_COUNT = 30
+# Work and output linear in the size: `word christoffel` letters, `iet`
+# composition totals, closed-form `sturmian detvec` and `fib detvec`
+# lengths (each under 0.25 s).
+MAX_LINEAR_SIZE = 100_000
+# A word argument has its n rotations sorted, n^2 letters in memory.
+MAX_WORD_ARGUMENT = 2048
+# `fib sign` prints F_m-sized counts, about 0.21 m digits (2,090 here,
+# under Python's 4,300-digit limit for printing an int).
+MAX_FIB_SIGN_INDEX = 10_000
+# `fib gcd-lemma` computes F_{6k+5} (0.3 s).
+MAX_GCD_LEMMA_K = 10_000
+# `cf semiconvergents` prints sum(quotients) slopes (0.84 MB for all ones).
+MAX_SEMICONVERGENTS = 2000
+# `sturmian gchain` prints about (N - L) N^2 letters for the chain word
+# length N, with N - L <= N/2 (0.5 s).
+MAX_CHAIN_WORD_LENGTH = 128
 
 
 def _capped(value: int, cap: int, option: str) -> int:
     if value > cap:
         raise SizeLimitError(f"{option} {value} exceeds the cap {cap}")
     return value
+
+
+def _word_arg(args, cap: int) -> Word:
+    """The positional word; with --numeric a lone number is one letter."""
+    if args.numeric and "," not in args.word:
+        w = Word((int(args.word),))
+    else:
+        w = Word.parse(args.word)
+    _capped(len(w), cap, "word length")
+    return w
+
+
+def _composition_arg(args) -> Composition:
+    comp = Composition(tuple(int(x) for x in args.composition.split(",")))
+    _capped(comp.total, MAX_LINEAR_SIZE, "composition total")
+    return comp
 
 
 def _params_from(args, suffix: str = "") -> ChristoffelParams:
@@ -112,6 +141,7 @@ def _sign_str(x: int) -> str:
 # --- subcommand handlers -------------------------------------------------
 
 def _cmd_word_christoffel(args) -> int:
+    _capped(args.ones + args.zeros, MAX_LINEAR_SIZE, "--ones + --zeros")
     slope = SlopeRatio(args.ones, args.zeros)
     alphabet = _parse_letters(args.alphabet) if args.alphabet else (0, 1)
     w = (upper_christoffel if args.upper else lower_christoffel)(slope, alphabet)
@@ -122,7 +152,7 @@ def _cmd_word_christoffel(args) -> int:
 
 
 def _cmd_word_factorize(args) -> int:
-    w = _parse_word(args.word, args.numeric)
+    w = _word_arg(args, MAX_WORD_ARGUMENT)
     result: dict = {}
     lines = []
     try:
@@ -145,7 +175,7 @@ def _cmd_word_factorize(args) -> int:
 
 
 def _cmd_word_pc_check(args) -> int:
-    w = _parse_word(args.word, args.numeric)
+    w = _word_arg(args, MAX_WORD_ARGUMENT)
     ok = is_perfectly_clustering(w)
     kind = is_christoffel(w)
     return _emit(args, "word pc-check", {"word": str(w)},
@@ -162,7 +192,7 @@ def _matrix_lines(m: ExactMatrix) -> list[str]:
 
 
 def _cmd_matrix_bw(args) -> int:
-    w = _parse_word(args.word, args.numeric)
+    w = _word_arg(args, MAX_MATRIX_ORDER)
     m = bw_matrix(w)
     return _emit(args, "matrix bw", {"word": str(w)},
                  {"matrix": m.to_string_rows()}, _matrix_lines(m))
@@ -228,7 +258,7 @@ def _cmd_sign_jacobi(args) -> int:
 
 
 def _cmd_iet_sigma(args) -> int:
-    comp = Composition(tuple(int(x) for x in args.composition.split(",")))
+    comp = _composition_arg(args)
     exchange = build_sigma(comp)
     return _emit(args, "iet sigma", {"composition": list(comp.parts)},
                  {"images": list(exchange.sigma.images),
@@ -239,7 +269,7 @@ def _cmd_iet_sigma(args) -> int:
 
 
 def _cmd_iet_encode(args) -> int:
-    comp = Composition(tuple(int(x) for x in args.composition.split(",")))
+    comp = _composition_arg(args)
     labels: list[str] | None = None
     if args.alphabet:
         tokens = [t.strip() for t in args.alphabet.split(",")]
@@ -262,7 +292,7 @@ def _cmd_iet_encode(args) -> int:
 
 
 def _cmd_iet_circular(args) -> int:
-    comp = Composition(tuple(int(x) for x in args.composition.split(",")))
+    comp = _composition_arg(args)
     direct = is_circular(build_sigma(comp))
     return _emit(args, "iet circular", {"composition": list(comp.parts)},
                  {"circular": direct}, str(direct).lower())
@@ -277,7 +307,8 @@ def _cmd_cf_continuant(args) -> int:
 
 def _cmd_cf_semiconvergents(args) -> int:
     cf = ContinuedFraction.parse(args.cf)
-    slopes = semiconvergents(cf)
+    _capped(sum(cf.quotients), MAX_SEMICONVERGENTS, "sum of quotients")
+    slopes = list(semiconvergents(cf))
     return _emit(args, "cf semiconvergents", {"cf": list(cf.quotients)},
                  {"semiconvergents": [str(s) for s in slopes]},
                  " ".join(str(s) for s in slopes))
@@ -314,6 +345,7 @@ def _cmd_sturmian_detvec(args) -> int:
     slope = SturmianSlope(ContinuedFraction.parse(args.cf))
     which = "both" if args.both or not (args.oracle or args.closed) else (
         "oracle" if args.oracle else "closed")
+    _capped(args.len, MAX_LINEAR_SIZE if which == "closed" else MAX_MATRIX_ORDER, "--len")
     result: dict = {"n": args.len}
     lines = []
     closed = oracle = None
@@ -336,6 +368,10 @@ def _cmd_sturmian_detvec(args) -> int:
 
 def _cmd_sturmian_gchain(args) -> int:
     slope = SturmianSlope(ContinuedFraction.parse(args.cf))
+    if 1 <= args.nu < sum(slope.cf.quotients):  # g_chain rejects the rest
+        # Chain lengths grow strictly from 2: this walk stops at the cap.
+        for s in islice(semiconvergents(slope.cf), args.nu + 1):
+            _capped(s.length, MAX_CHAIN_WORD_LENGTH, "chain word length")
     steps = g_chain(slope, args.nu)
     payload = [{"n": s.matrix.n,
                 "rows": [str(r) for r in s.matrix.rows],
@@ -351,7 +387,7 @@ def _cmd_sturmian_gchain(args) -> int:
 
 
 def _cmd_fib_sign(args) -> int:
-    sign, cycle_type = fib_sign(args.m)
+    sign, cycle_type = fib_sign(_capped(args.m, MAX_FIB_SIGN_INDEX, "m"))
     return _emit(args, "fib sign", {"m": args.m},
                  {"sign": sign, "cycle_type": cycle_type_string(cycle_type)},
                  f"{_sign_str(sign)}  cycle type {cycle_type_string(cycle_type)}")
@@ -365,7 +401,7 @@ def _cmd_fib_chain(args) -> int:
 
 
 def _cmd_fib_detvec(args) -> int:
-    prediction = fib_detvec_prediction(args.len)
+    prediction = fib_detvec_prediction(_capped(args.len, MAX_LINEAR_SIZE, "--len"))
     slope = SturmianSlope.from_quotients((0,) + (1,) * max(prediction.nu + 4, 8))
     closed = determinantal_vector_closed(slope, args.len)
     return _emit(args, "fib detvec", {"len": args.len},
@@ -380,7 +416,7 @@ def _cmd_fib_detvec(args) -> int:
 
 
 def _cmd_fib_gcd_lemma(args) -> int:
-    a, b, c = gcd_lemma_check(args.k)
+    a, b, c = gcd_lemma_check(_capped(args.k, MAX_GCD_LEMMA_K, "--k"))
     return _emit(args, "fib gcd-lemma", {"k": args.k},
                  {"case_a": a, "case_b": b, "case_c": c},
                  f"a: {a}  b: {b}  c: {c}")

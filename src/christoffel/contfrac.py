@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidCFError, InvalidSlopeError, OutOfRangeError
 from .words import SlopeRatio
@@ -93,14 +93,20 @@ class ContinuedFraction:
         return f"[{head};{','.join(map(str, rest))}]" if rest else f"[{head}]"
 
 
-def semiconvergents(cf: ContinuedFraction) -> list[SlopeRatio]:
-    """All [n0,...,n_{m-1},h] with 1 <= h <= n_m, in tree order."""
-    out = []
-    q = cf.quotients
-    for m in range(len(q)):
-        for h in range(1, q[m] + 1):
-            out.append(ContinuedFraction(q[:m] + (h,)).value())
-    return out
+def semiconvergents(cf: ContinuedFraction) -> Iterator[SlopeRatio]:
+    """All [n0,...,n_{m-1},h] with 1 <= h <= n_m, in tree order, lazily.
+
+    With the convergents p_k/q_k = [n0,...,n_k], seeded by p_{-1}/q_{-1}
+    = 1/0 and p_{-2}/q_{-2} = 0/1, item (m, h) is
+    (h p_{m-1} + p_{m-2}) / (h q_{m-1} + q_{m-2}): each costs O(1)
+    big-int steps, and a caller may stop at the item it needs.  There are
+    sum(n_k) items, and their lengths increase strictly from 2.
+    """
+    p1, q1, p2, q2 = 1, 0, 0, 1
+    for a in cf.quotients:
+        for h in range(1, a + 1):
+            yield SlopeRatio(h * p1 + p2, h * q1 + q2)
+        p1, q1, p2, q2 = a * p1 + p2, a * q1 + q2, p1, q1
 
 
 def christoffel_length(cf: ContinuedFraction) -> int:

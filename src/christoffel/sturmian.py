@@ -21,6 +21,7 @@ the palindromic factorization, up to a global sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, takewhile
 from typing import Sequence
 
 from .contfrac import ContinuedFraction, semiconvergents
@@ -63,17 +64,21 @@ def christoffel_chain(slope: SturmianSlope, max_len: int) -> list[Word]:
     prefix yields a finite chain; operations that need longer words raise
     InsufficientCFError instead.
     """
-    return [lower_christoffel(s) for s in semiconvergents(slope.cf) if s.length <= max_len]
+    return [lower_christoffel(s)
+            for s in takewhile(lambda s: s.length <= max_len, semiconvergents(slope.cf))]
 
 
 def _covering(slope: SturmianSlope, n: int) -> tuple[int, SlopeRatio]:
-    """The least chain index nu with |w_nu| >= n + 1, and its slope."""
-    chain = semiconvergents(slope.cf)
-    for nu, s in enumerate(chain):
+    """The least chain index nu with |w_nu| >= n + 1, and its slope.
+
+    Lengths increase strictly, so the walk stops after at most n items.
+    """
+    s = None
+    for nu, s in enumerate(semiconvergents(slope.cf)):
         if s.length >= n + 1:
             return nu, s
     raise InsufficientCFError(
-        f"chain ends at length {chain[-1].length if chain else 0}; "
+        f"chain ends at length {s.length if s else 0}; "
         f"extend the continued fraction to cover factor length {n}")
 
 
@@ -208,13 +213,13 @@ def g_chain(slope: SturmianSlope, nu: int) -> list[GChainStep]:
     row h_i = (iq mod N) - d_i; in the previous matrix the rows h_i - 1
     and h_i agree except for final entries 1 and 0.
     """
-    chain = semiconvergents(slope.cf)
-    if not 1 <= nu < len(chain):
+    chain_size = sum(slope.cf.quotients)
+    if not 1 <= nu < chain_size:
         raise InsufficientCFError(
-            f"chain index {nu} outside [1, {len(chain) - 1}]")
-    s = chain[nu]
+            f"chain index {nu} outside [1, {chain_size - 1}]")
+    previous, s = islice(semiconvergents(slope.cf), nu - 1, nu + 1)
     big_n = s.length
-    merge_rows = [None] + merge_positions(big_n, s.zeros, big_n - chain[nu - 1].length)
+    merge_rows = [None] + merge_positions(big_n, s.zeros, big_n - previous.length)
     return [GChainStep(_factor_matrix(s, big_n - 1 - i), h) for i, h in enumerate(merge_rows)]
 
 

@@ -4,10 +4,12 @@ Each function recomputes a library result by a second, independent
 construction that is too slow or too indirect to run inside the library.
 """
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 from christoffel import (
     Composition,
+    ContinuedFraction,
     ExactMatrix,
     FactorMatrix,
     FieldScalar,
@@ -18,6 +20,7 @@ from christoffel import (
     is_perfectly_clustering,
     lyndon_words,
 )
+from christoffel.errors import NotBijectiveError, NotCoprimeError, OutOfRangeError
 from christoffel.iet import standard_cycle
 
 
@@ -180,3 +183,162 @@ def restriction_by_cycle_deletion(gamma, rho, k):
     for idx, x in enumerate(survivors):
         images[x] = survivors[(idx + 1) % len(survivors)]
     return Permutation(images)
+
+
+def semiconvergents_by_prefix(cf):
+    """All [n0,...,n_{m-1},h] with 1 <= h <= n_m, in tree order, each the
+    value of its own prefix continued fraction."""
+    q = cf.quotients
+    return [ContinuedFraction(q[:m] + (h,)).value()
+            for m in range(len(q)) for h in range(1, q[m] + 1)]
+
+
+# --- permutations: the group operations and the cycle walk ----------------
+
+def identity_permutation(n):
+    return Permutation(range(n))
+
+
+def multiplication_permutation(r, n):
+    """The map x -> r*x mod n, defined when gcd(r, n) = 1."""
+    if n < 1:
+        raise OutOfRangeError(f"order must be >= 1, got {n}")
+    r %= n
+    if gcd(r, n) != 1:
+        raise NotCoprimeError(f"gcd({r}, {n}) != 1")
+    return Permutation((r * x) % n for x in range(n))
+
+
+def compose(p, q):
+    """Composition: compose(p, q)(x) = p(q(x))."""
+    if len(p) != len(q):
+        raise NotBijectiveError("composition of permutations of different sizes")
+    return Permutation(p.images[y] for y in q.images)
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for x, y in enumerate(p.images):
+        inv[y] = x
+    return Permutation(inv)
+
+
+def power(p, k):
+    """p composed with itself k times, by repeated squaring; k < 0 inverts."""
+    if k < 0:
+        return power(inverse(p), -k)
+    result, base = identity_permutation(len(p)), p
+    while k:
+        if k & 1:
+            result = compose(result, base)
+        base = compose(base, base)
+        k >>= 1
+    return result
+
+
+def sign(p):
+    """+1 for even permutations, -1 for odd: (-1)^(n - #cycles), the
+    cycles found by walking each one."""
+    return 1 if (len(p) - len(p.cycles())) % 2 == 0 else -1
+
+
+def cycle_type(p):
+    """Multiset of cycle lengths as a {length: multiplicity} dict."""
+    ct = {}
+    for cyc in p.cycles():
+        ct[len(cyc)] = ct.get(len(cyc), 0) + 1
+    return ct
+
+
+def zolotareff_by_walk(r, n):
+    """Sign of x -> r*x mod n by walking every cycle of the permutation."""
+    return sign(multiplication_permutation(r, n))
+
+
+def zolotareff_table_by_walk(n):
+    """{r: sign of x -> r*x mod n} for every unit r in [0, n).
+
+    Each unit the table does not yet hold is walked as a literal
+    permutation; its sign then extends to the subgroup it generates
+    together with the units already held, since x -> rs*x is the
+    composition of x -> r*x and x -> s*x and the sign is multiplicative.
+    Only a generating set is walked, at most log2(n) permutations.
+    """
+    signs = {1 % n: 1}
+    for r in range(n):
+        if r in signs or gcd(r, n) != 1:
+            continue
+        s = zolotareff_by_walk(r, n)
+        coset, coset_sign, extension = r, s, {}
+        while coset not in signs:
+            for h, h_sign in signs.items():
+                extension[h * coset % n] = h_sign * coset_sign
+            coset, coset_sign = coset * r % n, coset_sign * s
+        signs.update(extension)
+    return signs
+
+
+# --- the divisor-sum Zolotareff and its number theory ---------------------
+
+@lru_cache(maxsize=None)
+def factorize(n):
+    """Prime factorization by trial division, as ((p, e), ...)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def euler_phi(n):
+    """Euler totient; phi(1) = 1."""
+    if n < 1:
+        raise OutOfRangeError(f"phi requires n >= 1, got {n}")
+    result = n
+    for p, _ in factorize(n):
+        result -= result // p
+    return result
+
+
+def divisors(n):
+    """All positive divisors of n, ascending."""
+    ds = [1]
+    for p, e in factorize(n):
+        ds = [d * p ** k for d in ds for k in range(e + 1)]
+    return sorted(ds)
+
+
+def multiplicative_order(a, n):
+    """Least k >= 1 with a^k = 1 mod n; requires gcd(a, n) = 1."""
+    if n == 1:
+        return 1
+    a %= n
+    if gcd(a, n) != 1:
+        raise NotCoprimeError(f"gcd({a}, {n}) != 1")
+    order = euler_phi(n)
+    for p, _ in factorize(order):
+        while order % p == 0 and pow(a, order // p, n) == 1:
+            order //= p
+    return order
+
+
+def zolotareff_by_divisor_sum(r, n):
+    """Sign of x -> r*x mod n from its cycle count.
+
+    The elements x with gcd(x, n) = n/d form orbits matching
+    multiplication on the units mod d, so the cycle count is the sum over
+    d | n of phi(d)/ord_d(r).
+    """
+    r %= n
+    if gcd(r, n) != 1:
+        raise NotCoprimeError(f"gcd({r}, {n}) != 1")
+    cycles = sum(euler_phi(d) // multiplicative_order(r, d) for d in divisors(n))
+    return 1 if (n - cycles) % 2 == 0 else -1

@@ -14,10 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 from christoffel import (
     ContinuedFraction,
     ExactMatrix,
-    Permutation,
     SlopeRatio,
     SturmianSlope,
     build_sigma,
+    christoffel_length,
     christoffel_matrix,
     det_closed,
     det_exact,
@@ -37,7 +37,6 @@ from christoffel import (
     params,
     ppp_factorization,
     restriction_word_chain,
-    semiconvergents,
     standard_factorization,
     to_triple,
     vector_merge_step,
@@ -59,7 +58,14 @@ from christoffel.fixtures import (
     V10_UP_TO_SIGN,
 )
 from christoffel.iet import Composition
-from oracles import pc_words_by_lyndon_filter, standard_factorization_by_scan
+from oracles import (
+    cycle_type,
+    multiplication_permutation,
+    pc_words_by_lyndon_filter,
+    sign,
+    standard_factorization_by_scan,
+    zolotareff_table_by_walk,
+)
 
 ORDER11 = (2, 1, 2)
 FIBONACCI = (0,) + (1,) * 9
@@ -174,13 +180,17 @@ def test_criterion_05_isomorphism():
 
 
 def test_criterion_06_zolotareff_jacobi():
+    """Zolotareff's lemma: for odd n the sign of x -> r*x on Z/nZ is the
+    Jacobi symbol.  Both sides are checked against the permutations' own
+    cycle walks, since the closed form computes one through the other."""
     pairs = 0
     for n in range(1, 1002, 2):
+        walked = zolotareff_table_by_walk(n)
         for r in range(1, n + 1):
             if gcd(r, n) == 1:
-                assert zolotareff(r, n) == jacobi(r, n), (r, n)
+                assert zolotareff(r, n) == jacobi(r, n) == walked[r % n], (r, n)
                 pairs += 1
-    report(6, f"Zolotareff = Jacobi on {pairs} odd-modulus pairs")
+    report(6, f"Zolotareff = Jacobi = permutation sign on {pairs} odd-modulus pairs")
 
 
 def test_criterion_07_closed_form_vs_oracle():
@@ -206,7 +216,7 @@ def test_criterion_07_closed_form_vs_oracle():
 def test_criterion_07_closed_form_vs_oracle_drawn_slopes(quotients, data):
     """Closed form = one-pass oracle on drawn continued-fraction prefixes, n <= 150."""
     quotients = (quotients[0],) + tuple(quotients[1])
-    longest = semiconvergents(ContinuedFraction(quotients))[-1].length
+    longest = christoffel_length(ContinuedFraction(quotients))
     assume(longest >= 3)
     n = data.draw(st.integers(2, min(150, longest - 1)))
     assert closed(quotients, n) == oracle(quotients, n), (quotients, n)
@@ -284,9 +294,8 @@ def test_criterion_12_continuant_factorization():
 
 def test_criterion_13_fibonacci_sign():
     for m in range(3, 26):
-        sign, cycle_type = fib_sign(m)
-        actual = Permutation.multiplication(fib(m - 2), fib(m))
-        assert (sign, cycle_type) == (actual.sign(), actual.cycle_type()), m
+        actual = multiplication_permutation(fib(m - 2), fib(m))
+        assert fib_sign(m) == (sign(actual), cycle_type(actual)), m
     for m in range(3, 31):
         table = 1 if m % 12 in (1, 2, 3, 4, 9, 11) else -1
         assert zolotareff(fib(m - 2), fib(m)) == table, m

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from christoffel import cli
+from christoffel import SturmianSlope, cli, determinantal_vector_oracle, factor_matrix
 from christoffel.cli import main
 
 
@@ -155,6 +156,18 @@ class TestSignCommands:
         code, _, err = run(capsys, "sign", "zolotareff", "2", "8")
         assert code == 1 and "NotCoprimeError" in err
 
+    def test_zolotareff_large_modulus(self, capsys):
+        """n = 10^18 + 3 returns at once.  n is odd, so the sign is the
+        Jacobi symbol (5/n) = (n mod 5 / 5) = (3/5) = -1; 2n is 2 mod 4,
+        so its sign is +1; 4n is divisible by 4 and 5 = 1 mod 4, so +1."""
+        for modulus, expected in ((10 ** 18 + 3, -1), (2 * (10 ** 18 + 3), 1),
+                                  (4 * (10 ** 18 + 3), 1)):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "sign", "zolotareff", "5", str(modulus),
+                               "--format", "json")
+            assert time.perf_counter() - start < 1
+            assert code == 0 and json.loads(out)["result"]["sign"] == expected
+
 
 class TestIetCommands:
     def test_sigma(self, capsys):
@@ -214,6 +227,26 @@ class TestSturmianCommands:
     def test_insufficient_cf(self, capsys):
         code, _, err = run(capsys, "sturmian", "detvec", "--cf", "2", "--len", "9")
         assert code == 1 and "InsufficientCFError" in err
+
+    def test_large_quotient_detvec_returns_at_once(self, capsys):
+        """The chain walk stops at the covering word, far before 10^8 items."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "sturmian", "detvec", "--cf", "0,100000000,5",
+                           "--len", "10", "--closed", "--format", "json")
+        assert time.perf_counter() - start < 1
+        oracle = determinantal_vector_oracle(
+            factor_matrix(SturmianSlope.from_quotients((0, 10)), 10))
+        assert code == 0
+        assert json.loads(out)["result"]["closed"]["components"] == list(oracle.components)
+
+    def test_large_quotient_gchain_returns_at_once(self, capsys):
+        """Chain words 0..2 of [0;10^8,1] are those of [0;3]."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "sturmian", "gchain", "--cf", "0,100000000,1",
+                           "--nu", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == run(capsys, "sturmian", "gchain", "--cf", "0,3", "--nu", "2")[1]
 
 
 class TestFibCommands:
@@ -288,6 +321,43 @@ def test_fib_chain_count_cap(capsys, monkeypatch):
     assert code == 1 and out == "" and err.startswith("error [SizeLimitError]: ")
     code, out, _ = run(capsys, "fib", "chain", "--count", str(cli.MAX_FIB_CHAIN_COUNT))
     assert code == 0 and out.split() == ["01", "001", "00101"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "christoffel", "--ones", str(cli.MAX_LINEAR_SIZE // 2 + 1),
+     "--zeros", str(cli.MAX_LINEAR_SIZE // 2)],
+    ["word", "factorize", "0" * cli.MAX_WORD_ARGUMENT + "1"],
+    ["word", "pc-check", "0" * cli.MAX_WORD_ARGUMENT + "1"],
+    ["matrix", "bw", "0" * cli.MAX_MATRIX_ORDER + "1"],
+    ["iet", "sigma", "--composition", f"{cli.MAX_LINEAR_SIZE},1"],
+    ["iet", "encode", "--composition", f"{cli.MAX_LINEAR_SIZE},1"],
+    ["iet", "circular", "--composition", f"{cli.MAX_LINEAR_SIZE},1"],
+    ["cf", "semiconvergents", f"{cli.MAX_SEMICONVERGENTS},1"],
+    ["sturmian", "detvec", "--cf", "0,1", "--len", str(cli.MAX_MATRIX_ORDER + 1)],
+    ["sturmian", "detvec", "--cf", "0,1", "--len", str(cli.MAX_MATRIX_ORDER + 1),
+     "--oracle"],
+    ["sturmian", "detvec", "--cf", "0,1", "--len", str(cli.MAX_LINEAR_SIZE + 1),
+     "--closed"],
+    # chain word nu of [0;1,h] has length 2 nu + 1
+    ["sturmian", "gchain", "--cf", "0,1,1000",
+     "--nu", str(cli.MAX_CHAIN_WORD_LENGTH // 2)],
+    ["fib", "sign", str(cli.MAX_FIB_SIGN_INDEX + 1)],
+    ["fib", "detvec", "--len", str(cli.MAX_LINEAR_SIZE + 1)],
+    ["fib", "gcd-lemma", "--k", str(cli.MAX_GCD_LEMMA_K + 1)],
+], ids=lambda argv: " ".join(argv[:2] + [argv[-1][:12]]))
+def test_size_cap(capsys, argv):
+    """One past each cap exits 1 with SizeLimitError before any work."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error [SizeLimitError]: ")
+
+
+def test_chain_word_length_cap_accepts_the_cap(capsys):
+    nu = (cli.MAX_CHAIN_WORD_LENGTH - 1) // 2
+    code, out, _ = run(capsys, "sturmian", "gchain", "--cf", "0,1,1000", "--nu", str(nu),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["steps"][0]["n"] == 2 * nu
 
 
 def test_usage_error_exit_code():

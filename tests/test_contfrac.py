@@ -4,6 +4,7 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from christoffel import (
     ContinuedFraction,
@@ -23,6 +24,7 @@ from christoffel import (
     stern_brocot_path,
 )
 from christoffel.errors import InvalidCFError, OutOfRangeError
+from oracles import semiconvergents_by_prefix
 
 CF = ContinuedFraction
 
@@ -99,13 +101,28 @@ class TestContinuedFraction:
 
 class TestSemiconvergents:
     def test_fibonacci_prefix(self):
-        assert semiconvergents(CF((0, 1, 1, 1, 1))) == [
+        assert list(semiconvergents(CF((0, 1, 1, 1, 1)))) == [
             SlopeRatio(1, 1), SlopeRatio(1, 2), SlopeRatio(2, 3), SlopeRatio(3, 5)]
 
     def test_eight_thirds(self):
-        assert semiconvergents(CF((2, 1, 2))) == [
+        assert list(semiconvergents(CF((2, 1, 2)))) == [
             SlopeRatio(1, 1), SlopeRatio(2, 1), SlopeRatio(3, 1),
             SlopeRatio(5, 2), SlopeRatio(8, 3)]
+
+    @given(st.integers(0, 6), st.lists(st.integers(1, 40), max_size=12))
+    def test_recurrence_equals_prefix_values(self, head, tail):
+        """The convergent recurrence equals each prefix's own value."""
+        cf = CF((head,) + tuple(tail))
+        walked = list(semiconvergents(cf))
+        assert walked == semiconvergents_by_prefix(cf)
+        assert len(walked) == sum(cf.quotients)
+        assert all(a.length < b.length for a, b in zip(walked, walked[1:]))
+
+    def test_stops_at_the_item_needed(self):
+        """The walk is lazy: a huge quotient costs nothing before it is reached."""
+        walk = semiconvergents(CF((0, 10 ** 18, 5)))
+        assert [next(walk) for _ in range(3)] == [
+            SlopeRatio(1, 1), SlopeRatio(1, 2), SlopeRatio(1, 3)]
 
 
 class TestChristoffelLength:
@@ -212,7 +229,7 @@ class TestSternBrocot:
                 if gcd(ones, zeros) != 1:
                     continue
                 slope = SlopeRatio(ones, zeros)
-                assert stern_brocot_nodes(slope) == semiconvergents(CF.from_slope(slope))
+                assert stern_brocot_nodes(slope) == list(semiconvergents(CF.from_slope(slope)))
 
     def test_longer_standard_factor_is_previous_node(self):
         """Along any path, each word is the longer standard factor of the next."""

@@ -3,7 +3,6 @@ from math import gcd
 import pytest
 
 from christoffel import (
-    Permutation,
     SturmianSlope,
     christoffel_chain,
     cycle_type_string,
@@ -20,6 +19,7 @@ from christoffel import (
     zolotareff,
 )
 from christoffel.errors import IndexTooSmallError, OutOfRangeError
+import oracles
 
 FIB_SLOPE = SturmianSlope.from_quotients((0,) + (1,) * 9)
 
@@ -120,11 +120,11 @@ class TestSignFormula:
     def test_closed_form_verified_for_range(self):
         """Closed form = cycle type and sign of the actual permutation."""
         for m in range(3, 26):
-            sign, cycle_type = fib_sign(m)
-            actual = Permutation.multiplication(fib(m - 2), fib(m))
-            assert cycle_type == actual.cycle_type(), m
-            assert sign == actual.sign(), m
-            assert sum(length * mult for length, mult in cycle_type.items()) == fib(m)
+            formula_sign, formula_type = fib_sign(m)
+            actual = oracles.multiplication_permutation(fib(m - 2), fib(m))
+            assert formula_type == oracles.cycle_type(actual), m
+            assert formula_sign == oracles.sign(actual), m
+            assert sum(length * mult for length, mult in formula_type.items()) == fib(m)
 
     def test_sign_table_is_zolotareff(self):
         for m in range(3, 31):

@@ -60,14 +60,14 @@ class TestBuildSigma:
         for c1, c2, c3 in compositions(11, 3):
             if c1 + c2 + c3 == 0:
                 continue
-            sigma = build_sigma(Composition((c1, c2, c3))).sigma
+            sigma = build_sigma(Composition((c1, c2, c3))).sigma.images
             for x in range(c1 + c2 + c3):
                 if x < c1:
-                    assert sigma(x) == x + c2 + c3
+                    assert sigma[x] == x + c2 + c3
                 elif x < c1 + c2:
-                    assert sigma(x) == x + c3 - c1
+                    assert sigma[x] == x + c3 - c1
                 else:
-                    assert sigma(x) == x - c1 - c2
+                    assert sigma[x] == x - c1 - c2
 
     def test_empty_composition(self):
         with pytest.raises(EmptyCompositionError):

@@ -1,18 +1,24 @@
-import random
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from christoffel import (
-    Permutation,
-    cycle_type_string,
-    euler_phi,
-    jacobi,
-    multiplicative_order,
-    zolotareff,
-)
+from christoffel import Permutation, cycle_type_string, jacobi, zolotareff
 from christoffel.errors import EvenModulusError, NotBijectiveError, NotCoprimeError
+from oracles import (
+    compose,
+    cycle_type,
+    euler_phi,
+    identity_permutation,
+    inverse,
+    multiplication_permutation,
+    multiplicative_order,
+    power,
+    sign,
+    zolotareff_by_divisor_sum,
+    zolotareff_by_walk,
+    zolotareff_table_by_walk,
+)
 
 
 def sign_by_inversions(p):
@@ -35,25 +41,28 @@ class TestPermutation:
         assert p.cycle_string() == "(0,7,3,6,2,5,1,8,4)"
 
     def test_identity_cycles(self):
-        p = Permutation.identity(5)
-        assert p.cycle_type() == {1: 5}
-        assert p.sign() == 1
+        p = identity_permutation(5)
+        assert cycle_type(p) == {1: 5}
+        assert sign(p) == 1
 
     def test_multiplication_by_five_mod_thirteen(self):
-        p = Permutation.multiplication(5, 13)
-        assert p.cycle_type() == {1: 1, 4: 3}
-        assert cycle_type_string(p.cycle_type()) == "1^1 4^3"
-        assert p.sign() == -1
+        p = multiplication_permutation(5, 13)
+        assert cycle_type(p) == {1: 1, 4: 3}
+        assert cycle_type_string(cycle_type(p)) == "1^1 4^3"
+        assert sign(p) == -1
 
     def test_composition_and_power(self):
-        p = Permutation.multiplication(2, 7)
-        assert (p * p.inverse()) == Permutation.identity(7)
-        assert p ** 3 == Permutation.multiplication(8 % 7, 7)
+        p = multiplication_permutation(2, 7)
+        assert compose(p, inverse(p)) == identity_permutation(7)
+        assert power(p, 3) == multiplication_permutation(8 % 7, 7)
+        assert power(p, -1) == inverse(p)
+        with pytest.raises(NotBijectiveError):
+            compose(p, identity_permutation(6))
 
     @given(st.permutations(list(range(9))))
     def test_sign_matches_inversion_count(self, images):
         p = Permutation(images)
-        assert p.sign() == sign_by_inversions(p)
+        assert sign(p) == sign_by_inversions(p)
 
 
 class TestZolotareff:
@@ -62,28 +71,51 @@ class TestZolotareff:
         assert zolotareff(1, 11) == 1
         assert zolotareff(1, 1) == 1
         assert zolotareff(5, 13) == -1
+        assert zolotareff(3, 4) == -1         # the transposition (1 3)
+        assert zolotareff(5, 8) == 1          # (1 5)(3 7)
+        assert zolotareff(3, 10) == 1         # two 4-cycles and two fixed points
 
     def test_requires_coprime(self):
         with pytest.raises(NotCoprimeError):
             zolotareff(2, 8)
 
     def test_equals_literal_permutation_sign(self):
-        """The orbit-count implementation equals the one-cycle-at-a-time walk."""
-        for n in range(1, 151):
+        """The closed form equals the one-cycle-at-a-time walk for every
+        n < 200 and every unit r in [-n, 2n)."""
+        for n in range(1, 200):
+            for r in range(-n, 2 * n):
+                if gcd(r, n) == 1:
+                    assert zolotareff(r, n) == zolotareff_by_walk(r, n), (r, n)
+
+    def test_equals_divisor_sum(self):
+        """The closed form equals the cycle count sum of phi(d)/ord_d(r)."""
+        for n in range(1, 400):
             for r in range(1, n + 1):
                 if gcd(r, n) == 1:
-                    assert zolotareff(r, n) == Permutation.multiplication(r, n).sign()
+                    assert zolotareff(r, n) == zolotareff_by_divisor_sum(r, n), (r, n)
 
-    def test_multiplicative_in_r(self):
-        rng = random.Random(21)
-        checked = 0
-        while checked < 500:
-            n = rng.randint(2, 400)
-            r, s = rng.randint(1, n - 1), rng.randint(1, n - 1)
-            if gcd(r, n) != 1 or gcd(s, n) != 1:
-                continue
-            assert zolotareff(r * s % n, n) == zolotareff(r, n) * zolotareff(s, n)
-            checked += 1
+    def test_walk_table_equals_walk(self):
+        """The walked generating set extends to every unit correctly."""
+        for n in range(1, 120):
+            table = zolotareff_table_by_walk(n)
+            assert sorted(table) == [r for r in range(n) if gcd(r, n) == 1]
+            assert all(table[r] == zolotareff_by_walk(r, n) for r in table), n
+
+    @given(st.integers(1, 500), st.sampled_from((0, 2)), st.integers(-4000, 4000))
+    def test_even_modulus_against_walk(self, k, residue, r):
+        """n = 0 and n = 2 mod 4, up to 2000, against the literal walk."""
+        n = 4 * k - residue
+        assume(gcd(r, n) == 1)
+        assert zolotareff(r, n) == zolotareff_by_walk(r, n)
+
+    @given(st.integers(1, 10 ** 30), st.integers(-10 ** 30, 10 ** 30),
+           st.integers(-10 ** 30, 10 ** 30))
+    def test_multiplicative_in_r(self, n, r, s):
+        """x -> rs*x is the composition of x -> r*x and x -> s*x, so the
+        sign is a character of the units, at sizes only a closed form reaches."""
+        assume(gcd(r, n) == 1 and gcd(s, n) == 1)
+        assert zolotareff(r * s, n) == zolotareff(r, n) * zolotareff(s, n)
+        assert zolotareff(r + n, n) == zolotareff(r, n)
 
     def test_sign_on_nonzero_elements_is_the_same(self):
         """Deleting the fixed point 0 does not change the parity."""
@@ -91,16 +123,26 @@ class TestZolotareff:
             for r in range(2, n):
                 if gcd(r, n) != 1:
                     continue
-                full = Permutation.multiplication(r, n)
-                relabeled = Permutation([full(x + 1) - 1 for x in range(n - 1)])
-                assert relabeled.sign() == full.sign()
+                full = multiplication_permutation(r, n)
+                relabeled = Permutation([full.images[x + 1] - 1 for x in range(n - 1)])
+                assert sign(relabeled) == sign(full)
 
     def test_multiplication_order_divides_phi(self):
         for n in range(2, 61):
             for r in range(1, n):
                 if gcd(r, n) == 1:
-                    p = Permutation.multiplication(r, n)
-                    assert p ** euler_phi(n) == Permutation.identity(n)
+                    p = multiplication_permutation(r, n)
+                    assert power(p, euler_phi(n)) == identity_permutation(n)
+                    assert power(p, multiplicative_order(r, n)) == identity_permutation(n)
+
+    def test_large_modulus_cases(self):
+        """Each case of the closed form at a modulus no walk can reach."""
+        big = 10 ** 18 + 3
+        # big is odd: (5/big) = (big/5) = (3/5) = -1 by reciprocity
+        assert zolotareff(5, big) == -1
+        assert zolotareff(5, 2 * big) == 1    # 2 mod 4
+        assert zolotareff(5, 4 * big) == 1    # 4 | n, r = 1 mod 4
+        assert zolotareff(7, 4 * big) == -1   # 4 | n, r = 3 mod 4
 
 
 class TestJacobi:
@@ -124,6 +166,8 @@ class TestJacobi:
 
 
 class TestEulerPhi:
+    """The number theory behind the divisor-sum oracle."""
+
     def test_values(self):
         assert euler_phi(1) == 1
         assert euler_phi(7) == 6
