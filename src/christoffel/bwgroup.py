@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import (
@@ -129,13 +130,17 @@ def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
 
     a and b are cleared over the lcm of their denominators (1 over GF(p)),
     so the table of the two integers over that denominator is the matrix.
+    Row 0 comes from the residue rule; row i is row 0 rotated left by
+    i * q_star mod n, since i + qj = q(j + i * q_star) (mod n).
     """
-    slope = SlopeRatio(p.r, p.q)
+    n, step = p.n, p.q_star
     a, b = p.a.value, p.b.value
     den = lcm(a.denominator, b.denominator)
     letters = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-    ints = [x for i in range(p.n) for x in christoffel_bw_row(slope, i, letters).letters]
-    return ExactMatrix._from_ints(p.n, p.n, p.modulus, ints, den)
+    doubled = christoffel_bw_row(SlopeRatio(p.r, p.q), 0, letters).letters * 2
+    starts = (i * step % n for i in range(n))
+    ints = list(chain.from_iterable(doubled[s:s + n] for s in starts))
+    return ExactMatrix._from_ints(n, n, p.modulus, ints, den)
 
 
 def to_triple(p: ChristoffelParams) -> GroupTriple:

@@ -109,6 +109,15 @@ def _capped(value: int, cap: int, option: str) -> int:
     return value
 
 
+def _printable(*values: int) -> None:
+    """Raise SizeLimitError before printing an int past the interpreter's
+    limit on int-to-str conversion (4,300 digits by default)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(abs(v) >= 10 ** limit for v in values):
+        raise SizeLimitError(f"the result has more than {limit} digits, "
+                             "the interpreter's limit for printing an int")
+
+
 def _word_arg(args, cap: int) -> Word:
     """The positional word; with --numeric a lone number is one letter."""
     if args.numeric and "," not in args.word:
@@ -301,6 +310,7 @@ def _cmd_iet_circular(args) -> int:
 def _cmd_cf_continuant(args) -> int:
     xs = [int(t) for t in args.values.split(",")]
     value = continuant(xs)
+    _printable(value)
     return _emit(args, "cf continuant", {"values": xs},
                  {"continuant": value}, str(value))
 
@@ -318,6 +328,7 @@ def _cmd_cf_ppp(args) -> int:
     cf = ContinuedFraction.parse(args.cf)
     split = ppp_factorization(cf)
     (r1, q1), (r2, q2) = split.factor_counts()
+    _printable(*split.matrix[0], *split.matrix[1], r1, q1, r2, q2)
     return _emit(args, "cf ppp", {"cf": list(cf.quotients)},
                  {"matrix": [list(split.matrix[0]), list(split.matrix[1])],
                   "m_even": split.m_even,
@@ -335,10 +346,12 @@ def _cmd_cf_convert_slope(args) -> int:
     else:
         converted = cf_slope_from_density(cf)
         label = "slope"
+    value = converted.value()
+    _printable(value.ones, value.zeros)
     return _emit(args, "cf convert-slope", {"cf": list(cf.quotients),
                                             "reverse": args.reverse},
-                 {label: list(converted.quotients), "value": str(converted.value())},
-                 f"{label}: {converted} = {converted.value()}")
+                 {label: list(converted.quotients), "value": str(value)},
+                 f"{label}: {converted} = {value}")
 
 
 def _cmd_sturmian_detvec(args) -> int:

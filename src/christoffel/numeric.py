@@ -6,12 +6,17 @@ A matrix stores its kind once (``modulus``, None over Q) and its entries
 as one tuple of ints over one positive common denominator, in lowest
 terms over Q and as residues in [0, p) over GF(p); FieldScalars are built
 only where entries are read.  The product is one integer product, each
-row a sum of big-int multiples of b's rows packed one per integer; the
-determinant is the fraction-free (Bareiss) one of the stored ints.
+row a sum of big-int multiples of b's rows packed one per integer, read
+back as machine words when a product entry fits in 8 bytes.  The
+determinant over Q is the fraction-free (Bareiss) one of the stored ints;
+over GF(p) it is Gaussian elimination with every entry reduced mod p.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -242,7 +247,8 @@ class ExactMatrix:
         canonical form.  den > 0, and den = 1 over GF(p); the modulus was
         checked before."""
         if modulus is not None:
-            ints = [x % modulus for x in ints]
+            if ints and (min(ints) < 0 or max(ints) >= modulus):
+                ints = [x % modulus for x in ints]
         elif den > 1:
             g = gcd(den, *ints)
             if g > 1:
@@ -324,35 +330,52 @@ def _integer_form(values: list, modulus: int | None) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in lifted], den
 
 
+def _max_abs(ints: tuple[int, ...]) -> int:
+    return max(max(ints), -min(ints)) if ints else 0
+
+
+# (size in bytes, native signed format) of the machine words, smallest first.
+_WORDS = tuple((struct.calcsize(f), f) for f in "bhiq")
+
+
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product: one integer product over the denominators' product.
 
     Row t of b is packed into one integer, its entries in slots of
-    ``width`` bytes; a slot holds any entry of the product, whose size is
-    at most k * max|a| * max|b|, with a spare top bit for the sign.  Row i
-    of the product is then sum_t a_it * packed_t (n^2 big-int products
-    instead of n^3 small ones); adding half a slot to every slot makes
-    each slot nonnegative, so the entries are read back byte-wise.
+    ``width`` bytes; a slot holds any entry of b and of the product, whose
+    size is at most k * max|a| * max|b|, with a spare top bit for the sign.
+    Row i of the product is then sum_t a_it * packed_t (n^2 big-int
+    products instead of n^3 small ones).  Adding half a slot to every slot
+    makes each slot nonnegative, so no borrow crosses a slot; flipping each
+    slot's top bit back leaves its entry in two's complement.  Slots are
+    laid out in native byte order.  A width of at most 8 bytes is rounded
+    up to 1, 2, 4 or 8, so b's rows are packed from an ``array`` of machine
+    words and every slot of the product is read back as one; wider slots
+    are written and read one ``int.to_bytes``/``int.from_bytes`` at a time.
     """
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.modulus != b.modulus:
         raise KindMismatchError("mixed scalar kinds in product")
     n, k, m = a.rows, a.cols, b.cols
-    bound = k * max(map(abs, a.ints), default=0) * max(map(abs, b.ints), default=0)
+    bound = max(k * _max_abs(a.ints), 1) * _max_abs(b.ints)
     width = bound.bit_length() // 8 + 1
-    shift, half = 8 * width, 1 << (8 * width - 1)
-    packed = []
-    for t in range(k):
-        p = 0
-        for x in reversed(b.ints[t * m:(t + 1) * m]):
-            p = (p << shift) + x
-        packed.append(p)
-    offset = int.from_bytes(half.to_bytes(width, "little") * m, "little")
-    blob = b"".join((sum(map(mul, a.ints[i * k:(i + 1) * k], packed)) + offset)
-                    .to_bytes(width * m, "little") for i in range(n))
-    ints = [int.from_bytes(blob[s:s + width], "little") - half
-            for s in range(0, len(blob), width)]
+    width, fmt = next(((w, f) for w, f in _WORDS if w >= width), (width, None))
+    size, order = width * m, sys.byteorder
+    offset = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, order) * m, order)
+    if fmt:
+        raw = array(fmt, b.ints).tobytes()
+    else:
+        raw = b"".join(x.to_bytes(width, order, signed=True) for x in b.ints)
+    packed = [(int.from_bytes(raw[t * size:(t + 1) * size], order) ^ offset) - offset
+              for t in range(k)]
+    blob = b"".join(((sum(map(mul, a.ints[i * k:(i + 1) * k], packed)) + offset) ^ offset)
+                    .to_bytes(size, order) for i in range(n))
+    if fmt:
+        ints = memoryview(blob).cast(fmt).tolist()
+    else:
+        ints = [int.from_bytes(blob[s:s + width], order, signed=True)
+                for s in range(0, len(blob), width)]
     return ExactMatrix._from_ints(n, m, a.modulus, ints, a.den * b.den)
 
 
@@ -404,15 +427,40 @@ def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sign * x for x in m[-1][k:])
 
 
+def _det_mod(m: list[list[int]], p: int) -> int:
+    """Determinant modulo the prime p of the matrix of residues m, by
+    Gaussian elimination in place.  Each row swap flips the sign, each
+    pivot multiplies the determinant, and every entry is reduced mod p
+    at every step, so none exceeds p^2."""
+    det = 1
+    for k, pivot_row in enumerate(m):
+        if pivot_row[k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            pivot_row, det = m[k], -det
+        pivot = pivot_row[k]
+        det = det * pivot % p
+        inverse, tail = pow(pivot, -1, p), pivot_row[k + 1:]
+        for row in m[k + 1:]:
+            f = row[k] * inverse % p
+            if f:
+                row[k + 1:] = [(x - f * y) % p for x, y in zip(row[k + 1:], tail)]
+    return det % p
+
+
 def det_exact(a: ExactMatrix) -> FieldScalar:
     """Exact determinant of a square matrix.
 
-    The stored ints form an integer matrix; its determinant, divided by
-    den^n over Q or reduced mod p, is the answer.
+    Over Q, the stored ints form an integer matrix; its Bareiss
+    determinant divided by den^n is the answer.  Over GF(p), Gaussian
+    elimination on the stored residues, reduced mod p at every step.
     """
     if a.rows != a.cols:
         raise DimensionMismatchError(f"determinant of {a.rows}x{a.cols} matrix")
     n = a.rows
-    det = det_int([a.ints[i * n:(i + 1) * n] for i in range(n)])
-    return _scalar(Fraction(det, a.den ** n) if a.modulus is None else det % a.modulus,
-                   a.modulus)
+    rows = [a.ints[i * n:(i + 1) * n] for i in range(n)]
+    if a.modulus is None:
+        return _scalar(Fraction(det_int(rows), a.den ** n), None)
+    return _scalar(_det_mod([list(r) for r in rows], a.modulus), a.modulus)

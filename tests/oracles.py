@@ -14,9 +14,11 @@ from christoffel import (
     FactorMatrix,
     FieldScalar,
     Permutation,
+    SlopeRatio,
     Word,
     build_sigma,
     bw_rows,
+    christoffel_bw_row,
     is_perfectly_clustering,
     lyndon_words,
 )
@@ -46,6 +48,14 @@ def mat_mul_per_entry(a, b):
     return ExactMatrix(a.rows, b.cols, [
         sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), zero)
         for i in range(a.rows) for j in range(b.cols)])
+
+
+def christoffel_matrix_by_rows(p):
+    """M(n, a, b, r) row by row: each row a Word of the scalars a and b
+    from the residue rule at its own index, with no rotation."""
+    slope = SlopeRatio(p.r, p.q)
+    return ExactMatrix.from_rows(
+        [christoffel_bw_row(slope, i, (p.a, p.b)).letters for i in range(p.n)], p.modulus)
 
 
 def cofactor_det(rows):

@@ -134,6 +134,18 @@ def test_criterion_03_determinant_closed_form():
     report(3, f"determinant closed form on {count} matrices")
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 64),
+       p=st.sampled_from((67, 65537, 1_000_000_007, 2 ** 61 - 1)))
+def test_criterion_03_determinant_closed_form_residue_drawn(data, n, p):
+    """Closed form = elimination mod p on drawn orders up to 64 over GF(p)."""
+    r = data.draw(st.integers(1, n - 1).filter(lambda r: gcd(r, n) == 1))
+    a = data.draw(st.integers(0, p - 1))
+    b = data.draw(st.integers(0, p - 1).filter(lambda b: b != a))
+    m = params(n, a, b, r, p)
+    assert det_closed(m) == det_exact(christoffel_matrix(m)), (n, a, b, r, p)
+
+
 def test_criterion_04_group_inverses():
     rng = random.Random(104)
     from fractions import Fraction

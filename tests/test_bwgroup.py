@@ -37,6 +37,7 @@ from christoffel.errors import (
     NotPrimitiveError,
     OrderMismatchError,
 )
+from oracles import christoffel_matrix_by_rows
 
 FIGURE_ROWS = [
     [1, 0, 0, 1, 0, 0, 0],
@@ -103,6 +104,20 @@ class TestMatrices:
                 p = params(n, 0, 1, r)
                 word = lower_christoffel(SlopeRatio(r, n - r))
                 assert christoffel_matrix(p) == bw_matrix(word)
+
+    @pytest.mark.parametrize("a, b, modulus", [
+        (-3, 7, None),
+        (Fraction(-5, 6), Fraction(7, 4), None),
+        (3, 65530, 65537),
+    ], ids=["int", "fraction", "residue"])
+    def test_rotation_equals_rows_from_residue_rule(self, a, b, modulus):
+        """Rows by rotating row 0 equal rows built one by one, for every
+        coprime (r, n) with n <= 60."""
+        for n in range(2, 61):
+            for r in range(1, n):
+                if gcd(r, n) == 1:
+                    p = params(n, a, b, r, modulus)
+                    assert christoffel_matrix(p) == christoffel_matrix_by_rows(p), (n, r)
 
     def test_residue_matrix(self):
         p = params(7, 0, 1, 2, modulus=31)

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -350,6 +351,34 @@ def test_size_cap(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error [SizeLimitError]: ")
+
+
+ONES = ",".join(["1"] * 25_000)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "continuant", ONES],
+    ["cf", "ppp", ONES],
+    ["cf", "convert-slope", "0," + ONES],
+    ["cf", "convert-slope", "--reverse", ONES],
+], ids=lambda argv: " ".join(argv[:-1]))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_result_past_print_limit(capsys, argv, fmt):
+    """A parsed input whose result has more digits than the interpreter
+    prints exits 1 with SizeLimitError, not as a usage error."""
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error [SizeLimitError]: ")
+
+
+def test_continuant_at_print_limit(capsys):
+    """The largest printable continuant prints; one digit more is refused."""
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "cf", "continuant", "9" * limit)
+    assert code == 0 and out.strip() == "9" * limit
+    # continuant(9, x) = 9x + 1 = 10^limit, limit + 1 digits, for x = (10^limit - 1) / 9
+    code, out, err = run(capsys, "cf", "continuant", "9," + "1" * limit)
+    assert code == 1 and out == "" and err.startswith("error [SizeLimitError]: ")
 
 
 def test_chain_word_length_cap_accepts_the_cap(capsys):

@@ -301,6 +301,26 @@ class TestPackedProduct:
         b = matrix([[Fraction(5, 2 ** 66), -7]] * inner, 2)
         assert_equals_per_entry_product(a, b)
 
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    @pytest.mark.parametrize("past", [0, 1, 2], ids=["fits", "sign-bit", "one-past"])
+    def test_slot_width_boundaries(self, width, past):
+        """Largest product entry at +-(2^(8w-1) - 1), the most a w-byte
+        signed slot holds, then at +-2^(8w-1) and one step past, which
+        need the next width (past 8 bytes: the int.from_bytes route)."""
+        top = 2 ** (8 * width - 1) - 1 + past
+        for e in (top, -top):
+            # bound k * max|a| * max|b| = |e|, reached by entries e and -e
+            a = ExactMatrix.from_rows([[e], [-e], [1], [0]])
+            b = ExactMatrix.from_rows([[1, -1, 1]])
+            assert_equals_per_entry_product(a, b)
+
+    def test_zero_factor_beside_wide_entries(self):
+        """A zero factor makes the product bound 0, yet b's rows still fit
+        their slots."""
+        a = ExactMatrix.from_rows([[0, 0], [0, 0]])
+        b = ExactMatrix.from_rows([[2 ** 100, -2 ** 70], [-(2 ** 63), 2 ** 63 - 1]])
+        assert_equals_per_entry_product(a, b)
+
     def test_canonical_form(self):
         half = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]])
         product = mat_mul(half, ExactMatrix.from_rows([[1], [1]]))
@@ -315,6 +335,23 @@ class TestPackedProduct:
             for side in (mat_mul(m, ExactMatrix.identity(n)),
                          mat_mul(ExactMatrix.identity(n), m)):
                 assert side == m and hash(side) == hash(m)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n integer matrices, n <= 12, with small or 65-bit entries; about
+    half have a row that is a multiple of another (singular), and about
+    half a zero first pivot."""
+    n = draw(st.integers(0, 12))
+    entries = st.integers(-3, 3) | st.integers(-2 ** 65, 2 ** 65)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(st.integers(-3, 3))
+        rows[dst] = [factor * x for x in rows[src]]
+    if n >= 1 and draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
 
 
 class TestDeterminant:
@@ -380,6 +417,23 @@ class TestDeterminant:
     def test_not_square(self):
         with pytest.raises(DimensionMismatchError):
             det_exact(ExactMatrix.from_rows([[1, 2]]))
+
+    @settings(max_examples=200)
+    @given(rows=square_matrices(), p=st.sampled_from((2, 3, 5, 7, 65537, 2 ** 61 - 1)))
+    def test_residue_equals_integer_bareiss_mod_p(self, rows, p):
+        """Elimination mod p against the integer (Bareiss) determinant
+        reduced mod p."""
+        det = det_exact(ExactMatrix.from_rows(rows, p))
+        assert det.modulus == p and det.value == det_int(rows) % p
+
+    def test_residue_zero_pivots(self):
+        """First pivot zero (a row swap flips the sign), and a singular
+        matrix whose only dependency shows mod p."""
+        swapped = ExactMatrix.from_rows([[0, 1, 2], [3, 4, 5], [6, 7, 9]], 7)
+        assert det_exact(swapped) == FieldScalar.residue(-3 % 7, 7)
+        assert det_int([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
+        singular = [[5, 1], [0, 5]]
+        assert det_int(singular) == 25 and det_exact(ExactMatrix.from_rows(singular, 5)) == 0
 
 
 @st.composite
