@@ -25,7 +25,7 @@ from .errors import (
     OrderMismatchError,
     OutOfRangeError,
 )
-from .numeric import ExactMatrix, FieldScalar, ScalarLike
+from .numeric import ExactMatrix, FieldScalar, ScalarLike, _check_modulus, _lift, _scalar
 from .permsign import zolotareff
 from .words import SlopeRatio, Word, bw_rows, christoffel_bw_row
 
@@ -87,9 +87,11 @@ class ChristoffelParams:
 
 def params(n: int, a: ScalarLike, b: ScalarLike, r: int,
            modulus: int | None = None) -> ChristoffelParams:
-    """Convenience constructor coercing plain numbers."""
-    return ChristoffelParams(n, FieldScalar.coerce(a, modulus),
-                             FieldScalar.coerce(b, modulus), r)
+    """Convenience constructor coercing plain numbers.  The modulus is
+    tested for primality once, not once per scalar."""
+    _check_modulus(modulus)
+    return ChristoffelParams(n, _scalar(_lift(a, modulus), modulus),
+                             _scalar(_lift(b, modulus), modulus), r)
 
 
 @dataclass(frozen=True)

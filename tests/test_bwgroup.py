@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 import christoffel.bwgroup as bwgroup
+import christoffel.numeric as numeric
 from christoffel import (
     ExactMatrix,
     FieldScalar,
@@ -31,6 +32,7 @@ from christoffel import (
 from christoffel.bwgroup import GroupTriple
 from christoffel.errors import (
     CharacteristicTooSmallError,
+    ChristoffelError,
     IndexOutOfRangeError,
     NonInvertibleRowSumError,
     NotCoprimeError,
@@ -151,6 +153,19 @@ class TestTriples:
     def test_row_sum_zero_rejected(self):
         with pytest.raises(NonInvertibleRowSumError):
             to_triple(params(3, -1, 2, 1))  # 2*(-1) + 1*2 = 0
+
+    @pytest.mark.parametrize("a", [3, FieldScalar(3, 65537)], ids=["int", "residue"])
+    def test_params_tests_modulus_once(self, monkeypatch, a):
+        """One params call runs one primality test, whatever its scalars."""
+        calls = []
+        is_prime = numeric.is_prime
+        monkeypatch.setattr(numeric, "is_prime", lambda p: calls.append(p) or is_prime(p))
+        p = params(7, a, Fraction(1, 2), 2, 65537)
+        assert calls == [65537]
+        assert (p.a.value, p.b.value, p.a.modulus, p.b.modulus) == (3, 32769, 65537, 65537)
+        with pytest.raises(ChristoffelError):
+            params(7, 3, 4, 2, 65535)
+        assert calls == [65537, 65535]
 
     def test_characteristic_guard(self):
         with pytest.raises(CharacteristicTooSmallError):

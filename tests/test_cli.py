@@ -51,9 +51,9 @@ class TestMatrixCommands:
         assert code == 0 and "a=1 b=2 r=1" in out
 
     def test_mul_missing_second_operand(self, capsys):
-        code, _, err = run(capsys, "matrix", "mul", "--n", "7", "--a", "0",
-                           "--b", "1", "--r", "2")
-        assert code == 1 and "needs --a2" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["matrix", "mul", "--n", "7", "--a", "0", "--b", "1", "--r", "2"])
+        assert excinfo.value.code == 2 and "--a2" in capsys.readouterr().err
 
     def test_inv(self, capsys):
         code, out, _ = run(capsys, "matrix", "inv", "--n", "7", "--a", "0", "--b", "1",
@@ -399,3 +399,12 @@ def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["nonsense"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("modes", [("--oracle", "--closed"), ("--oracle", "--both"),
+                                   ("--closed", "--both")])
+def test_detvec_two_modes_rejected(capsys, modes):
+    """Two of --oracle/--closed/--both are a usage error, not resolved."""
+    code, out, err = run(capsys, "sturmian", "detvec", "--cf", "0,1,1,1", "--len", "3", *modes)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error [usage]: ")
