@@ -144,7 +144,12 @@ def _sign_str(x: int) -> str:
 def _cmd_word_christoffel(args):
     _capped(args.ones + args.zeros, MAX_LINEAR_SIZE, "--ones + --zeros")
     slope = SlopeRatio(args.ones, args.zeros)
-    alphabet = _parse_letters(args.alphabet) if args.alphabet else (0, 1)
+    try:
+        alphabet = _parse_letters(args.alphabet) if args.alphabet else (0, 1)
+    except ValueError:
+        alphabet = ()
+    if len(alphabet) != 2:
+        raise ValueError(f"--alphabet needs two numeric letters, got {args.alphabet!r}")
     w = (upper_christoffel if args.upper else lower_christoffel)(slope, alphabet)
     return ({"ones": args.ones, "zeros": args.zeros, "upper": args.upper,
              "alphabet": [str(x) for x in alphabet]},

@@ -43,21 +43,6 @@ class Composition:
     def total(self) -> int:
         return sum(self.parts)
 
-    def interval_starts(self) -> list[int]:
-        starts = [0]
-        for p in self.parts[:-1]:
-            starts.append(starts[-1] + p)
-        return starts
-
-    def interval_index(self, x: int) -> int:
-        """0-based index j with x in I_{j+1}."""
-        acc = 0
-        for j, p in enumerate(self.parts):
-            acc += p
-            if x < acc:
-                return j
-        raise RestrictionOutOfRangeError(f"{x} outside [{self.total}]")
-
 
 @dataclass(frozen=True)
 class IetPermutation:
@@ -68,20 +53,16 @@ class IetPermutation:
 
 
 def build_sigma(composition: Composition) -> IetPermutation:
-    """The exchange permutation: I_h maps increasingly onto J_{l+1-h}."""
-    parts = composition.parts
-    n = composition.total
-    i_starts = composition.interval_starts()
-    j_sizes = parts[::-1]
-    j_starts = [0]
-    for p in j_sizes[:-1]:
-        j_starts.append(j_starts[-1] + p)
-    ell = len(parts)
-    images = [0] * n
-    for h in range(ell):
-        target = ell - 1 - h  # J_{l+1-h} holds c_h elements
-        for offset in range(parts[h]):
-            images[i_starts[h] + offset] = j_starts[target] + offset
+    """The exchange permutation: I_h maps increasingly onto J_{l+1-h}.
+
+    J_{l+1-h} holds c_h elements and follows the c_{h+1} + ... + c_l
+    elements of the intervals after I_h.
+    """
+    images: list[int] = []
+    start = composition.total
+    for c in composition.parts:
+        start -= c
+        images += range(start, start + c)
     return IetPermutation(Permutation(images), composition)
 
 
@@ -119,23 +100,26 @@ def standard_cycle(p: IetPermutation) -> tuple[int, ...]:
     return tuple(cyc)
 
 
+def _cycle_letters(p: IetPermutation, alphabet: Sequence[Letter]) -> list[Letter]:
+    """Letters along the standard cycle, read from a table holding letter j
+    at every element of I_j."""
+    parts = p.composition.parts
+    if len(alphabet) != len(parts):
+        raise AlphabetSizeMismatchError(f"{len(alphabet)} letters for {len(parts)} parts")
+    table: list[Letter] = []
+    for letter, c in zip(alphabet, parts):
+        table += [letter] * c
+    return list(map(table.__getitem__, standard_cycle(p)))
+
+
 def standard_encoding(p: IetPermutation, alphabet: Sequence[Letter]) -> Word:
     """Word read off the 0-based cycle form, letter j for elements of I_j."""
-    if len(alphabet) != len(p.composition.parts):
-        raise AlphabetSizeMismatchError(
-            f"{len(alphabet)} letters for {len(p.composition.parts)} parts")
-    comp = p.composition
-    return Word(alphabet[comp.interval_index(x)] for x in standard_cycle(p))
+    return Word(_cycle_letters(p, alphabet))
 
 
 def cycle_encodings(p: IetPermutation, alphabet: Sequence[Letter]) -> list[Word]:
     """The n encodings from the n cycle forms; a full conjugacy class."""
-    if len(alphabet) != len(p.composition.parts):
-        raise AlphabetSizeMismatchError(
-            f"{len(alphabet)} letters for {len(p.composition.parts)} parts")
-    comp = p.composition
-    cyc = standard_cycle(p)
-    letters = [alphabet[comp.interval_index(x)] for x in cyc]
+    letters = _cycle_letters(p, alphabet)
     return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
 
 
@@ -207,7 +191,9 @@ def enumerate_pc_words(length: int, num_letters: int,
 
     Each is the standard encoding of a circular exchange, one for every
     composition of the length into ``num_letters`` parts (zeros allowed)
-    whose exchange is a single cycle (Ferenczi-Zamboni).
+    whose exchange is a single cycle (Ferenczi-Zamboni).  The gcd
+    criterion of the alphabet size picks those compositions; a wrong pick
+    would fail in ``standard_cycle`` with NotCircularError.
     """
     if num_letters not in (2, 3):
         raise SizeLimitError(f"alphabet size {num_letters} not supported")
@@ -218,12 +204,9 @@ def enumerate_pc_words(length: int, num_letters: int,
     if len(alphabet) != num_letters:
         raise AlphabetSizeMismatchError(
             f"{len(alphabet)} letters for alphabet size {num_letters}")
-    words = []
-    for parts in _compositions(length, num_letters):
-        exchange = build_sigma(Composition(parts))
-        if is_circular(exchange):
-            words.append(standard_encoding(exchange, alphabet))
-    return sorted(words)
+    circular = two_interval_circular if num_letters == 2 else pak_redlich_circular
+    return sorted(standard_encoding(build_sigma(Composition(parts)), alphabet)
+                  for parts in _compositions(length, num_letters) if circular(*parts))
 
 
 def _compositions(total: int, parts: int):

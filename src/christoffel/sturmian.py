@@ -8,14 +8,16 @@ the n+1 factors in decreasing order gives the (n+1) x n matrix G_n, and
 the signed maximal minors (-1)^(k-i) det(G_n minus row i) form the
 determinantal vector V_n.
 
-V_n is also computable in closed form: with w = w_nu the covering chain
-word, N = |w|, i = N-1-n and w = w'w'' the standard factorization, V_n
-is the perfectly clustering word of composition (|w''|-i, i, |w'|-i)
-over {-|w'|_1, |w''|_1-|w'|_1, |w''|_1}, multiplied by eps*(-1)^t where
-eps is the sign of x -> |w|_1 x on Z/NZ and
-t = sum_{1<=j<=i} (N - j + d_j - (j q mod N)), q = |w|_0, d_j counting
-the earlier removals below the current one.  Successive vectors merge at
-the palindromic factorization, up to a global sign.
+V_n is also computable in closed form, for every n >= 0: with w = w_nu
+the covering chain word, N = |w|, r = |w|_1, q = |w|_0, i = N-1-n and
+w = w'w'' the standard factorization, V_n is the perfectly clustering
+word of composition (|w''|-i, i, |w'|-i) over {-|w'|_1, |w''|_1-|w'|_1,
+|w''|_1}, multiplied by eps*(-1)^t where eps is the sign of x -> r x on
+Z/NZ and t = sum_{1<=j<=i} (N - j + d_j - (j q mod N)), d_j counting the
+earlier removals below the current one.  The factorization needs no
+word: |w'| = r^(-1) mod N and |w'|_1 = (|w'| r - 1)/N, so the closed
+form costs O(n + i log N).  Successive vectors merge at the palindromic
+factorization, up to a global sign.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .words import (
     circular_factors,
     lower_christoffel,
     palindromic_factorization,
-    standard_factorization,
 )
 
 
@@ -167,27 +168,35 @@ def determinantal_vector_oracle(matrix: FactorMatrix) -> DeterminantalVector:
     return DeterminantalVector(determinantal_vector(matrix.int_rows()))
 
 
+def _standard_split(s: SlopeRatio) -> tuple[int, int]:
+    """|w'| = r^(-1) mod N and |w'|_1 = (|w'| r - 1)/N for the standard
+    factorization w = w'w'' of the lower Christoffel word of slope s."""
+    len1 = pow(s.ones, -1, s.length)
+    return len1, (len1 * s.ones - 1) // s.length
+
+
 def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVector:
     """V_n in closed form, exact global sign included."""
-    if n < 2:
-        raise OutOfRangeError("closed form needs n >= 2; use the oracle below that")
+    if n < 0:
+        raise OutOfRangeError(f"factor length {n} must be >= 0")
     nu, s = _covering(slope, n)
     big_n = s.length
     i = big_n - 1 - n
-    w1, w2 = standard_factorization(lower_christoffel(s))
-    m1, m2 = w1.count(1), w2.count(1)
+    len1, m1 = _standard_split(s)
+    len2, m2 = big_n - len1, s.ones - m1
     lo, mid, hi = -m1, m2 - m1, m2
 
     epsilon = zolotareff(s.ones, big_n)
-    t = sum(big_n - j - h for j, h in enumerate(merge_positions(big_n, s.zeros, i), start=1))
-
-    composition = Composition((len(w2) - i, i, len(w1) - i))
-    encoded = standard_encoding(build_sigma(composition), (lo, mid, hi))
+    # t = sum_{1<=j<=i} (N - j - h_j) with h_j the merge positions.
+    t = i * big_n - i * (i + 1) // 2 - sum(merge_positions(big_n, s.zeros, i))
     sign = epsilon * (1 if t % 2 == 0 else -1)
-    components = tuple(sign * x for x in encoded)
+
+    composition = Composition((len2 - i, i, len1 - i))
+    components = standard_encoding(build_sigma(composition),
+                                   (sign * lo, sign * mid, sign * hi)).letters
 
     if i == 0:
-        ctx_comp: tuple[int, ...] = (len(w2), len(w1))
+        ctx_comp: tuple[int, ...] = (len2, len1)
         ctx_alphabet: tuple[int, ...] = (lo, hi)
     else:
         ctx_comp = composition.parts

@@ -22,7 +22,12 @@ from christoffel import (
     is_perfectly_clustering,
     lyndon_words,
 )
-from christoffel.errors import NotBijectiveError, NotCoprimeError, OutOfRangeError
+from christoffel.errors import (
+    NotBijectiveError,
+    NotCoprimeError,
+    OutOfRangeError,
+    RestrictionOutOfRangeError,
+)
 from christoffel.iet import standard_cycle
 
 
@@ -119,6 +124,22 @@ def pc_words_by_lyndon_filter(length, num_letters):
     Burrows-Wheeler last column."""
     return sorted(w for w in lyndon_words(length, tuple(range(num_letters)))
                   if is_perfectly_clustering(w))
+
+
+def interval_index(composition, x):
+    """0-based index j with x in I_{j+1}, by a walk over the parts."""
+    acc = 0
+    for j, part in enumerate(composition.parts):
+        acc += part
+        if x < acc:
+            return j
+    raise RestrictionOutOfRangeError(f"{x} outside [{composition.total}]")
+
+
+def encoding_by_interval_index(exchange, alphabet):
+    """The standard encoding with one interval lookup per cycle element."""
+    comp = exchange.composition
+    return Word(alphabet[interval_index(comp, x)] for x in standard_cycle(exchange))
 
 
 def bw_christoffel_kind(w):

@@ -24,6 +24,14 @@ class TestWordCommands:
                            "--upper")
         assert code == 0 and out.strip() == "1001000"
 
+    @pytest.mark.parametrize("alphabet", ["1,2,3", "a,b"])
+    def test_christoffel_bad_alphabet_is_usage_error(self, capsys, alphabet):
+        code, out, err = run(capsys, "word", "christoffel", "--ones", "3", "--zeros", "4",
+                             "--alphabet", alphabet)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error [usage]: ")
+        assert "--alphabet" in err
+
     def test_factorize(self, capsys):
         code, out, _ = run(capsys, "word", "factorize", "01101110111")
         assert code == 0
@@ -207,6 +215,10 @@ class TestSturmianCommands:
     def test_detvec_both(self, capsys):
         code, out, _ = run(capsys, "sturmian", "detvec", "--cf", "2,1,2",
                            "--len", "10", "--both")
+        assert code == 0 and "match: true" in out
+
+    def test_detvec_length_zero(self, capsys):
+        code, out, _ = run(capsys, "sturmian", "detvec", "--cf", "0,1", "--len", "0")
         assert code == 0 and "match: true" in out
 
     def test_detvec_json(self, capsys):

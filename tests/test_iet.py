@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -31,7 +32,11 @@ from christoffel.errors import (
     SizeLimitError,
 )
 from christoffel.iet import merge_positions
-from oracles import merge_positions_by_scan, restriction_by_cycle_deletion
+from oracles import (
+    encoding_by_interval_index,
+    merge_positions_by_scan,
+    restriction_by_cycle_deletion,
+)
 
 W = Word.parse
 
@@ -97,6 +102,17 @@ class TestCircularity:
                 parts = (c1, total - c1)
                 assert two_interval_circular(*parts) == is_circular(build_sigma(Composition(parts)))
 
+    def test_gcd_criteria_match_the_exchange(self):
+        """The criteria enumerate_pc_words filters by, on every composition
+        of a total up to 18 into 2 and 3 parts, zeros included."""
+        for total in range(1, 19):
+            for parts in compositions(total, 2):
+                assert two_interval_circular(*parts) == \
+                    is_circular(build_sigma(Composition(parts))), parts
+            for parts in compositions(total, 3):
+                assert pak_redlich_circular(*parts) == \
+                    is_circular(build_sigma(Composition(parts))), parts
+
     def test_walk_from_zero_equals_cycle_decomposition(self):
         """One cycle through 0 of full length iff the decomposition has one cycle."""
         for total in range(1, 13):
@@ -145,6 +161,23 @@ class TestStandardEncoding:
         all_words = cycle_encodings(exchange, (0, 1, 2))
         standard = standard_encoding(exchange, (0, 1, 2))
         assert sorted(all_words) == sorted(conjugates(standard))
+
+    def test_letter_table_equals_interval_lookup(self):
+        """Both encodings equal the per-element interval lookup on every
+        circular composition of a total up to 14 into 1 to 4 parts."""
+        alphabets = [(0, 1, 2, 3), (Fraction(-3, 2), Fraction(1, 3), 2, Fraction(7, 2))]
+        for parts_count in range(1, 5):
+            for total in range(1, 15):
+                for parts in compositions(total, parts_count):
+                    exchange = build_sigma(Composition(parts))
+                    if not is_circular(exchange):
+                        continue
+                    for alphabet in alphabets:
+                        alphabet = alphabet[:parts_count]
+                        expected = encoding_by_interval_index(exchange, alphabet)
+                        assert standard_encoding(exchange, alphabet) == expected, parts
+                        assert cycle_encodings(exchange, alphabet) == \
+                            [expected.rotation(i) for i in range(total)], parts
 
     def test_encoding_is_pc_lyndon(self):
         for total in range(2, 17):

@@ -34,6 +34,15 @@ class TestPermutation:
         with pytest.raises(NotBijectiveError):
             Permutation([0, 0, 1])
 
+    @pytest.mark.parametrize("images", [[0, 1.0, 2], [0, -1, 1], [0, 3, 1], [2, 0, 2]])
+    def test_rejects_float_negative_out_of_range_and_duplicate(self, images):
+        with pytest.raises(NotBijectiveError, match=r"not a bijection of \[3\]"):
+            Permutation(images)
+
+    def test_accepts_bools(self):
+        assert Permutation([True, False]).images == (True, False)
+        assert Permutation([]).images == ()
+
     def test_interval_exchange_cycle(self):
         # exchange of composition (2,2,5): a single 9-cycle
         p = Permutation([7, 8, 5, 6, 0, 1, 2, 3, 4])

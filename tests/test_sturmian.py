@@ -1,14 +1,18 @@
 import random
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from christoffel import (
     DeterminantalVector,
+    SlopeRatio,
     SturmianSlope,
     Word,
     bw_rows,
     christoffel_chain,
+    christoffel_length,
     circular_factors,
     determinantal_vector,
     determinantal_vector_closed,
@@ -17,6 +21,7 @@ from christoffel import (
     g_chain,
     is_lyndon,
     is_perfectly_clustering,
+    lower_christoffel,
     special_factor_determinant,
     standard_factorization,
     vector_merge_step,
@@ -28,6 +33,7 @@ from christoffel.errors import (
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
+from christoffel.sturmian import _standard_split
 from oracles import factor_matrix_by_rotation_sort, g_chain_by_rotation_sort
 
 FIB = SturmianSlope.from_quotients((0, 1, 1, 1, 1, 1, 1, 1))
@@ -183,9 +189,40 @@ class TestClosedForm:
                 assert pow(q, -1, big_n) == len(right)
                 assert pow(r, -1, big_n) == len(left)
 
-    def test_small_n_rejected(self):
+    def test_lengths_zero_and_one_equal_oracle(self):
+        """Every prefix of up to four quotients in 0..3, the first may be 0."""
+        for size in range(1, 5):
+            for quotients in product(range(4), *[range(1, 4)] * (size - 1)):
+                slope = SturmianSlope.from_quotients(quotients)
+                for n in (0, 1):
+                    if quotients == (0,):  # no chain word at all
+                        with pytest.raises(InsufficientCFError):
+                            determinantal_vector_closed(slope, n)
+                        continue
+                    closed = determinantal_vector_closed(slope, n)
+                    oracle = determinantal_vector_oracle(factor_matrix(slope, n))
+                    assert closed.components == oracle.components, (quotients, n)
+
+    def test_negative_n_rejected(self):
         with pytest.raises(OutOfRangeError):
-            determinantal_vector_closed(FIB, 1)
+            determinantal_vector_closed(FIB, -1)
+
+    @given(slope=cf_prefixes, data=st.data())
+    def test_equals_oracle_on_cf_prefixes(self, slope, data):
+        n = data.draw(st.integers(0, min(60, christoffel_length(slope.cf) - 1)))
+        closed = determinantal_vector_closed(slope, n)
+        oracle = determinantal_vector_oracle(factor_matrix(slope, n))
+        assert closed.components == oracle.components
+
+    def test_arithmetic_standard_split(self):
+        """(|w'|, |w'|_1) from (r, N) equal the factors of the word itself,
+        for every slope with both letters and N <= 300."""
+        for big_n in range(2, 301):
+            for r in range(1, big_n):
+                if gcd(r, big_n) == 1:
+                    slope = SlopeRatio(r, big_n - r)
+                    left, _ = standard_factorization(lower_christoffel(slope))
+                    assert _standard_split(slope) == (len(left), left.count(1)), slope
 
     def test_component_multiset_matches_context(self):
         """Each alphabet letter occurs as often as its composition part says."""
