@@ -27,7 +27,7 @@ from .errors import (
 )
 from .numeric import ExactMatrix, FieldScalar, ScalarLike, _check_modulus, _lift, _scalar
 from .permsign import zolotareff
-from .words import SlopeRatio, Word, bw_rows, christoffel_bw_row
+from .words import SlopeRatio, Word, _christoffel_bw_prefixes, bw_rows
 
 
 def _check_characteristic(n: int, modulus: int | None) -> None:
@@ -133,16 +133,14 @@ def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
     a and b are cleared over the lcm of their denominators (1 over GF(p)),
     so the table of the two integers over that denominator is the matrix.
     Row 0 comes from the residue rule; row i is row 0 rotated left by
-    i * q_star mod n, since i + qj = q(j + i * q_star) (mod n).
+    i * q_star mod n, one slice of the doubled row.
     """
-    n, step = p.n, p.q_star
+    n = p.n
     a, b = p.a.value, p.b.value
     den = lcm(a.denominator, b.denominator)
     letters = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-    doubled = christoffel_bw_row(SlopeRatio(p.r, p.q), 0, letters).letters * 2
-    starts = (i * step % n for i in range(n))
-    ints = list(chain.from_iterable(doubled[s:s + n] for s in starts))
-    return ExactMatrix._from_ints(n, n, p.modulus, ints, den)
+    rows = _christoffel_bw_prefixes(SlopeRatio(p.r, p.q), range(n), n, letters)
+    return ExactMatrix._from_ints(n, n, p.modulus, list(chain.from_iterable(rows)), den)
 
 
 def to_triple(p: ChristoffelParams) -> GroupTriple:

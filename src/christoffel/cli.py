@@ -69,7 +69,7 @@ def _parse_letters(text: str) -> tuple:
 # The costs quoted are single runs on 2 vCPUs at the cap.
 # A matrix command builds n^2 entries (`det` then eliminates in O(n^3),
 # under 2 s), and so does the exact-minor oracle of `sturmian detvec`
-# (1.2 s).
+# (0.5 s).
 MAX_MATRIX_ORDER = 256
 # `fib chain` words grow about 1.6x per word (5.7 MB of output).
 MAX_FIB_CHAIN_COUNT = 30

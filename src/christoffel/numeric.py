@@ -9,7 +9,9 @@ only where entries are read.  The product is one integer product, each
 row a sum of big-int multiples of b's rows packed one per integer, read
 back as machine words when a product entry fits in 8 bytes.  The
 determinant over Q is the fraction-free (Bareiss) one of the stored ints;
-over GF(p) it is Gaussian elimination with every entry reduced mod p.
+over GF(p) it is Gaussian elimination with every entry reduced mod p.  The
+signed maximal minors of a (k+1) x k integer matrix come from the same
+Bareiss routine run on its transpose, then one exact back-substitution.
 """
 
 from __future__ import annotations
@@ -320,12 +322,14 @@ class ExactMatrix:
 def _integer_form(values: list, modulus: int | None) -> tuple[list[int], int]:
     """Ints, Fractions or scalars of the given kind as ints over one common
     denominator: over Q the least one, over GF(p) 1.  Int values pass
-    through unchanged."""
+    through unchanged.  Over Q, a value of type int or Fraction (not a
+    bool, not a subclass) gives its numerator and denominator as it is;
+    every other value is lifted to a Fraction first."""
     if all(type(x) is int for x in values):
         return values, 1
-    lifted = [_lift(x, modulus) for x in values]
     if modulus is not None:
-        return lifted, 1
+        return [_lift(x, modulus) for x in values], 1
+    lifted = [x if type(x) is int or type(x) is Fraction else _lift(x, None) for x in values]
     den = lcm(*(x.denominator for x in lifted))
     return [x.numerator * (den // x.denominator) for x in lifted], den
 
@@ -379,27 +383,47 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._from_ints(n, m, a.modulus, ints, a.den * b.den)
 
 
-def _eliminate(m: list[list[int]], cols: int) -> int:
-    """Fraction-free (Bareiss) elimination of the first ``cols`` columns of
-    the integer matrix m, in place; every division is exact.  Afterwards
-    entry (i, j), i, j >= cols, is the minor of the row-swapped matrix on
-    rows 0..cols-1, i and columns 0..cols-1, j.  Returns the sign of the
-    row swaps, or 0 when a column has no pivot (the first cols + 1 columns
-    are then dependent)."""
-    sign, prev = 1, 1
-    for k in range(cols):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+def _eliminate(m: list[list[int]]) -> tuple[int, list[int]]:
+    """Fraction-free (Bareiss) echelon form of the integer matrix m, in
+    place, with row swaps; every division is exact.
+
+    The columns are scanned left to right, column c at row r, the number
+    of pivots found so far.  A column with no nonzero entry at or below
+    row r is free: it gets no pivot and the scan goes on with the next
+    column.  Afterwards entry (i, j) of row i, j right of its pivot, is
+    the minor of the row-swapped matrix on rows 0..i and on the pivot
+    columns of rows 0..i-1 plus column j; so the pivot of the last row
+    is the determinant of the pivot columns.  A matrix with independent
+    rows has exactly cols - rows free columns.  Returns the sign of the
+    row swaps and the pivot columns, or sign 0 once a further column is
+    free (the rows are then dependent).
+    """
+    rows, cols = len(m), len(m[0])
+    sign, prev, r, spare, pivots = 1, 1, 0, cols - rows, []
+    for c in range(cols):
+        if r == rows:
+            break
+        if m[r][c] == 0:
+            swap = next((i for i in range(r + 1, rows) if m[i][c]), None)
             if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
+                spare -= 1
+                if spare < 0:
+                    return 0, pivots
+                continue
+            m[r], m[swap] = m[swap], m[r]
             sign = -sign
-        pivot, tail = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        pivot, tail = m[r][c], m[r][c + 1:]
+        for row in m[r + 1:]:
+            # A row with 0 in the pivot column is only scaled by pivot / prev.
+            f = row[c]
+            if f:
+                row[c + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif pivot != prev:
+                row[c + 1:] = [x * pivot // prev for x in row[c + 1:]]
         prev = pivot
-    return sign
+        pivots.append(c)
+        r += 1
+    return sign, pivots
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -407,24 +431,41 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("matrix is not square")
+    if not n:
+        return 1
     m = [list(r) for r in rows]
-    return _eliminate(m, n - 1) * m[-1][-1] if m else 1
+    return _eliminate(m)[0] * m[-1][-1]
 
 
 def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Signed maximal minors of a (k+1) x k integer matrix G.
 
     Component j is (-1)^(k-j) times the determinant of G without row j,
-    which is det[G | e_j].  One elimination of the first k columns of
-    [G | I_{k+1}] gives all of them at once: det[G | e_j] is the sign of
-    its row swaps times the last row's entry in identity column j.
+    that is of A = G^T without column j, and the vector V spans the
+    kernel of A.  One elimination of the k x (k+1) matrix A gives its
+    echelon form U.  With dependent rows every minor vanishes.
+    Otherwise exactly one column f is free, and the pivot of the last
+    row is sigma * det(A without column f), sigma the sign of the row
+    swaps, so V_f = (-1)^(k-f) * sigma * that pivot.  Back-substitution
+    from the bottom row up gives the rest: for row i with pivot column c,
+    V_c = -(sum_{j>c} U[i][j] V_j) / U[i][c], and every division is
+    exact because V is an integer vector of the kernel of U.
     """
     k = len(rows) - 1
     if k < 0 or any(len(r) != k for r in rows):
         raise DimensionMismatchError("need a (k+1) x k matrix")
-    m = [list(r) + [int(i == j) for j in range(k + 1)] for i, r in enumerate(rows)]
-    sign = _eliminate(m, k)
-    return tuple(sign * x for x in m[-1][k:])
+    if not k:
+        return (1,)
+    m = [list(column) for column in zip(*rows)]
+    sign, pivots = _eliminate(m)
+    if not sign:
+        return (0,) * (k + 1)
+    f = next((i for i, c in enumerate(pivots) if c != i), k)
+    v = [0] * (k + 1)
+    v[f] = (-1) ** (k - f) * sign * m[-1][pivots[-1]]
+    for row, c in zip(reversed(m), reversed(pivots)):
+        v[c] = -sum(map(mul, row[c + 1:], v[c + 1:])) // row[c]
+    return tuple(v)
 
 
 def _det_mod(m: list[list[int]], p: int) -> int:

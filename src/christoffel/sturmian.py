@@ -40,7 +40,7 @@ from .permsign import zolotareff
 from .words import (
     SlopeRatio,
     Word,
-    christoffel_bw_row,
+    _christoffel_bw_prefixes,
     circular_factors,
     lower_christoffel,
     palindromic_factorization,
@@ -103,12 +103,13 @@ def _factor_matrix(s: SlopeRatio, n: int) -> FactorMatrix:
     """G_n from the chain word of slope s (length N > n).
 
     The rows are the length-n prefixes of the Burrows-Wheeler rows left
-    after removing the rows jq mod N, 1 <= j <= N-1-n.
+    after removing the rows jq mod N, 1 <= j <= N-1-n, each one slice of
+    the doubled row 0.
     """
     big_n = s.length
     removed = {(j * s.zeros) % big_n for j in range(1, big_n - n)}
     origin = tuple(x for x in range(big_n) if x not in removed)
-    rows = tuple(christoffel_bw_row(s, x)[:n] for x in origin)
+    rows = tuple(map(Word, _christoffel_bw_prefixes(s, origin, n)))
     return FactorMatrix(n, rows, origin)
 
 

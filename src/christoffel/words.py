@@ -217,6 +217,20 @@ def christoffel_bw_row(slope: SlopeRatio, i: int,
     return Word(b if (i + q * j) % n < r else a for j in range(n))
 
 
+def _christoffel_bw_prefixes(slope: SlopeRatio, rows: Iterable[int], width: int,
+                             alphabet: tuple[Letter, Letter] = (0, 1)) -> list[tuple]:
+    """The first ``width`` letters (width <= n) of the given rows of the
+    Burrows-Wheeler table of a slope, as slices of row 0 doubled.
+
+    Row i is row 0 rotated left by i * q^(-1) mod n, since
+    i + qj = q(j + i * q^(-1)) (mod n); the rows are not range-checked.
+    """
+    n = slope.length
+    doubled = christoffel_bw_row(slope, 0, alphabet).letters * 2
+    step = pow(slope.zeros, -1, n)
+    return [doubled[s:s + width] for s in (i * step % n for i in rows)]
+
+
 def _ordered(alphabet: tuple[Letter, Letter]) -> tuple[Letter, Letter]:
     if not alphabet[0] < alphabet[1]:
         raise InvalidSlopeError(f"alphabet {alphabet} is not strictly ordered")

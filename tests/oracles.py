@@ -86,11 +86,50 @@ def determinantal_vector_by_minors(rows):
                  for i in range(k + 1))
 
 
+def determinantal_vector_by_identity_block(rows):
+    """Signed maximal minors of a (k+1) x k integer matrix G from one
+    Bareiss elimination of the first k columns of [G | I_{k+1}]: the last
+    row then holds det[G | e_j] in identity column j, up to the sign of
+    the row swaps, and det[G | e_j] = (-1)^(k-j) det(G without row j)."""
+    k = len(rows) - 1
+    m = [list(r) + [int(i == j) for j in range(k + 1)] for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for c in range(k):
+        if m[c][c] == 0:
+            swap = next((i for i in range(c + 1, k + 1) if m[i][c]), None)
+            if swap is None:
+                return (0,) * (k + 1)
+            m[c], m[swap] = m[swap], m[c]
+            sign = -sign
+        pivot = m[c][c]
+        for row in m[c + 1:]:
+            f = row[c]
+            row[c + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1:], m[c][c + 1:])]
+        prev = pivot
+    return tuple(sign * x for x in m[-1][k:])
+
+
 def merge_positions_by_scan(n, step, count):
     """h_j = (j*step mod n) - d_j, each d_j counted by a scan over all
     earlier marks (O(count^2))."""
     marks = [(j * step) % n for j in range(1, count + 1)]
     return [m - sum(1 for x in marks[:j] if x < m) for j, m in enumerate(marks)]
+
+
+@lru_cache(maxsize=256)
+def _christoffel_bw_row(s, x):
+    return christoffel_bw_row(s, x)
+
+
+def factor_matrix_by_rows(s, n):
+    """G_n of the chain word of slope s, each row built on its own by the
+    residue rule and cut to its first n letters (rows are cached, so a
+    sweep over n builds each row of a slope once)."""
+    big_n = s.length
+    removed = {(j * s.zeros) % big_n for j in range(1, big_n - n)}
+    origin = tuple(x for x in range(big_n) if x not in removed)
+    rows = tuple(_christoffel_bw_row(s, x)[:n] for x in origin)
+    return FactorMatrix(n, rows, origin)
 
 
 def factor_matrix_by_rotation_sort(w, n):

@@ -25,6 +25,7 @@ from christoffel.errors import (
 )
 from oracles import (
     cofactor_det,
+    determinantal_vector_by_identity_block,
     determinantal_vector_by_minors,
     is_prime_by_trial_division,
     mat_mul_per_entry,
@@ -451,6 +452,44 @@ def tall_matrices(draw):
     return rows
 
 
+@st.composite
+def shaped_tall_matrices(draw):
+    """(k+1) x k integer matrices, k <= 14, of one drawn shape.  Row j of G
+    is column j of A = G^T, whose elimination finds the free column.
+
+    - generic: independent entries;
+    - dependent row: row f (any position) is a combination of rows 0..f-1,
+      zero for f = 0, so A has rank k with its free column at f;
+    - rank k-1, rank <= k-2: one or two columns of G are combinations of
+      the others, so A has two or more free columns and V = 0;
+    - zero column of G (the first included) and zero row of G (any row).
+    """
+    k = draw(st.integers(0, 14))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                         min_size=k + 1, max_size=k + 1))
+    shape = draw(st.sampled_from(
+        ["generic", "dependent row", "rank k-1", "rank <= k-2", "zero column", "zero row"]))
+    coefficients = st.lists(st.integers(-2, 2), min_size=k + 1, max_size=k + 1)
+    if shape == "dependent row":
+        f = draw(st.integers(0, k))
+        c = draw(coefficients)
+        rows[f] = [sum(c[i] * rows[i][j] for i in range(f)) for j in range(k)]
+    elif shape in ("rank k-1", "rank <= k-2") and k >= 2:
+        order = draw(st.permutations(range(k)))
+        dependent, kept = (order[:1], order[1:]) if shape == "rank k-1" else (order[:2], order[2:])
+        for dst in dependent:
+            c = draw(coefficients)
+            for r in rows:
+                r[dst] = sum(c[j] * r[j] for j in kept)
+    elif shape == "zero column" and k >= 1:
+        dst = draw(st.integers(0, k - 1))
+        for r in rows:
+            r[dst] = 0
+    elif shape == "zero row":
+        rows[draw(st.integers(0, k))] = [0] * k
+    return rows
+
+
 class TestDeterminantalVector:
     @settings(max_examples=40)
     @given(rows=tall_matrices())
@@ -458,12 +497,13 @@ class TestDeterminantalVector:
         assert determinantal_vector(rows) == determinantal_vector_by_minors(rows)
 
     def test_one_elimination_and_no_determinant(self, monkeypatch):
+        """Exactly one elimination, run on the k x (k+1) transpose of G."""
         calls = []
         eliminate = numeric._eliminate
 
-        def counting(m, cols):
-            calls.append(cols)
-            return eliminate(m, cols)
+        def counting(m):
+            calls.append([list(r) for r in m])
+            return eliminate(m)
 
         def forbidden(rows):
             raise AssertionError("determinantal_vector called det_int")
@@ -472,7 +512,29 @@ class TestDeterminantalVector:
         monkeypatch.setattr(numeric, "det_int", forbidden)
         rows = [[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 1]]
         assert determinantal_vector(rows) == determinantal_vector_by_minors(rows)
-        assert calls == [3]
+        assert calls == [[[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1]]]
+
+    @settings(max_examples=300)
+    @given(rows=shaped_tall_matrices())
+    def test_equals_identity_block_elimination(self, rows):
+        assert determinantal_vector(rows) == determinantal_vector_by_identity_block(rows)
+
+    @pytest.mark.parametrize("rows, free", [
+        ([[0, 0], [1, 2], [3, 4]], 0),
+        ([[1, 2], [2, 4], [3, 5]], 1),
+        ([[1, 2], [3, 5], [0, 0]], 2),
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 7], [0, 1, 1]], None),
+        ([[1, 2, 3], [0, 0, 0], [0, 0, 0], [4, 5, 6]], None),
+    ], ids=["first", "middle", "last", "zero-column", "rank-one"])
+    def test_free_column(self, rows, free):
+        """The component at the free column of G^T is the determinant of its
+        pivot columns, never 0; with rank below k every component is 0."""
+        v = determinantal_vector(rows)
+        assert v == determinantal_vector_by_minors(rows)
+        if free is None:
+            assert not any(v)
+        else:
+            assert v[free] != 0
 
 
 class TestKindStoredOnce:
@@ -512,6 +574,24 @@ class TestKindStoredOnce:
         det_exact(product)
         product.to_string_rows()
         assert len(calls) <= 1 and product == a
+
+    @given(values=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                           max_size=12))
+    def test_ints_fractions_and_scalars_build_equal_matrices(self, values):
+        """The same values over Q as Fractions, as FieldScalars, and with the
+        integral ones as ints, as bools (0 and 1) or with the rest as a
+        Fraction subclass all build one matrix."""
+        class Tagged(Fraction):
+            pass
+
+        values = values + [Fraction(1, 1), Fraction(-3), Fraction(-5, 7), Fraction(0)]
+        as_ints = [int(v) if v.denominator == 1 else v for v in values]
+        as_bools = [bool(v) if v in (0, 1) else v for v in as_ints]
+        forms = [values, [FieldScalar(v) for v in values], as_ints, as_bools,
+                 [v if v.denominator == 1 else Tagged(v) for v in as_ints]]
+        matrices = [ExactMatrix.from_rows([form, form[::-1]]) for form in forms]
+        assert all(m == matrices[0] for m in matrices)
+        assert matrices[0].values == tuple(values + values[::-1])
 
     def test_stored_form(self):
         q = ExactMatrix.from_rows([[1, Fraction(1, 2)], [3, Fraction(-4, 3)]])

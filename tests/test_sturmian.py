@@ -3,9 +3,10 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from christoffel import (
+    ContinuedFraction,
     DeterminantalVector,
     SlopeRatio,
     SturmianSlope,
@@ -33,8 +34,13 @@ from christoffel.errors import (
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
-from christoffel.sturmian import _standard_split
-from oracles import factor_matrix_by_rotation_sort, g_chain_by_rotation_sort
+from christoffel.sturmian import _factor_matrix, _standard_split
+from oracles import (
+    determinantal_vector_by_identity_block,
+    factor_matrix_by_rotation_sort,
+    factor_matrix_by_rows,
+    g_chain_by_rotation_sort,
+)
 
 FIB = SturmianSlope.from_quotients((0, 1, 1, 1, 1, 1, 1, 1))
 ORDER11 = SturmianSlope.from_quotients((2, 1, 2))
@@ -103,6 +109,20 @@ class TestFactorMatrix:
         covering = next(w for w in chain if len(w) >= n + 1)
         assert factor_matrix(slope, n) == factor_matrix_by_rotation_sort(covering, n)
 
+    def test_rotation_slices_equal_rows_from_residue_rule(self):
+        """Every slope with both letters and N <= 60, every 0 <= n < N."""
+        for big_n in range(2, 61):
+            for r in range(1, big_n):
+                if gcd(r, big_n) == 1:
+                    s = SlopeRatio(r, big_n - r)
+                    for n in range(big_n):
+                        assert _factor_matrix(s, n) == factor_matrix_by_rows(s, n), (s, n)
+
+
+def _slope_of(big_n, r):
+    """The Sturmian slope whose last chain word has r ones among N letters."""
+    return SturmianSlope(ContinuedFraction.from_slope(SlopeRatio(r, big_n - r)))
+
 
 class TestOracle:
     def test_one_column(self):
@@ -122,6 +142,33 @@ class TestOracle:
             determinantal_vector([[1, 0], [0, 1]])
         with pytest.raises(DimensionMismatchError):
             determinantal_vector([])
+
+    def test_equals_identity_block_on_every_small_slope(self):
+        """Elimination of G^T equals elimination of [G | I] on every distinct
+        factor matrix of every slope with both letters and N <= 34, every
+        n < N.  (To N <= 80 the same sweep covers 26,398 matrices in about
+        nine minutes; the hypothesis test below samples that range.)"""
+        seen = set()
+        for big_n in range(2, 35):
+            for r in range(1, big_n):
+                if gcd(r, big_n) == 1:
+                    slope = _slope_of(big_n, r)
+                    for n in range(big_n):
+                        m = factor_matrix(slope, n)
+                        if m not in seen:
+                            seen.add(m)
+                            rows = m.int_rows()
+                            assert determinantal_vector(rows) \
+                                == determinantal_vector_by_identity_block(rows), (r, big_n, n)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_equals_identity_block_up_to_length_80(self, data):
+        big_n = data.draw(st.integers(2, 80))
+        r = data.draw(st.integers(1, big_n - 1).filter(lambda r: gcd(r, big_n) == 1))
+        n = data.draw(st.integers(0, big_n - 1))
+        rows = factor_matrix(_slope_of(big_n, r), n).int_rows()
+        assert determinantal_vector(rows) == determinantal_vector_by_identity_block(rows)
 
     def test_merge_lemma_on_random_matrices(self):
         """If rows h-1, h agree except trailing 1, 0 then the minor vectors
