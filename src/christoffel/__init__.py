@@ -6,7 +6,6 @@ from .bwgroup import (
     GroupTriple,
     bw_matrix,
     christoffel_matrix,
-    column_shift_check,
     consecutive_rows_square,
     det_closed,
     from_triple,
@@ -14,10 +13,7 @@ from .bwgroup import (
     group_inverse,
     group_mul,
     params,
-    row_pair_prefix_check,
     to_triple,
-    unit_inverse_params,
-    verify_consecutive_rows,
 )
 from .contfrac import (
     ContinuedFraction,

@@ -11,7 +11,6 @@ M(n, a, b, r) -> ((n-r)a + rb, b - a, r).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
@@ -72,15 +71,6 @@ class ChristoffelParams:
         return pow(self.r, -1, self.n)
 
     @property
-    def q_star(self) -> int:
-        return pow(self.q, -1, self.n)
-
-    @property
-    def big_q(self) -> int:
-        """Q with r * r_star = 1 + Q n."""
-        return (self.r * self.r_star - 1) // self.n
-
-    @property
     def modulus(self) -> int | None:
         return self.a.modulus
 
@@ -133,7 +123,7 @@ def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
     a and b are cleared over the lcm of their denominators (1 over GF(p)),
     so the table of the two integers over that denominator is the matrix.
     Row 0 comes from the residue rule; row i is row 0 rotated left by
-    i * q_star mod n, one slice of the doubled row.
+    i * q^(-1) mod n, one slice of the doubled row.
     """
     n = p.n
     a, b = p.a.value, p.b.value
@@ -172,13 +162,6 @@ def group_mul(p1: ChristoffelParams, p2: ChristoffelParams) -> ChristoffelParams
     return from_triple(p1.n, to_triple(p1) * to_triple(p2))
 
 
-def unit_inverse_params(n: int, r: int) -> ChristoffelParams:
-    """Closed-form inverse of M(n, 0, 1, r): M(n, -Q/r, 1 - Q/r, r*)."""
-    base = params(n, 0, 1, r)
-    q_frac = Fraction(base.big_q, r)
-    return params(n, -q_frac, 1 - q_frac, base.r_star)
-
-
 def group_inverse(p: ChristoffelParams) -> ChristoffelParams:
     """Group inverse via the inverted triple."""
     return from_triple(p.n, to_triple(p).inverse())
@@ -200,45 +183,3 @@ def consecutive_rows_square(p: ChristoffelParams, i: int) -> int:
     if not 1 <= i <= p.n - 1:
         raise IndexOutOfRangeError(f"row index {i} outside [1, {p.n - 1}]")
     return (i * p.r_star) % p.n
-
-
-def verify_consecutive_rows(p: ChristoffelParams, i: int) -> bool:
-    """Check the two-row block structure on the actual matrix."""
-    j = consecutive_rows_square(p, i)
-    m = christoffel_matrix(p)
-    prev, cur = m.row(i - 1), m.row(i)
-    for col in range(p.n):
-        if col in (j - 1, j):
-            continue
-        if prev[col] != cur[col]:
-            return False
-    return (prev[j - 1], prev[j]) == (p.b, p.a) and (cur[j - 1], cur[j]) == (p.a, p.b)
-
-
-def column_shift_check(p: ChristoffelParams) -> bool:
-    """First column reads b^r a^(n-r); each column is the previous one
-    cyclically shifted down by r."""
-    m = christoffel_matrix(p)
-    n, r = p.n, p.r
-    first = m.column(0)
-    if any(first[i] != (p.b if i < r else p.a) for i in range(n)):
-        return False
-    # Entries over one denominator are equal exactly when their ints are.
-    columns = [m.ints[j::n] for j in range(n)]
-    return all(columns[j] == columns[j - 1][-r:] + columns[j - 1][:-r] for j in range(1, n))
-
-
-def row_pair_prefix_check(p: ChristoffelParams) -> bool:
-    """For every j in [1, n-1] and h = jq mod n, rows h-1 and h agree on
-    columns 1..n-j-2 and carry b, a at column n-j-1."""
-    m = christoffel_matrix(p)
-    n, q = p.n, p.q
-    for j in range(1, n):
-        h = (j * q) % n
-        prev, cur = m.row(h - 1), m.row(h)
-        col = n - j - 1
-        if prev[col] != p.b or cur[col] != p.a:
-            return False
-        if any(prev[x] != cur[x] for x in range(1, col)):
-            return False
-    return True

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import islice
 
 from . import fixtures
@@ -51,6 +50,7 @@ from .sturmian import (
 from .words import (
     SlopeRatio,
     Word,
+    _parse_letter_list,
     is_christoffel,
     is_perfectly_clustering,
     lower_christoffel,
@@ -58,11 +58,6 @@ from .words import (
     standard_factorization,
     upper_christoffel,
 )
-
-
-def _parse_letters(text: str) -> tuple:
-    return tuple(int(t) if "/" not in t else Fraction(t)
-                 for t in text.split(","))
 
 
 # Caps on sizes whose cost grows without bound, checked before any work.
@@ -145,7 +140,7 @@ def _cmd_word_christoffel(args):
     _capped(args.ones + args.zeros, MAX_LINEAR_SIZE, "--ones + --zeros")
     slope = SlopeRatio(args.ones, args.zeros)
     try:
-        alphabet = _parse_letters(args.alphabet) if args.alphabet else (0, 1)
+        alphabet = _parse_letter_list(args.alphabet) if args.alphabet else (0, 1)
     except ValueError:
         alphabet = ()
     if len(alphabet) != 2:
@@ -265,7 +260,7 @@ def _cmd_iet_encode(args):
             labels = tokens
             alphabet = tuple(range(len(tokens)))
         else:
-            alphabet = _parse_letters(args.alphabet)
+            alphabet = _parse_letter_list(args.alphabet)
     else:
         alphabet = tuple(range(len(comp.parts)))
     w = standard_encoding(build_sigma(comp), alphabet)

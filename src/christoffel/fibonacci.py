@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import IndexTooSmallError, OutOfRangeError
+from .sturmian import SturmianSlope, _vector_shape
 from .words import Word
 
 
@@ -60,7 +61,7 @@ def fib_word_chain(count: int) -> list[Word]:
 
 @dataclass(frozen=True)
 class FibPrediction:
-    """Composition, alphabet and admissible values of a Fibonacci V_n."""
+    """Composition, alphabet and occurring absolute values of a Fibonacci V_n."""
 
     n: int
     nu: int
@@ -71,31 +72,16 @@ class FibPrediction:
 
 
 def fib_detvec_prediction(n: int) -> FibPrediction:
-    """Closed-form shape of the n-th Fibonacci determinantal vector.
+    """Shape of the n-th Fibonacci determinantal vector, for every n >= 0.
 
-    nu is fixed by F_{nu+2} <= n <= F_{nu+3} - 1 and i = F_{nu+3} - 1 - n.
-    For even nu the composition is (F_{nu+1}-i, i, F_{nu+2}-i) over
-    {-F_nu, -F_{nu-2}, F_{nu-1}}; for odd nu it is
-    (F_{nu+2}-i, i, F_{nu+1}-i) over {-F_{nu-1}, F_{nu-2}, F_nu}.  The
-    absolute values are {F_nu, F_{nu-1}} at the boundary n = F_{nu+3}-1
-    and {F_nu, F_{nu-1}, F_{nu-2}} inside.
+    The generic closed form read on the Fibonacci slope: nu is the least
+    chain index with F_{nu+3} > n and i = F_{nu+3} - 1 - n.  The values
+    are the distinct absolute values of the letters that occur.
     """
-    if n < 2:
-        raise OutOfRangeError("prediction defined for n >= 2")
-    nu = 1
-    while not fib(nu + 2) <= n <= fib(nu + 3) - 1:
-        nu += 1
-    i = fib(nu + 3) - 1 - n
-    if nu % 2 == 0:
-        composition = (fib(nu + 1) - i, i, fib(nu + 2) - i)
-        alphabet = (-fib(nu), -fib(nu - 2), fib(nu - 1))
-    else:
-        composition = (fib(nu + 2) - i, i, fib(nu + 1) - i)
-        alphabet = (-fib(nu - 1), fib(nu - 2), fib(nu))
-    if i == 0:
-        values = (fib(nu), fib(nu - 1))
-    else:
-        values = (fib(nu), fib(nu - 1), fib(nu - 2))
+    # F_{2m+2} >= 2^m, so 2 * bit_length(n) + 4 chain words cover length n.
+    slope = SturmianSlope.from_quotients((0,) + (1,) * (2 * n.bit_length() + 4))
+    nu, _, i, composition, alphabet = _vector_shape(slope, n)
+    values = tuple(sorted({abs(x) for x, part in zip(alphabet, composition) if part}))
     return FibPrediction(n, nu, i, composition, alphabet, values)
 
 

@@ -234,6 +234,9 @@ class ExactMatrix:
         if len(entries) != rows * cols:
             raise DimensionMismatchError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        bad = next((e for e in entries if not isinstance(e, FieldScalar)), None)
+        if bad is not None:
+            raise TypeError(f"matrix entries must be FieldScalar, got {type(bad).__name__}")
         moduli = {e.modulus for e in entries}
         if len(moduli) > 1:
             raise KindMismatchError(f"mixed scalar kinds in matrix: {moduli}")

@@ -41,7 +41,6 @@ from .words import (
     SlopeRatio,
     Word,
     _christoffel_bw_prefixes,
-    circular_factors,
     lower_christoffel,
     palindromic_factorization,
 )
@@ -176,31 +175,41 @@ def _standard_split(s: SlopeRatio) -> tuple[int, int]:
     return len1, (len1 * s.ones - 1) // s.length
 
 
-def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVector:
-    """V_n in closed form, exact global sign included."""
+def _vector_shape(slope: SturmianSlope, n: int):
+    """(nu, s, i, composition, alphabet) of V_n from (r, N) alone.
+
+    nu and s are the covering chain index and slope, i = N - 1 - n, the
+    composition is (|w''| - i, i, |w'| - i) and the alphabet
+    (-|w'|_1, |w''|_1 - |w'|_1, |w''|_1) for w = w'w''.
+    """
     if n < 0:
         raise OutOfRangeError(f"factor length {n} must be >= 0")
     nu, s = _covering(slope, n)
     big_n = s.length
     i = big_n - 1 - n
     len1, m1 = _standard_split(s)
-    len2, m2 = big_n - len1, s.ones - m1
-    lo, mid, hi = -m1, m2 - m1, m2
+    m2 = s.ones - m1
+    return nu, s, i, (big_n - len1 - i, i, len1 - i), (-m1, m2 - m1, m2)
+
+
+def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVector:
+    """V_n in closed form, exact global sign included."""
+    nu, s, i, parts, (lo, mid, hi) = _vector_shape(slope, n)
+    big_n = s.length
 
     epsilon = zolotareff(s.ones, big_n)
     # t = sum_{1<=j<=i} (N - j - h_j) with h_j the merge positions.
     t = i * big_n - i * (i + 1) // 2 - sum(merge_positions(big_n, s.zeros, i))
     sign = epsilon * (1 if t % 2 == 0 else -1)
 
-    composition = Composition((len2 - i, i, len1 - i))
-    components = standard_encoding(build_sigma(composition),
+    components = standard_encoding(build_sigma(Composition(parts)),
                                    (sign * lo, sign * mid, sign * hi)).letters
 
     if i == 0:
-        ctx_comp: tuple[int, ...] = (len2, len1)
+        ctx_comp: tuple[int, ...] = (parts[0], parts[2])
         ctx_alphabet: tuple[int, ...] = (lo, hi)
     else:
-        ctx_comp = composition.parts
+        ctx_comp = parts
         ctx_alphabet = (lo, mid, hi)
     context = DetContext(nu=nu, word_length=big_n, i=i, epsilon=epsilon, t=t,
                          composition=ctx_comp, alphabet=ctx_alphabet)
@@ -255,15 +264,14 @@ def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
 
     Defined in the three-letter range (i >= 1); the value is plus or
     minus the middle alphabet letter |w''|_1 - |w'|_1, and is returned
-    with the sign of its component in V_n.  The right-special factor is
-    the single one that extends by both letters.
+    with the sign of its component in V_n.  The right-special factor u is
+    the single one that extends by both letters: the last merge step
+    G_{n+1} -> G_n folds the rows u1 and u0, at h_i - 1 and h_i, into
+    row h_i - 1 of G_n.
     """
-    s = _covering(slope, n)[1]
-    if n >= s.length - 1:
+    vector = determinantal_vector_closed(slope, n)
+    i = vector.context.i
+    if i == 0:
         raise OutOfRangeError(f"factor length {n} has a two-letter vector; no middle value")
-    w = lower_christoffel(s)
-    matrix = _factor_matrix(s, n)
-    longer = {u.letters for u in circular_factors(w, n + 1)}
-    h = next(idx for idx, u in enumerate(matrix.rows)
-             if u.letters + (0,) in longer and u.letters + (1,) in longer)
-    return determinantal_vector(matrix.int_rows())[h]
+    s = _covering(slope, n)[1]
+    return vector.components[merge_positions(s.length, s.zeros, i)[-1] - 1]

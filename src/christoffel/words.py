@@ -28,6 +28,12 @@ from .errors import (
 Letter = Union[int, Fraction]
 
 
+def _parse_letter_list(text: str) -> tuple[Letter, ...]:
+    """Comma-separated integers and fractions "p/q", one letter each."""
+    return tuple(int(t) if "/" not in t else Fraction(t)
+                 for t in (s.strip() for s in text.split(",")))
+
+
 @dataclass(frozen=True)
 class SlopeRatio:
     """A slope |w|_1 / |w|_0 in lowest terms; 0/1 and 1/0 are allowed."""
@@ -71,14 +77,11 @@ class Word:
         text = text.strip()
         if text == "":
             return cls(())
-        if "," in text:
-            return cls(int(t) if "/" not in t else Fraction(t)
-                       for t in (s.strip() for s in text.split(",")))
         if text.isdigit():
             return cls(int(ch) for ch in text)
         if text.isalpha() and text.islower():
             return cls(ord(ch) - ord("a") for ch in text)
-        return cls((int(text) if "/" not in text else Fraction(text),))
+        return cls(_parse_letter_list(text))
 
     def __len__(self):
         return len(self.letters)

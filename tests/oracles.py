@@ -1,9 +1,11 @@
 """Brute-force reference routes the library's closed forms are checked against.
 
 Each function recomputes a library result by a second, independent
-construction that is too slow or too indirect to run inside the library.
+construction that is too slow or too indirect to run inside the library,
+or checks a lemma of the paper on a matrix the library built.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -19,9 +21,19 @@ from christoffel import (
     build_sigma,
     bw_rows,
     christoffel_bw_row,
+    christoffel_matrix,
+    circular_factors,
+    consecutive_rows_square,
+    determinantal_vector,
+    factor_matrix,
+    fib,
     is_perfectly_clustering,
+    lower_christoffel,
     lyndon_words,
+    params,
+    semiconvergents,
 )
+from christoffel.fibonacci import FibPrediction
 from christoffel.errors import (
     NotBijectiveError,
     NotCoprimeError,
@@ -61,6 +73,59 @@ def christoffel_matrix_by_rows(p):
     slope = SlopeRatio(p.r, p.q)
     return ExactMatrix.from_rows(
         [christoffel_bw_row(slope, i, (p.a, p.b)).letters for i in range(p.n)], p.modulus)
+
+
+# --- Christoffel-matrix lemmas, each checked on the built matrix ----------
+
+def verify_consecutive_rows(p, i):
+    """Rows i-1 and i of M(n, a, b, r) agree outside the columns j-1, j of
+    ``consecutive_rows_square``, where they carry [[b, a], [a, b]]."""
+    j = consecutive_rows_square(p, i)
+    m = christoffel_matrix(p)
+    prev, cur = m.row(i - 1), m.row(i)
+    for col in range(p.n):
+        if col in (j - 1, j):
+            continue
+        if prev[col] != cur[col]:
+            return False
+    return (prev[j - 1], prev[j]) == (p.b, p.a) and (cur[j - 1], cur[j]) == (p.a, p.b)
+
+
+def column_shift_check(p):
+    """First column reads b^r a^(n-r); each column is the previous one
+    cyclically shifted down by r."""
+    m = christoffel_matrix(p)
+    n, r = p.n, p.r
+    first = m.column(0)
+    if any(first[i] != (p.b if i < r else p.a) for i in range(n)):
+        return False
+    # Entries over one denominator are equal exactly when their ints are.
+    columns = [m.ints[j::n] for j in range(n)]
+    return all(columns[j] == columns[j - 1][-r:] + columns[j - 1][:-r] for j in range(1, n))
+
+
+def row_pair_prefix_check(p):
+    """For every j in [1, n-1] and h = jq mod n, rows h-1 and h agree on
+    columns 1..n-j-2 and carry b, a at column n-j-1."""
+    m = christoffel_matrix(p)
+    n, q = p.n, p.q
+    for j in range(1, n):
+        h = (j * q) % n
+        prev, cur = m.row(h - 1), m.row(h)
+        col = n - j - 1
+        if prev[col] != p.b or cur[col] != p.a:
+            return False
+        if any(prev[x] != cur[x] for x in range(1, col)):
+            return False
+    return True
+
+
+def unit_inverse_params(n, r):
+    """Closed-form inverse of M(n, 0, 1, r): M(n, -Q/r, 1 - Q/r, r*), where
+    r* = r^(-1) mod n and r r* = 1 + Qn."""
+    r_star = pow(r, -1, n)
+    q_frac = Fraction((r * r_star - 1) // n, r)
+    return params(n, -q_frac, 1 - q_frac, r_star)
 
 
 def cofactor_det(rows):
@@ -156,6 +221,47 @@ def g_chain_by_rotation_sort(w, small):
             h = next(h for h in range(1, len(prev)) if prev[h - 1][:n] == prev[h][:n])
         steps.append((factor_matrix_by_rotation_sort(w, n), h))
     return steps
+
+
+def special_factor_determinant_by_elimination(slope, n):
+    """The minor of G_n without its right-special row: the row u with both
+    u0 and u1 among the circular factors of length n+1 of the covering
+    chain word, and the component of V_n at u from one exact elimination."""
+    w = next(lower_christoffel(s) for s in semiconvergents(slope.cf) if s.length > n)
+    matrix = factor_matrix(slope, n)
+    longer = {u.letters for u in circular_factors(w, n + 1)}
+    h = next(idx for idx, u in enumerate(matrix.rows)
+             if u.letters + (0,) in longer and u.letters + (1,) in longer)
+    return determinantal_vector(matrix.int_rows())[h]
+
+
+def fib_detvec_prediction_by_index(n):
+    """Shape of the Fibonacci V_n, n >= 2, from Fibonacci indices.
+
+    nu is fixed by F_{nu+2} <= n <= F_{nu+3} - 1 and i = F_{nu+3} - 1 - n.
+    For even nu the composition is (F_{nu+1}-i, i, F_{nu+2}-i) over
+    {-F_nu, -F_{nu-2}, F_{nu-1}}; for odd nu it is
+    (F_{nu+2}-i, i, F_{nu+1}-i) over {-F_{nu-1}, F_{nu-2}, F_nu}.  The
+    absolute values are {F_nu, F_{nu-1}} at the boundary n = F_{nu+3}-1
+    and {F_nu, F_{nu-1}, F_{nu-2}} inside.
+    """
+    if n < 2:
+        raise OutOfRangeError("index formula defined for n >= 2")
+    nu = 1
+    while not fib(nu + 2) <= n <= fib(nu + 3) - 1:
+        nu += 1
+    i = fib(nu + 3) - 1 - n
+    if nu % 2 == 0:
+        composition = (fib(nu + 1) - i, i, fib(nu + 2) - i)
+        alphabet = (-fib(nu), -fib(nu - 2), fib(nu - 1))
+    else:
+        composition = (fib(nu + 2) - i, i, fib(nu + 1) - i)
+        alphabet = (-fib(nu - 1), fib(nu - 2), fib(nu))
+    if i == 0:
+        values = {fib(nu), fib(nu - 1)}
+    else:
+        values = {fib(nu), fib(nu - 1), fib(nu - 2)}
+    return FibPrediction(n, nu, i, composition, alphabet, tuple(sorted(values)))
 
 
 def pc_words_by_lyndon_filter(length, num_letters):

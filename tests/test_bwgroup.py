@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-import christoffel.bwgroup as bwgroup
 import christoffel.numeric as numeric
+import oracles
 from christoffel import (
     ExactMatrix,
     FieldScalar,
@@ -13,7 +13,6 @@ from christoffel import (
     Word,
     bw_matrix,
     christoffel_matrix,
-    column_shift_check,
     consecutive_rows_square,
     det_closed,
     det_exact,
@@ -24,10 +23,7 @@ from christoffel import (
     lower_christoffel,
     mat_mul,
     params,
-    row_pair_prefix_check,
     to_triple,
-    unit_inverse_params,
-    verify_consecutive_rows,
 )
 from christoffel.bwgroup import GroupTriple
 from christoffel.errors import (
@@ -39,7 +35,13 @@ from christoffel.errors import (
     NotPrimitiveError,
     OrderMismatchError,
 )
-from oracles import christoffel_matrix_by_rows
+from oracles import (
+    christoffel_matrix_by_rows,
+    column_shift_check,
+    row_pair_prefix_check,
+    unit_inverse_params,
+    verify_consecutive_rows,
+)
 
 FIGURE_ROWS = [
     [1, 0, 0, 1, 0, 0, 0],
@@ -351,7 +353,7 @@ class TestStructure:
         rows = [list(m.row(i)) for i in range(7)]
         for r in rows:
             r[1], r[2] = r[2], r[1]
-        monkeypatch.setattr(bwgroup, "christoffel_matrix",
+        monkeypatch.setattr(oracles, "christoffel_matrix",
                             lambda _: ExactMatrix.from_rows(rows))
         assert not column_shift_check(p)
 

@@ -68,6 +68,8 @@ CORPUS = {
     "fib-sign": ["fib", "sign", "7"],
     "fib-chain": ["fib", "chain", "--count", "5"],
     "fib-detvec": ["fib", "detvec", "--len", "8"],
+    "fib-detvec-len-0": ["fib", "detvec", "--len", "0"],
+    "fib-detvec-len-1": ["fib", "detvec", "--len", "1"],
     "fib-gcd-lemma": ["fib", "gcd-lemma", "--k", "1"],
     "reproduce": ["reproduce", "paper-examples"],
     # one past each cap constant
@@ -225,6 +227,28 @@ EXPECTED = {
                   '"result": {"alphabet": [-3, -1, 2], "composition": [1, 4, 4], "i": 4, "'
                   'nu": 4, "values": [1, 2, 3], "vector": [-3, 2, -1, 2, -1, -1, 2, -1, 2]'
                   '}}\n'),
+                 ''],
+    },
+    'fib-detvec-len-0': {
+        'text': [0,
+                 ('nu=0 i=1 composition=(0, 1, 0) alphabet=(0, 1, 1)\n'
+                  'vector: [1]\n'),
+                 ''],
+        'json': [0,
+                 ('{"command": "fib detvec", "format_version": "1", "inputs": {"len": 0}, "r'
+                  'esult": {"alphabet": [0, 1, 1], "composition": [0, 1, 0], "i": 1, "nu": 0'
+                  ', "values": [1], "vector": [1]}}\n'),
+                 ''],
+    },
+    'fib-detvec-len-1': {
+        'text': [0,
+                 ('nu=0 i=0 composition=(1, 0, 1) alphabet=(0, 1, 1)\n'
+                  'vector: [0, 1]\n'),
+                 ''],
+        'json': [0,
+                 ('{"command": "fib detvec", "format_version": "1", "inputs": {"len": 1}, "r'
+                  'esult": {"alphabet": [0, 1, 1], "composition": [1, 0, 1], "i": 0, "nu": 0'
+                  ', "values": [0, 1], "vector": [0, 1]}}\n'),
                  ''],
     },
     'fib-gcd-lemma': {

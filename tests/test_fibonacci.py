@@ -19,6 +19,7 @@ from christoffel import (
     zolotareff,
 )
 from christoffel.errors import IndexTooSmallError, OutOfRangeError
+from christoffel.fibonacci import FibPrediction
 import oracles
 
 FIB_SLOPE = SturmianSlope.from_quotients((0,) + (1,) * 9)
@@ -95,9 +96,19 @@ class TestPrediction:
             vector = determinantal_vector_closed(FIB_SLOPE, n)
             assert {abs(x) for x in vector.components} == {abs(v) for v in pred.values}
 
-    def test_range_check(self):
+    def test_short_lengths_defined_negative_rejected(self):
+        """n = 0 and 1 take the generic shape of the chain word 01."""
+        assert fib_detvec_prediction(0) == FibPrediction(0, 0, 1, (0, 1, 0), (0, 1, 1), (1,))
+        assert fib_detvec_prediction(1) == FibPrediction(1, 0, 0, (1, 0, 1), (0, 1, 1), (0, 1))
+        for n in (0, 1):
+            vector = determinantal_vector_closed(FIB_SLOPE, n)
+            assert {abs(x) for x in vector.components} == set(fib_detvec_prediction(n).values)
         with pytest.raises(OutOfRangeError):
-            fib_detvec_prediction(1)
+            fib_detvec_prediction(-1)
+
+    def test_equals_fibonacci_index_formula(self):
+        for n in range(2, 3001):
+            assert fib_detvec_prediction(n) == oracles.fib_detvec_prediction_by_index(n), n
 
 
 class TestSignFormula:

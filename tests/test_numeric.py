@@ -555,6 +555,14 @@ class TestKindStoredOnce:
         with pytest.raises(KindMismatchError):
             ExactMatrix.from_rows([[FieldScalar.residue(1, 5)]], 7)
 
+    def test_raw_numbers_rejected_by_constructor(self):
+        """The constructor takes FieldScalars; raw numbers go through from_rows."""
+        for raw, name in ((1, "int"), (Fraction(1, 2), "Fraction")):
+            with pytest.raises(TypeError, match=name):
+                ExactMatrix(1, 1, [raw])
+            with pytest.raises(TypeError, match=name):
+                ExactMatrix(1, 2, [FieldScalar(1), raw])
+
     def test_primality_checked_at_most_once(self, monkeypatch):
         calls = []
 

@@ -40,6 +40,7 @@ from oracles import (
     factor_matrix_by_rotation_sort,
     factor_matrix_by_rows,
     g_chain_by_rotation_sort,
+    special_factor_determinant_by_elimination,
 )
 
 FIB = SturmianSlope.from_quotients((0, 1, 1, 1, 1, 1, 1, 1))
@@ -381,6 +382,30 @@ class TestSpecialFactor:
                 for n in range(len(shorter), len(covering) - 1):
                     value = special_factor_determinant(slope, n)
                     assert abs(value) == abs(middle), (slope, n)
+
+    def test_matches_elimination_route(self):
+        """Every n of the three-letter range of the test slopes."""
+        for slope in (ORDER11, FIB, SQRT2ISH):
+            top = christoffel_length(slope.cf)
+            for n in range(top - 1):
+                if determinantal_vector_closed(slope, n).context.i == 0:
+                    continue
+                assert special_factor_determinant(slope, n) == \
+                    special_factor_determinant_by_elimination(slope, n), (slope, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), slope=cf_prefixes)
+    def test_matches_elimination_route_on_drawn_prefixes(self, data, slope):
+        top = christoffel_length(slope.cf)
+        assume(top >= 3)
+        n = data.draw(st.integers(0, min(40, top - 2)))
+        assume(determinantal_vector_closed(slope, n).context.i >= 1)
+        assert special_factor_determinant(slope, n) == \
+            special_factor_determinant_by_elimination(slope, n)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            special_factor_determinant(FIB, -1)
 
     def test_matches_vector_component(self):
         for slope, n in ((ORDER11, 7), (ORDER11, 8), (FIB, 5), (FIB, 6), (FIB, 10)):
