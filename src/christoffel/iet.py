@@ -20,6 +20,7 @@ from .errors import (
     EmptyCompositionError,
     NotCircularError,
     NotCoprimeError,
+    OutOfRangeError,
     RestrictionOutOfRangeError,
     SizeLimitError,
 )
@@ -183,6 +184,71 @@ def merge_positions(n: int, step: int, count: int) -> list[int]:
             tree[x] += 1
             x += x & -x
     return out
+
+
+def _floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """(sum F(x), sum x F(x), sum F(x)^2) over x = 0..n for
+    F(x) = floor((a x + b) / c), with a, b >= 0, c >= 1 and n >= 0.
+
+    The Euclid-like recursion: reduce a and b mod c, then swap the roles
+    of a and c by counting lattice points under the line the other way.
+    Its depth is O(log c).
+    """
+    if a >= c or b >= c:
+        qa, qb = a // c, b // c
+        f, g, h = _floor_sums(a % c, b % c, c, n)
+        s1 = n * (n + 1) // 2
+        s2 = s1 * (2 * n + 1) // 3
+        return (f + qa * s1 + qb * (n + 1),
+                g + qa * s2 + qb * s1,
+                h + qa * qa * s2 + qb * qb * (n + 1) + 2 * qa * qb * s1
+                + 2 * qb * f + 2 * qa * g)
+    m = (a * n + b) // c
+    if m == 0:
+        return 0, 0, 0
+    f, g, h = _floor_sums(c, c - b - 1, a, m - 1)
+    total = n * m - f
+    return total, (m * n * (n + 1) - h - f) // 2, n * m * (m + 1) - 2 * g - 2 * f - total
+
+
+def _check_marks(n: int, step: int, count: int) -> None:
+    """The marks j*step mod n, j = 1..count, are distinct and nonzero."""
+    if gcd(step, n) != 1:
+        raise NotCoprimeError(f"gcd{(step, n)} != 1")
+    if not 0 <= count < n:
+        raise OutOfRangeError(f"count {count} outside [0, {n - 1}]")
+
+
+def merge_position_sum(n: int, step: int, count: int) -> int:
+    """sum(merge_positions(n, step, count)) in O(log n), for gcd(step, n) = 1.
+
+    With F(x) = floor(x step / n), the marks sum to step*i(i+1)/2 - n*S0
+    for i = count, S0 = sum F(x) and S1 = sum x F(x) over x <= i.  For
+    a < b the mark of a lies above the mark of b exactly when
+    F(b) - F(a) - F(b - a) = 1, so the inversions number 3 S1 - (2i+1) S0
+    and the d_j sum to i(i-1)/2 minus that.
+    """
+    _check_marks(n, step, count)
+    step, i = step % n, count
+    s0, s1, _ = _floor_sums(step, 0, n, i)
+    return step * i * (i + 1) // 2 - n * s0 - i * (i - 1) // 2 + 3 * s1 - (2 * i + 1) * s0
+
+
+def last_merge_position(n: int, step: int, count: int) -> int:
+    """merge_positions(n, step, count)[-1] in O(log n), for gcd(step, n) = 1.
+
+    With c = count*step mod n, floor((x step + n - c) / n) - floor(x step / n)
+    is 1 exactly when the mark of x lies at or above c, so two floor sums
+    over x < count count the earlier marks above c; d = (count - 1) minus
+    that, and the position is c - d.
+    """
+    _check_marks(n, step, count)
+    if count == 0:
+        raise OutOfRangeError("no merge position for count 0")
+    step %= n
+    mark = count * step % n
+    above = _floor_sums(step, n - mark, n, count - 1)[0] - _floor_sums(step, 0, n, count - 1)[0]
+    return mark - (count - 1 - above)
 
 
 def enumerate_pc_words(length: int, num_letters: int,

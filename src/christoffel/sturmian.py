@@ -15,9 +15,10 @@ word of composition (|w''|-i, i, |w'|-i) over {-|w'|_1, |w''|_1-|w'|_1,
 |w''|_1}, multiplied by eps*(-1)^t where eps is the sign of x -> r x on
 Z/NZ and t = sum_{1<=j<=i} (N - j + d_j - (j q mod N)), d_j counting the
 earlier removals below the current one.  The factorization needs no
-word: |w'| = r^(-1) mod N and |w'|_1 = (|w'| r - 1)/N, so the closed
-form costs O(n + i log N).  Successive vectors merge at the palindromic
-factorization, up to a global sign.
+word: |w'| = r^(-1) mod N and |w'|_1 = (|w'| r - 1)/N, and t needs only
+the sum of the merge positions, which floor sums give in O(log N), so
+the closed form costs O(n + log N).  Successive vectors merge at the
+palindromic factorization, up to a global sign.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ from .errors import (
     NotPerfectlyClusteringError,
     OutOfRangeError,
 )
-from .iet import Composition, build_sigma, merge_positions, standard_encoding
+from .iet import (
+    Composition,
+    build_sigma,
+    last_merge_position,
+    merge_position_sum,
+    merge_positions,
+    standard_encoding,
+)
 from .numeric import determinantal_vector
 from .permsign import zolotareff
 from .words import (
@@ -199,7 +207,7 @@ def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVe
 
     epsilon = zolotareff(s.ones, big_n)
     # t = sum_{1<=j<=i} (N - j - h_j) with h_j the merge positions.
-    t = i * big_n - i * (i + 1) // 2 - sum(merge_positions(big_n, s.zeros, i))
+    t = i * big_n - i * (i + 1) // 2 - merge_position_sum(big_n, s.zeros, i)
     sign = epsilon * (1 if t % 2 == 0 else -1)
 
     components = standard_encoding(build_sigma(Composition(parts)),
@@ -274,4 +282,4 @@ def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
     if i == 0:
         raise OutOfRangeError(f"factor length {n} has a two-letter vector; no middle value")
     s = _covering(slope, n)[1]
-    return vector.components[merge_positions(s.length, s.zeros, i)[-1] - 1]
+    return vector.components[last_merge_position(s.length, s.zeros, i) - 1]

@@ -1,0 +1,41 @@
+"""The committed BENCH files agree with the paired runner's summary rules.
+
+``tools/bench_compare.py`` writes a BENCH file from its runs; each
+file's ``summary`` must follow from its own ``runs``: medians, inclusive
+quartiles, the change's wins and ratios on tasks_per_s, and the claim
+rule.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_compare",
+                                               ROOT / "tools" / "bench_compare.py")
+bench_compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_compare)
+
+
+@pytest.mark.parametrize("name", ["BENCH_10_minors.json", "BENCH_12_floorsum.json"])
+def test_summary_recomputed_from_runs(name):
+    data = json.loads((ROOT / name).read_text())
+    summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])
+    assert summary == data["summary"]
+    assert bench_compare.claim_met(summary, data["claim"])
+    assert data["claim"].get("met", True) is True
+    assert summary[data["claim"]["workload"]]["pairs"] == data["claim"]["pairs"] == 10
+
+
+def test_claim_rule_rejects_a_narrow_win():
+    data = json.loads((ROOT / "BENCH_10_minors.json").read_text())
+    summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])
+    entry = summary[data["claim"]["workload"]]
+    entry["tasks_per_s_change_wins"] = 8
+    assert not bench_compare.claim_met(summary, data["claim"])
+    entry["tasks_per_s_change_wins"] = 10
+    parent = entry["tasks_per_s"]["parent"]
+    parent["q3"] = parent["q1"] + entry["tasks_per_s"]["change"]["median"] - parent["median"]
+    assert not bench_compare.claim_met(summary, data["claim"])

@@ -293,21 +293,32 @@ class TestReproduce:
         assert code == 0 and payload["result"]["all_passed"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    ["word", "pc-check", "A"],
-    ["word", "factorize", "01a"],
-    ["cf", "continuant", "1,x"],
-    ["cf", "semiconvergents", "1,a"],
-    ["iet", "sigma", "--composition", "1,x"],
-    ["sturmian", "detvec", "--cf", "1,x", "--len", "3"],
-    ["matrix", "christoffel", "--n", "3", "--a", "x", "--b", "1", "--r", "1"],
-    ["matrix", "christoffel", "--n", "3", "--a", "1 mod x", "--b", "1", "--r", "1"],
-])
-def test_malformed_argument_exit_code(capsys, argv):
-    """A malformed number, word or scalar is a usage error: exit 2, one line."""
+# (argv, the argument named in the error)
+MALFORMED = [
+    (["word", "pc-check", "A"], "word"),
+    (["word", "factorize", "01a"], "word"),
+    (["cf", "continuant", "1,x"], "values"),
+    (["cf", "semiconvergents", "1,a"], "cf"),
+    (["iet", "sigma", "--composition", "1,x"], "--composition"),
+    (["sturmian", "detvec", "--cf", "1,x", "--len", "3"], "--cf"),
+    (["matrix", "christoffel", "--n", "3", "--a", "x", "--b", "1", "--r", "1"], "--a"),
+    (["matrix", "christoffel", "--n", "3", "--a", "1 mod x", "--b", "1", "--r", "1"], "--a"),
+    (["word", "factorize", "--numeric", "x"], "word"),
+    (["iet", "encode", "--composition", "1,2", "--alphabet", "1,x"], "--alphabet"),
+    (["matrix", "mul", "--n", "3", "--a", "0", "--b", "1", "--r", "1",
+      "--a2", "0", "--b2", "y", "--r2", "1"], "--b2"),
+]
+
+
+@pytest.mark.parametrize("argv, argument", MALFORMED,
+                         ids=[f"argv{k}" for k in range(len(MALFORMED))])
+def test_malformed_argument_exit_code(capsys, argv, argument):
+    """A malformed number, word or scalar is a usage error: exit 2, one
+    line that names the argument as argparse does."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error [usage]: ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error [usage]: argument {argument}: ")
 
 
 @pytest.mark.parametrize("op", ["christoffel", "mul", "inv", "det"])

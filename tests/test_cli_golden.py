@@ -160,10 +160,10 @@ EXPECTED = {
     'cf-continuant-malformed': {
         'text': [2,
                  '',
-                 "error [usage]: invalid literal for int() with base 10: 'x'\n"],
+                 "error [usage]: argument values: invalid literal for int() with base 10: 'x'\n"],
         'json': [2,
                  '',
-                 "error [usage]: invalid literal for int() with base 10: 'x'\n"],
+                 "error [usage]: argument values: invalid literal for int() with base 10: 'x'\n"],
     },
     'cf-convert-slope': {
         'text': [0,

@@ -28,10 +28,11 @@ from christoffel.errors import (
     EmptyCompositionError,
     NotCircularError,
     NotCoprimeError,
+    OutOfRangeError,
     RestrictionOutOfRangeError,
     SizeLimitError,
 )
-from christoffel.iet import merge_positions
+from christoffel.iet import last_merge_position, merge_position_sum, merge_positions
 from oracles import (
     encoding_by_interval_index,
     merge_positions_by_scan,
@@ -293,8 +294,8 @@ class TestRestrictionWordChain:
 
 
 @st.composite
-def coprime_steps(draw):
-    n = draw(st.integers(1, 150))
+def coprime_steps(draw, max_n=150):
+    n = draw(st.integers(1, max_n))
     step = draw(st.integers(1, n).filter(lambda s: gcd(s, n) == 1))
     return n, step, draw(st.integers(0, n - 1))
 
@@ -303,6 +304,42 @@ class TestMergePositions:
     @given(case=coprime_steps())
     def test_equals_quadratic_count(self, case):
         assert merge_positions(*case) == merge_positions_by_scan(*case)
+
+    @given(case=coprime_steps(10_000))
+    def test_floor_sums_equal_fenwick_rows(self, case):
+        rows = merge_positions(*case)
+        assert merge_position_sum(*case) == sum(rows)
+        if rows:
+            assert last_merge_position(*case) == rows[-1]
+
+    def test_floor_sums_every_count_small_moduli(self):
+        """Rows do not depend on the count, so one list of n - 1 rows per
+        coprime (step, n) checks every count at once."""
+        for n in range(1, 101):
+            for step in range(n):
+                if gcd(step, n) != 1:
+                    continue
+                rows = merge_positions(n, step, n - 1)
+                total = 0
+                assert merge_position_sum(n, step, 0) == 0
+                for count, row in enumerate(rows, 1):
+                    total += row
+                    assert merge_position_sum(n, step, count) == total, (n, step, count)
+                    assert last_merge_position(n, step, count) == row, (n, step, count)
+
+    @pytest.mark.parametrize("func", [merge_position_sum, last_merge_position])
+    def test_floor_sums_reject_bad_arguments(self, func):
+        with pytest.raises(NotCoprimeError):
+            func(12, 4, 3)
+        with pytest.raises(NotCoprimeError):
+            func(10, 0, 1)
+        for count in (-1, 12):
+            with pytest.raises(OutOfRangeError):
+                func(12, 5, count)
+
+    def test_last_merge_position_needs_a_step(self):
+        with pytest.raises(OutOfRangeError):
+            last_merge_position(12, 5, 0)
 
 
 class TestEnumeration:
