@@ -10,10 +10,10 @@ M(n, a, b, r) -> ((n-r)a + rb, b - a, r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
+from ._frozen import Frozen
 from .errors import (
     CharacteristicTooSmallError,
     ChristoffelError,
@@ -35,31 +35,29 @@ def _check_characteristic(n: int, modulus: int | None) -> None:
             f"characteristic {modulus} must exceed the order {n}")
 
 
-@dataclass(frozen=True)
-class ChristoffelParams:
+class ChristoffelParams(Frozen):
     """The (n, a, b, r) parameterization of a Christoffel matrix."""
 
-    n: int
-    a: FieldScalar
-    b: FieldScalar
-    r: int
+    __slots__ = ("n", "a", "b", "r")
 
-    def __post_init__(self):
-        a = self.a if isinstance(self.a, FieldScalar) else FieldScalar.coerce(self.a)
-        b = self.b if isinstance(self.b, FieldScalar) else FieldScalar.coerce(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if self.n < 2:
-            raise OutOfRangeError(f"order must be >= 2, got {self.n}")
-        if not 1 <= self.r <= self.n - 1:
-            raise OutOfRangeError(f"r={self.r} outside [1, {self.n - 1}]")
-        if gcd(self.r, self.n) != 1:
-            raise NotCoprimeError(f"gcd({self.r}, {self.n}) != 1")
+    def __init__(self, n: int, a: FieldScalar, b: FieldScalar, r: int):
+        a = a if isinstance(a, FieldScalar) else FieldScalar.coerce(a)
+        b = b if isinstance(b, FieldScalar) else FieldScalar.coerce(b)
+        if n < 2:
+            raise OutOfRangeError(f"order must be >= 2, got {n}")
+        if not 1 <= r <= n - 1:
+            raise OutOfRangeError(f"r={r} outside [1, {n - 1}]")
+        if gcd(r, n) != 1:
+            raise NotCoprimeError(f"gcd({r}, {n}) != 1")
         if a.modulus != b.modulus:
             raise KindMismatchError("a and b must share one scalar kind")
         if a == b:
             raise ChristoffelError("alphabet letters must differ")
-        _check_characteristic(self.n, a.modulus)
+        _check_characteristic(n, a.modulus)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "r", r)
 
     @property
     def q(self) -> int:
@@ -84,22 +82,22 @@ def params(n: int, a: ScalarLike, b: ScalarLike, r: int,
                              _scalar(_lift(b, modulus), modulus), r)
 
 
-@dataclass(frozen=True)
-class GroupTriple:
+class GroupTriple(Frozen):
     """Image ((n-r)a + rb, b - a, r) of a Christoffel matrix in K* x K* x (Z/n)*."""
 
-    n: int
-    c: FieldScalar
-    d: FieldScalar
-    r: int
+    __slots__ = ("n", "c", "d", "r")
 
-    def __post_init__(self):
-        if self.c.is_zero():
+    def __init__(self, n: int, c: FieldScalar, d: FieldScalar, r: int):
+        if c.is_zero():
             raise NonInvertibleRowSumError("row sum c must be nonzero")
-        if self.d.is_zero():
+        if d.is_zero():
             raise NonInvertibleRowSumError("difference d must be nonzero")
-        if gcd(self.r % self.n, self.n) != 1:
-            raise NotCoprimeError(f"gcd({self.r}, {self.n}) != 1")
+        if gcd(r % n, n) != 1:
+            raise NotCoprimeError(f"gcd({r}, {n}) != 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
 
     def inverse(self) -> "GroupTriple":
         return GroupTriple(self.n, self.c.inverse(), self.d.inverse(),

@@ -5,6 +5,13 @@ arguments and its handler.  A handler returns ``(inputs, result, text)``
 and prints nothing; ``main`` parses, dispatches, prints and maps errors
 to exit codes.
 
+Each command runs in a fresh process, so start-up is kept short: this
+module imports only ``argparse``, ``json``, ``sys`` and ``.errors``, and
+each handler imports what it uses from the defining module when it runs.
+When argv[:2] names a command, ``main`` builds only that command's parser;
+any other argv, and a command with arguments left over, goes to the whole
+tree of ``build_parser``, so help and usage errors read as they always did.
+
 Every subcommand accepts ``--format json|text`` (default text).  JSON
 output is a deterministic envelope {command, inputs, result,
 format_version} with sorted keys.  Exit codes: 0 success, 1 domain
@@ -16,48 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
-from . import fixtures
-from .bwgroup import (
-    ChristoffelParams,
-    bw_matrix,
-    christoffel_matrix,
-    det_closed,
-    group_inverse,
-    group_mul,
-)
-from .contfrac import (
-    ContinuedFraction,
-    cf_density_from_slope,
-    cf_slope_from_density,
-    continuant,
-    ppp_factorization,
-    semiconvergents,
-)
 from .errors import ChristoffelError, NotChristoffelError, SizeLimitError
-from .fibonacci import fib_detvec_prediction, fib_sign, fib_word_chain, gcd_lemma_check
-from .iet import Composition, build_sigma, is_circular, standard_encoding
-from .numeric import ExactMatrix, FieldScalar, det_exact
-from .permsign import cycle_type_string, jacobi, zolotareff
-from .sturmian import (
-    SturmianSlope,
-    determinantal_vector_closed,
-    determinantal_vector_oracle,
-    factor_matrix,
-    g_chain,
-)
-from .words import (
-    SlopeRatio,
-    Word,
-    _parse_letter_list,
-    is_christoffel,
-    is_perfectly_clustering,
-    lower_christoffel,
-    palindromic_factorization,
-    standard_factorization,
-    upper_christoffel,
-)
 
 
 # Caps on sizes whose cost grows without bound, checked before any work.
@@ -115,6 +82,7 @@ def _parsed(args, name: str, parse):
 
 def _word_arg(args, cap: int) -> Word:
     """The positional word; with --numeric a lone number is one letter."""
+    from .words import Word
     if args.numeric and "," not in args.word:
         w = _parsed(args, "word", lambda text: Word((int(text),)))
     else:
@@ -128,6 +96,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _composition_arg(args) -> Composition:
+    from .iet import Composition
     comp = Composition(tuple(_parsed(args, "--composition", _int_list)))
     _capped(comp.total, MAX_LINEAR_SIZE, "composition total")
     return comp
@@ -136,6 +105,8 @@ def _composition_arg(args) -> Composition:
 def _params_from(args, suffix: str = "") -> ChristoffelParams:
     """Parameters from --a/--b/--r (or --a2/--b2/--r2); the scalars keep
     the kind they were written in, rational or GF(p)."""
+    from .bwgroup import ChristoffelParams
+    from .numeric import FieldScalar
     return ChristoffelParams(_capped(args.n, MAX_MATRIX_ORDER, "--n"),
                              _parsed(args, "--a" + suffix, FieldScalar.parse),
                              _parsed(args, "--b" + suffix, FieldScalar.parse),
@@ -153,6 +124,7 @@ def _sign_str(x: int) -> str:
 # --- subcommand handlers -------------------------------------------------
 
 def _cmd_word_christoffel(args):
+    from .words import SlopeRatio, _parse_letter_list, lower_christoffel, upper_christoffel
     _capped(args.ones + args.zeros, MAX_LINEAR_SIZE, "--ones + --zeros")
     slope = SlopeRatio(args.ones, args.zeros)
     try:
@@ -168,6 +140,7 @@ def _cmd_word_christoffel(args):
 
 
 def _cmd_word_factorize(args):
+    from .words import palindromic_factorization, standard_factorization
     w = _word_arg(args, MAX_WORD_ARGUMENT)
     result: dict = {}
     lines = []
@@ -191,6 +164,7 @@ def _cmd_word_factorize(args):
 
 
 def _cmd_word_pc_check(args):
+    from .words import is_christoffel, is_perfectly_clustering
     w = _word_arg(args, MAX_WORD_ARGUMENT)
     ok = is_perfectly_clustering(w)
     kind = is_christoffel(w)
@@ -207,18 +181,21 @@ def _matrix_lines(m: ExactMatrix) -> list[str]:
 
 
 def _cmd_matrix_bw(args):
+    from .bwgroup import bw_matrix
     w = _word_arg(args, MAX_MATRIX_ORDER)
     m = bw_matrix(w)
     return {"word": str(w)}, {"matrix": m.to_string_rows()}, _matrix_lines(m)
 
 
 def _cmd_matrix_christoffel(args):
+    from .bwgroup import christoffel_matrix
     p = _params_from(args)
     m = christoffel_matrix(p)
     return _params_json(p), {"matrix": m.to_string_rows()}, _matrix_lines(m)
 
 
 def _cmd_matrix_mul(args):
+    from .bwgroup import christoffel_matrix, group_mul
     p1 = _params_from(args)
     p2 = _params_from(args, "2")
     product = group_mul(p1, p2)
@@ -229,6 +206,7 @@ def _cmd_matrix_mul(args):
 
 
 def _cmd_matrix_inv(args):
+    from .bwgroup import christoffel_matrix, group_inverse
     p = _params_from(args)
     inv = group_inverse(p)
     m = christoffel_matrix(inv)
@@ -237,6 +215,8 @@ def _cmd_matrix_inv(args):
 
 
 def _cmd_matrix_det(args):
+    from .bwgroup import christoffel_matrix, det_closed
+    from .numeric import det_exact
     p = _params_from(args)
     closed = det_closed(p)
     exact = det_exact(christoffel_matrix(p))
@@ -246,17 +226,20 @@ def _cmd_matrix_det(args):
 
 
 def _cmd_sign_zolotareff(args):
+    from .permsign import zolotareff
     value = zolotareff(args.r, args.n)
     return {"r": args.r, "n": args.n}, {"sign": value}, [_sign_str(value)]
 
 
 def _cmd_sign_jacobi(args):
+    from .permsign import jacobi
     value = jacobi(args.r, args.n)
     return ({"r": args.r, "n": args.n}, {"symbol": value},
             [_sign_str(value) if value else "0"])
 
 
 def _cmd_iet_sigma(args):
+    from .iet import build_sigma, is_circular
     comp = _composition_arg(args)
     exchange = build_sigma(comp)
     return ({"composition": list(comp.parts)},
@@ -268,6 +251,8 @@ def _cmd_iet_sigma(args):
 
 
 def _cmd_iet_encode(args):
+    from .iet import build_sigma, standard_encoding
+    from .words import _parse_letter_list
     comp = _composition_arg(args)
     labels: list[str] | None = None
     if args.alphabet:
@@ -287,12 +272,14 @@ def _cmd_iet_encode(args):
 
 
 def _cmd_iet_circular(args):
+    from .iet import build_sigma, is_circular
     comp = _composition_arg(args)
     direct = is_circular(build_sigma(comp))
     return {"composition": list(comp.parts)}, {"circular": direct}, [str(direct).lower()]
 
 
 def _cmd_cf_continuant(args):
+    from .contfrac import continuant
     xs = _parsed(args, "values", _int_list)
     value = continuant(xs)
     _printable(value)
@@ -300,6 +287,7 @@ def _cmd_cf_continuant(args):
 
 
 def _cmd_cf_semiconvergents(args):
+    from .contfrac import ContinuedFraction, semiconvergents
     cf = _parsed(args, "cf", ContinuedFraction.parse)
     _capped(sum(cf.quotients), MAX_SEMICONVERGENTS, "sum of quotients")
     slopes = [str(s) for s in semiconvergents(cf)]
@@ -307,6 +295,7 @@ def _cmd_cf_semiconvergents(args):
 
 
 def _cmd_cf_ppp(args):
+    from .contfrac import ContinuedFraction, ppp_factorization
     cf = _parsed(args, "cf", ContinuedFraction.parse)
     split = ppp_factorization(cf)
     (r1, q1), (r2, q2) = split.factor_counts()
@@ -321,6 +310,7 @@ def _cmd_cf_ppp(args):
 
 
 def _cmd_cf_convert_slope(args):
+    from .contfrac import ContinuedFraction, cf_density_from_slope, cf_slope_from_density
     cf = _parsed(args, "cf", ContinuedFraction.parse)
     if args.reverse:
         converted = cf_density_from_slope(cf)
@@ -336,6 +326,13 @@ def _cmd_cf_convert_slope(args):
 
 
 def _cmd_sturmian_detvec(args):
+    from .contfrac import ContinuedFraction
+    from .sturmian import (
+        SturmianSlope,
+        determinantal_vector_closed,
+        determinantal_vector_oracle,
+        factor_matrix,
+    )
     slope = SturmianSlope(_parsed(args, "--cf", ContinuedFraction.parse))
     modes = set(args.mode or ["both"])
     if len(modes) > 1:
@@ -360,6 +357,10 @@ def _cmd_sturmian_detvec(args):
 
 
 def _cmd_sturmian_gchain(args):
+    from itertools import islice
+
+    from .contfrac import ContinuedFraction, semiconvergents
+    from .sturmian import SturmianSlope, g_chain
     slope = SturmianSlope(_parsed(args, "--cf", ContinuedFraction.parse))
     if 1 <= args.nu < sum(slope.cf.quotients):  # g_chain rejects the rest
         # Chain lengths grow strictly from 2: this walk stops at the cap.
@@ -377,6 +378,8 @@ def _cmd_sturmian_gchain(args):
 
 
 def _cmd_fib_sign(args):
+    from .fibonacci import fib_sign
+    from .permsign import cycle_type_string
     sign, cycle_type = fib_sign(_capped(args.m, MAX_FIB_SIGN_INDEX, "m"))
     cycles = cycle_type_string(cycle_type)
     return ({"m": args.m}, {"sign": sign, "cycle_type": cycles},
@@ -384,12 +387,15 @@ def _cmd_fib_sign(args):
 
 
 def _cmd_fib_chain(args):
+    from .fibonacci import fib_word_chain
     words = [str(w) for w in
              fib_word_chain(_capped(args.count, MAX_FIB_CHAIN_COUNT, "--count"))]
     return {"count": args.count}, {"words": words}, [" ".join(words)]
 
 
 def _cmd_fib_detvec(args):
+    from .fibonacci import fib_detvec_prediction
+    from .sturmian import SturmianSlope, determinantal_vector_closed
     prediction = fib_detvec_prediction(_capped(args.len, MAX_LINEAR_SIZE, "--len"))
     slope = SturmianSlope.from_quotients((0,) + (1,) * max(prediction.nu + 4, 8))
     closed = determinantal_vector_closed(slope, args.len)
@@ -405,12 +411,14 @@ def _cmd_fib_detvec(args):
 
 
 def _cmd_fib_gcd_lemma(args):
+    from .fibonacci import gcd_lemma_check
     a, b, c = gcd_lemma_check(_capped(args.k, MAX_GCD_LEMMA_K, "--k"))
     return {"k": args.k}, {"case_a": a, "case_b": b, "case_c": c}, [f"a: {a}  b: {b}  c: {c}"]
 
 
 def _cmd_reproduce(args):
-    results = fixtures.run_all()
+    from .fixtures import run_all
+    results = run_all()
     payload = [{"fixture": r.fixture, "passed": r.passed, "detail": r.detail}
                for r in results]
     lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.fixture:24s} {r.detail}"
@@ -486,27 +494,51 @@ COMMANDS = {
 }
 
 
+def _common_options() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    return common
+
+
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name``: the table's arguments added to ``parser``."""
+    for flags, options in COMMANDS[name][1]:
+        parser.add_argument(*flags, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="christoffel",
         description="Exact Christoffel/Burrows-Wheeler matrix and Sturmian "
                     "determinant toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    common = _common_options()
     sub = parser.add_subparsers(dest="group", required=True)
     groups = {name: sub.add_parser(name, help=text).add_subparsers(dest="op", required=True)
               for name, text in GROUPS.items()}
-    for name, (_, arguments) in COMMANDS.items():
+    for name in COMMANDS:
         group, op = name.split(" ")
-        command = groups[group].add_parser(op, parents=[common])
-        for flags, options in arguments:
-            command.add_argument(*flags, **options)
+        _with_arguments(groups[group].add_parser(op, parents=[common]), name)
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """(command name, parsed arguments).  A command named by argv[:2] is
+    parsed by its own parser alone; anything else, and a command with
+    arguments left over, by the whole tree, which prints help and usage
+    errors exactly as the leaf would inside it."""
+    name = " ".join(argv[:2])
+    if len(argv) > 1 and name in COMMANDS:
+        leaf = argparse.ArgumentParser(prog=f"christoffel {name}", parents=[_common_options()])
+        args, rest = _with_arguments(leaf, name).parse_known_args(argv[2:])
+        if not rest:
+            return name, args
     args = build_parser().parse_args(argv)
-    command = f"{args.group} {args.op}"
+    return f"{args.group} {args.op}", args
+
+
+def main(argv=None) -> int:
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     handler, _ = COMMANDS[command]
     try:
         inputs, result, text = handler(args)

@@ -8,10 +8,10 @@ denominators of finite continued fractions [n0,...,nk] = K(n0..nk)/K(n1..nk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._frozen import Frozen
 from .errors import InvalidCFError, InvalidSlopeError, OutOfRangeError
 from .words import SlopeRatio
 
@@ -44,19 +44,18 @@ def p_product(quotients: Sequence[int]) -> Matrix2:
     return m
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Frozen):
     """A finite continued fraction [n0; n1, n2, ...] with n0 >= 0, rest >= 1."""
 
-    quotients: tuple[int, ...]
+    __slots__ = ("quotients",)
 
-    def __post_init__(self):
-        q = tuple(self.quotients)
-        object.__setattr__(self, "quotients", q)
+    def __init__(self, quotients: Sequence[int]):
+        q = tuple(quotients)
         if not q:
             raise InvalidCFError("empty continued fraction")
         if q[0] < 0 or any(x < 1 for x in q[1:]):
             raise InvalidCFError(f"invalid partial quotients {list(q)}")
+        object.__setattr__(self, "quotients", q)
 
     @classmethod
     def from_slope(cls, slope: SlopeRatio) -> "ContinuedFraction":
@@ -114,16 +113,18 @@ def christoffel_length(cf: ContinuedFraction) -> int:
     return continuant(cf.quotients) + continuant(cf.quotients[1:])
 
 
-@dataclass(frozen=True)
-class StandardSplitMatrix:
+class StandardSplitMatrix(Frozen):
     """P(n0)...P(n_{m-1})P(n_m - 1) with the parity of m.
 
     For m even the columns are the (ones, zeros) count vectors of the two
     standard factors w', w''; for m odd the columns are swapped.
     """
 
-    matrix: Matrix2
-    m_even: bool
+    __slots__ = ("matrix", "m_even")
+
+    def __init__(self, matrix: Matrix2, m_even: bool):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "m_even", m_even)
 
     def factor_counts(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """((|w'|_1, |w'|_0), (|w''|_1, |w''|_0)) after undoing the swap."""

@@ -11,9 +11,9 @@ form by residue class of m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._frozen import Frozen
 from .errors import IndexTooSmallError, OutOfRangeError
 from .sturmian import SturmianSlope, _vector_shape
 from .words import Word
@@ -59,16 +59,19 @@ def fib_word_chain(count: int) -> list[Word]:
     return out
 
 
-@dataclass(frozen=True)
-class FibPrediction:
+class FibPrediction(Frozen):
     """Composition, alphabet and occurring absolute values of a Fibonacci V_n."""
 
-    n: int
-    nu: int
-    i: int
-    composition: tuple[int, int, int]
-    alphabet: tuple[int, int, int]
-    values: tuple[int, ...]
+    __slots__ = ("n", "nu", "i", "composition", "alphabet", "values")
+
+    def __init__(self, n: int, nu: int, i: int, composition: tuple[int, int, int],
+                 alphabet: tuple[int, int, int], values: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "values", values)
 
 
 def fib_detvec_prediction(n: int) -> FibPrediction:

@@ -7,8 +7,7 @@ compares it against the frozen value stored here.  The runner backs the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .bwgroup import christoffel_matrix, group_mul, params, to_triple
 from .iet import restriction_word_chain
 from .numeric import ExactMatrix
@@ -77,11 +76,13 @@ V8_UP_TO_SIGN = (-5, 3, -2, 3, -2, 3, -5, 3, 3)
 V8_RESOLVED_SIGN = 1
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    fixture: str
-    passed: bool
-    detail: str
+class FixtureResult(Frozen):
+    __slots__ = ("fixture", "passed", "detail")
+
+    def __init__(self, fixture: str, passed: bool, detail: str):
+        object.__setattr__(self, "fixture", fixture)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _matrix_fixture(matrix: ExactMatrix, expected_rows: tuple[str, ...]) -> bool:

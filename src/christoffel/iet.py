@@ -11,10 +11,10 @@ clustering Lyndon word; conversely every such word arises this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import (
     AlphabetSizeMismatchError,
     EmptyCompositionError,
@@ -28,29 +28,30 @@ from .permsign import Permutation
 from .words import Letter, Word
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """An l-tuple of nonnegative parts with positive sum; zeros allowed."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Sequence[int]):
+        parts = tuple(parts)
         if not parts or any(p < 0 for p in parts) or sum(parts) < 1:
             raise EmptyCompositionError(f"invalid composition {list(parts)}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def total(self) -> int:
         return sum(self.parts)
 
 
-@dataclass(frozen=True)
-class IetPermutation:
+class IetPermutation(Frozen):
     """A symmetric discrete interval exchange with its composition."""
 
-    sigma: Permutation
-    composition: Composition
+    __slots__ = ("sigma", "composition")
+
+    def __init__(self, sigma: Permutation, composition: Composition):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "composition", composition)
 
 
 def build_sigma(composition: Composition) -> IetPermutation:
@@ -169,7 +170,9 @@ def restriction_word_chain(gamma: int, rho: int,
 def merge_positions(n: int, step: int, count: int) -> list[int]:
     """h_j = (j*step mod n) - d_j for j = 1..count, where d_j counts the
     earlier marks i*step mod n (i < j) below the current one; a Fenwick
-    tree over the marks seen so far counts each d_j in O(log n)."""
+    tree over the marks seen so far counts each d_j in O(log n).  Needs
+    gcd(step, n) = 1 and 0 <= count < n."""
+    _check_marks(n, step, count)
     tree = [0] * (n + 1)  # mark x is stored at index x + 1
     out = []
     for j in range(1, count + 1):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import islice, takewhile
 from typing import Sequence
 
+from ._frozen import Frozen
 from .contfrac import ContinuedFraction, semiconvergents
 from .errors import (
     AmbiguousSplitError,
@@ -54,11 +55,13 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class SturmianSlope:
+class SturmianSlope(Frozen):
     """A Sturmian slope represented by a finite continued-fraction prefix."""
 
-    cf: ContinuedFraction
+    __slots__ = ("cf",)
+
+    def __init__(self, cf: ContinuedFraction):
+        object.__setattr__(self, "cf", cf)
 
     @classmethod
     def from_quotients(cls, quotients: Sequence[int]) -> "SturmianSlope":
@@ -90,17 +93,19 @@ def _covering(slope: SturmianSlope, n: int) -> tuple[int, SlopeRatio]:
         f"extend the continued fraction to cover factor length {n}")
 
 
-@dataclass(frozen=True)
-class FactorMatrix:
+class FactorMatrix(Frozen):
     """The n+1 factors of length n, largest row first.
 
     ``origin`` lists, for each row, the index of the rotation table row
     of the covering chain word whose prefix it is (the first occurrence).
     """
 
-    n: int
-    rows: tuple[Word, ...]
-    origin: tuple[int, ...]
+    __slots__ = ("n", "rows", "origin")
+
+    def __init__(self, n: int, rows: tuple[Word, ...], origin: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "origin", origin)
 
     def int_rows(self) -> list[list[int]]:
         return [list(r.letters) for r in self.rows]
@@ -127,17 +132,20 @@ def factor_matrix(slope: SturmianSlope, n: int) -> FactorMatrix:
     return _factor_matrix(_covering(slope, n)[1], n)
 
 
-@dataclass(frozen=True)
-class DetContext:
+class DetContext(Frozen):
     """Provenance of a closed-form determinantal vector."""
 
-    nu: int
-    word_length: int
-    i: int
-    epsilon: int
-    t: int
-    composition: tuple[int, ...]
-    alphabet: tuple[int, ...]
+    __slots__ = ("nu", "word_length", "i", "epsilon", "t", "composition", "alphabet")
+
+    def __init__(self, nu: int, word_length: int, i: int, epsilon: int, t: int,
+                 composition: tuple[int, ...], alphabet: tuple[int, ...]):
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "word_length", word_length)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "alphabet", alphabet)
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,6 +159,8 @@ class DetContext:
         }
 
 
+# Still a dataclass: the benchmark's self-test builds a corrupted copy of a
+# vector with ``dataclasses.replace``, which accepts only dataclasses.
 @dataclass(frozen=True)
 class DeterminantalVector:
     """Integer vector of signed maximal minors, with optional provenance."""
@@ -224,13 +234,15 @@ def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVe
     return DeterminantalVector(components, context)
 
 
-@dataclass(frozen=True)
-class GChainStep:
+class GChainStep(Frozen):
     """One matrix of the factor-matrix chain; ``merge_row`` is the h of the
     arrow leading into it (None for the first matrix)."""
 
-    matrix: FactorMatrix
-    merge_row: int | None
+    __slots__ = ("matrix", "merge_row")
+
+    def __init__(self, matrix: FactorMatrix, merge_row: int | None):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "merge_row", merge_row)
 
 
 def g_chain(slope: SturmianSlope, nu: int) -> list[GChainStep]:

@@ -10,11 +10,11 @@ The lower Christoffel word is row n-1 and the upper one row 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
+from ._frozen import Frozen
 from .errors import (
     AmbiguousSplitError,
     IndexOutOfRangeError,
@@ -34,21 +34,20 @@ def _parse_letter_list(text: str) -> tuple[Letter, ...]:
                  for t in (s.strip() for s in text.split(",")))
 
 
-@dataclass(frozen=True)
-class SlopeRatio:
+class SlopeRatio(Frozen):
     """A slope |w|_1 / |w|_0 in lowest terms; 0/1 and 1/0 are allowed."""
 
-    ones: int
-    zeros: int
+    __slots__ = ("ones", "zeros")
 
-    def __post_init__(self):
-        if self.ones < 0 or self.zeros < 0:
-            raise InvalidSlopeError(f"negative slope {self.ones}/{self.zeros}")
-        if self.ones == 0 and self.zeros == 0:
+    def __init__(self, ones: int, zeros: int):
+        if ones < 0 or zeros < 0:
+            raise InvalidSlopeError(f"negative slope {ones}/{zeros}")
+        if ones == 0 and zeros == 0:
             raise InvalidSlopeError("slope 0/0")
-        if gcd(self.ones, self.zeros) != 1:
-            raise InvalidSlopeError(
-                f"slope {self.ones}/{self.zeros} not in lowest terms")
+        if gcd(ones, zeros) != 1:
+            raise InvalidSlopeError(f"slope {ones}/{zeros} not in lowest terms")
+        object.__setattr__(self, "ones", ones)
+        object.__setattr__(self, "zeros", zeros)
 
     @property
     def length(self) -> int:

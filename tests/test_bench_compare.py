@@ -19,7 +19,8 @@ bench_compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_compare)
 
 
-@pytest.mark.parametrize("name", ["BENCH_10_minors.json", "BENCH_12_floorsum.json"])
+@pytest.mark.parametrize("name", ["BENCH_10_minors.json", "BENCH_12_floorsum.json",
+                                  "BENCH_13_coldstart.json"])
 def test_summary_recomputed_from_runs(name):
     data = json.loads((ROOT / name).read_text())
     summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])

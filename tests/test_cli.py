@@ -4,7 +4,14 @@ import time
 
 import pytest
 
-from christoffel import SturmianSlope, cli, determinantal_vector_oracle, factor_matrix
+from christoffel import (
+    SturmianSlope,
+    bwgroup,
+    cli,
+    determinantal_vector_oracle,
+    factor_matrix,
+    fibonacci,
+)
 from christoffel.cli import main
 
 
@@ -327,7 +334,7 @@ def test_matrix_order_cap(capsys, monkeypatch, op):
     def forbidden(p):
         raise AssertionError("christoffel_matrix ran past the cap")
 
-    monkeypatch.setattr(cli, "christoffel_matrix", forbidden)
+    monkeypatch.setattr(bwgroup, "christoffel_matrix", forbidden)
     order = str(cli.MAX_MATRIX_ORDER + 1)
     second = ["--a2", "0", "--b2", "1", "--r2", "1"] if op == "mul" else []
     code, out, err = run(capsys, "matrix", op, "--n", order, "--a", "0", "--b", "1",
@@ -339,8 +346,8 @@ def test_matrix_order_cap(capsys, monkeypatch, op):
 def test_fib_chain_count_cap(capsys, monkeypatch):
     """A count above the cap exits 1 before any word is built; the cap
     itself is accepted."""
-    chain = cli.fib_word_chain
-    monkeypatch.setattr(cli, "fib_word_chain", lambda count: chain(min(count, 3)))
+    chain = fibonacci.fib_word_chain
+    monkeypatch.setattr(fibonacci, "fib_word_chain", lambda count: chain(min(count, 3)))
     code, out, err = run(capsys, "fib", "chain", "--count", str(cli.MAX_FIB_CHAIN_COUNT + 1))
     assert code == 1 and out == "" and err.startswith("error [SizeLimitError]: ")
     code, out, _ = run(capsys, "fib", "chain", "--count", str(cli.MAX_FIB_CHAIN_COUNT))
@@ -431,3 +438,43 @@ def test_detvec_two_modes_rejected(capsys, modes):
     code, out, err = run(capsys, "sturmian", "detvec", "--cf", "0,1,1,1", "--len", "3", *modes)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error [usage]: ")
+
+
+def exit_of(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    out = capsys.readouterr()
+    return excinfo.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "christoffel", "-h"],
+    ["matrix", "mul", "--help"],
+    ["reproduce", "paper-examples", "-h"],
+    ["sign", "zolotareff", "5"],
+    ["sign", "zolotareff", "x", "13"],
+    ["fib", "chain", "--count", "3", "--format", "xml"],
+    ["fib", "chain", "--count", "3", "extra"],
+    ["cf", "ppp", "0,2,2", "--bogus", "1"],
+    ["word", "christoffel"],
+    ["word", "-h"],
+    ["word", "nonsense"],
+    ["-h"],
+    [],
+])
+def test_leaf_parser_ends_like_the_whole_tree(capsys, argv):
+    """Help and usage errors read the same whether main parses with the
+    command's own parser or falls back to the whole tree."""
+    assert exit_of(capsys, main, argv) == exit_of(capsys, cli.build_parser().parse_args, argv)
+
+
+def test_leaf_parser_parses_like_the_whole_tree():
+    from test_cli_golden import CORPUS
+
+    for argv in CORPUS.values():
+        for extra in ([], ["--format", "json"]):
+            tree = vars(cli.build_parser().parse_args(argv + extra))
+            command, args = cli._parse(argv + extra)
+            assert command == f"{tree.pop('group')} {tree.pop('op')}"
+            assert vars(args) == tree

@@ -337,6 +337,18 @@ class TestMergePositions:
             with pytest.raises(OutOfRangeError):
                 func(12, 5, count)
 
+    def test_fenwick_rows_reject_bad_arguments(self):
+        """The same checks as the floor sums: merge_positions(5, 2, 7) used
+        to return [2, 3, 1, 1, 0, 0, -1], which are not merge rows."""
+        with pytest.raises(OutOfRangeError, match=r"count 7 outside \[0, 4\]"):
+            merge_positions(5, 2, 7)
+        with pytest.raises(NotCoprimeError, match=r"gcd\(4, 12\) != 1"):
+            merge_positions(12, 4, 3)
+        for count in (-1, 12):
+            with pytest.raises(OutOfRangeError):
+                merge_positions(12, 5, count)
+        assert merge_positions(12, 5, 11)[-1] == last_merge_position(12, 5, 11)
+
     def test_last_merge_position_needs_a_step(self):
         with pytest.raises(OutOfRangeError):
             last_merge_position(12, 5, 0)
