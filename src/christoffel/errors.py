@@ -86,6 +86,10 @@ class RestrictionOutOfRangeError(ChristoffelError):
     """Cyclic restriction size outside the admissible range."""
 
 
+class MergeMismatchError(ChristoffelError):
+    """A restriction-chain merge position does not hold the factor "ac"."""
+
+
 class SizeLimitError(ChristoffelError):
     """Request beyond the supported size limits."""
 

@@ -15,8 +15,6 @@ from math import gcd
 
 from ._frozen import Frozen
 from .errors import IndexTooSmallError, OutOfRangeError
-from .sturmian import SturmianSlope, _vector_shape
-from .words import Word
 
 
 def fib(m: int) -> int:
@@ -48,6 +46,7 @@ def fib_word_chain(count: int) -> list[Word]:
     seeds are the single letters 1 and 0, which makes every chain word a
     lower Christoffel word of the Fibonacci slope.
     """
+    from .words import Word
     if count < 1:
         raise OutOfRangeError("count must be >= 1")
     prev2, prev1 = Word((1,)), Word((0,))
@@ -81,6 +80,7 @@ def fib_detvec_prediction(n: int) -> FibPrediction:
     chain index with F_{nu+3} > n and i = F_{nu+3} - 1 - n.  The values
     are the distinct absolute values of the letters that occur.
     """
+    from .sturmian import SturmianSlope, _vector_shape
     # F_{2m+2} >= 2^m, so 2 * bit_length(n) + 4 chain words cover length n.
     slope = SturmianSlope.from_quotients((0,) + (1,) * (2 * n.bit_length() + 4))
     nu, _, i, composition, alphabet = _vector_shape(slope, n)

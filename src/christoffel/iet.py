@@ -7,6 +7,16 @@ I_h increasingly onto J_{l+1-h}.  When sigma is a single cycle, reading
 off the cycle form that starts at 0 and replacing each element of I_j by
 the j-th alphabet letter yields the standard encoding, a perfectly
 clustering Lyndon word; conversely every such word arises this way.
+
+Every word comes from one encoder: ``_images`` lays the exchange out in
+range blocks and ``_encode`` walks the cycle of 0 once, reading letters
+from a table that holds letter j at every element of I_j.  The public
+functions walk the images of the exchange they are given; the
+enumeration and the closed-form vectors encode plain parts without
+building a ``Composition`` or a ``Permutation``.  A restriction chain is
+encoded once and then spliced: each step turns one factor "ac" into "b"
+in place, so a chain of gamma steps costs one walk plus gamma C-level
+copies instead of gamma + 1 walks.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from ._frozen import Frozen
 from .errors import (
     AlphabetSizeMismatchError,
     EmptyCompositionError,
+    MergeMismatchError,
     NotCircularError,
     NotCoprimeError,
     OutOfRangeError,
@@ -60,28 +71,55 @@ def build_sigma(composition: Composition) -> IetPermutation:
     J_{l+1-h} holds c_h elements and follows the c_{h+1} + ... + c_l
     elements of the intervals after I_h.
     """
+    images = _images(composition.parts)
+    return IetPermutation(Permutation._trusted(tuple(images)), composition)
+
+
+def _images(parts: Sequence[int]) -> list[int]:
+    """Image list of the exchange of these parts, one range block per
+    interval; a bijection of [n] by construction."""
     images: list[int] = []
-    start = composition.total
-    for c in composition.parts:
+    start = sum(parts)
+    for c in parts:
         start -= c
         images += range(start, start + c)
-    return IetPermutation(Permutation(images), composition)
+    return images
 
 
-def _cycle_of_zero(p: IetPermutation) -> list[int]:
-    """The cycle through 0; the exchange is circular iff it has every element."""
-    images = p.sigma.images
-    cyc = [0]
+def _encode(parts: Sequence[int], images: Sequence[int],
+            alphabet: Sequence[Letter] | None) -> list:
+    """table[x] for x along the cycle of 0, one walk.
+
+    The table holds letter j at every element of I_j, or x itself when
+    the alphabet is None (the cycle form).  Raises NotCircularError
+    unless the cycle has every element.
+    """
+    if alphabet is None:
+        table: Sequence = range(len(images))
+    else:
+        if len(alphabet) != len(parts):
+            raise AlphabetSizeMismatchError(f"{len(alphabet)} letters for {len(parts)} parts")
+        table = []
+        for letter, c in zip(alphabet, parts):
+            table += [letter] * c
+    out = [table[0]]
     x = images[0]
-    while x != 0:
-        cyc.append(x)
+    while x:
+        out.append(table[x])
         x = images[x]
-    return cyc
+    if len(out) != len(images):
+        raise NotCircularError(f"exchange of {tuple(parts)} is not circular")
+    return out
 
 
 def is_circular(p: IetPermutation) -> bool:
     """True when the exchange is a single cycle."""
-    return len(_cycle_of_zero(p)) == len(p.sigma)
+    images = p.sigma.images
+    length, x = 1, images[0]
+    while x:
+        length += 1
+        x = images[x]
+    return length == len(images)
 
 
 def two_interval_circular(c1: int, c2: int) -> bool:
@@ -96,32 +134,17 @@ def pak_redlich_circular(c1: int, c2: int, c3: int) -> bool:
 
 def standard_cycle(p: IetPermutation) -> tuple[int, ...]:
     """Cycle form starting at 0 of a circular exchange."""
-    cyc = _cycle_of_zero(p)
-    if len(cyc) != len(p.sigma):
-        raise NotCircularError(f"exchange of {p.composition.parts} is not circular")
-    return tuple(cyc)
-
-
-def _cycle_letters(p: IetPermutation, alphabet: Sequence[Letter]) -> list[Letter]:
-    """Letters along the standard cycle, read from a table holding letter j
-    at every element of I_j."""
-    parts = p.composition.parts
-    if len(alphabet) != len(parts):
-        raise AlphabetSizeMismatchError(f"{len(alphabet)} letters for {len(parts)} parts")
-    table: list[Letter] = []
-    for letter, c in zip(alphabet, parts):
-        table += [letter] * c
-    return list(map(table.__getitem__, standard_cycle(p)))
+    return tuple(_encode(p.composition.parts, p.sigma.images, None))
 
 
 def standard_encoding(p: IetPermutation, alphabet: Sequence[Letter]) -> Word:
     """Word read off the 0-based cycle form, letter j for elements of I_j."""
-    return Word(_cycle_letters(p, alphabet))
+    return Word(_encode(p.composition.parts, p.sigma.images, alphabet))
 
 
 def cycle_encodings(p: IetPermutation, alphabet: Sequence[Letter]) -> list[Word]:
     """The n encodings from the n cycle forms; a full conjugacy class."""
-    letters = _cycle_letters(p, alphabet)
+    letters = _encode(p.composition.parts, p.sigma.images, alphabet)
     return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
 
 
@@ -154,6 +177,9 @@ def restriction_word_chain(gamma: int, rho: int,
     gamma < rho, each step replaces one factor "ac" by "b"; the position
     recorded with step i is (i*gamma^{-1} mod n) - d_i where d_i counts
     the earlier removals landing below the current one (merge_positions).
+    Word i is the encoding of (gamma-i, i, rho-i): the first is read off
+    the exchange once, and each later one is its predecessor with the
+    factor at the merge position spliced into the middle letter.
     """
     if gcd(gamma, rho) != 1:
         raise NotCoprimeError(f"gcd{(gamma, rho)} != 1")
@@ -162,9 +188,19 @@ def restriction_word_chain(gamma: int, rho: int,
     if len(alphabet) != 3:
         raise AlphabetSizeMismatchError("restriction chain needs a three-letter alphabet")
     n = gamma + rho
-    words = [standard_encoding(build_sigma(Composition((gamma - i, i, rho - i))), alphabet)
-             for i in range(gamma + 1)]
-    return list(zip(words, [None] + merge_positions(n, pow(gamma, -1, n), gamma)))
+    a, b, c = alphabet
+    parts = (gamma, 0, rho)
+    letters = _encode(parts, _images(parts), alphabet)
+    positions = merge_positions(n, pow(gamma, -1, n), gamma)
+    chain: list[tuple[Word, int | None]] = [(Word(letters), None)]
+    for pos in positions:
+        # The merge joins the letters at 1-based positions pos and pos + 1.
+        if letters[pos - 1:pos + 1] != [a, c]:
+            raise MergeMismatchError(
+                f"chain of {(gamma, rho)}: no factor {(a, c)} at merge position {pos}")
+        letters[pos - 1:pos + 1] = (b,)
+        chain.append((Word(letters), pos))
+    return chain
 
 
 def merge_positions(n: int, step: int, count: int) -> list[int]:
@@ -262,7 +298,7 @@ def enumerate_pc_words(length: int, num_letters: int,
     composition of the length into ``num_letters`` parts (zeros allowed)
     whose exchange is a single cycle (Ferenczi-Zamboni).  The gcd
     criterion of the alphabet size picks those compositions; a wrong pick
-    would fail in ``standard_cycle`` with NotCircularError.
+    would fail in the cycle walk with NotCircularError.
     """
     if num_letters not in (2, 3):
         raise SizeLimitError(f"alphabet size {num_letters} not supported")
@@ -274,8 +310,9 @@ def enumerate_pc_words(length: int, num_letters: int,
         raise AlphabetSizeMismatchError(
             f"{len(alphabet)} letters for alphabet size {num_letters}")
     circular = two_interval_circular if num_letters == 2 else pak_redlich_circular
-    return sorted(standard_encoding(build_sigma(Composition(parts)), alphabet)
-                  for parts in _compositions(length, num_letters) if circular(*parts))
+    words = sorted(tuple(_encode(parts, _images(parts), alphabet))
+                   for parts in _compositions(length, num_letters) if circular(*parts))
+    return list(map(Word, words))
 
 
 def _compositions(total: int, parts: int):

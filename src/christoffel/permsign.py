@@ -29,6 +29,14 @@ class Permutation:
             raise NotBijectiveError(f"not a bijection of [{n}]: {imgs}")
         self.images = imgs
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple that is a bijection of [n] by construction,
+        without the checks of the constructor."""
+        p = cls.__new__(cls)
+        p.images = images
+        return p
+
     def __len__(self) -> int:
         return len(self.images)
 

@@ -37,12 +37,11 @@ from .errors import (
     OutOfRangeError,
 )
 from .iet import (
-    Composition,
-    build_sigma,
+    _encode,
+    _images,
     last_merge_position,
     merge_position_sum,
     merge_positions,
-    standard_encoding,
 )
 from .numeric import determinantal_vector
 from .permsign import zolotareff
@@ -220,8 +219,7 @@ def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVe
     t = i * big_n - i * (i + 1) // 2 - merge_position_sum(big_n, s.zeros, i)
     sign = epsilon * (1 if t % 2 == 0 else -1)
 
-    components = standard_encoding(build_sigma(Composition(parts)),
-                                   (sign * lo, sign * mid, sign * hi)).letters
+    components = tuple(_encode(parts, _images(parts), (sign * lo, sign * mid, sign * hi)))
 
     if i == 0:
         ctx_comp: tuple[int, ...] = (parts[0], parts[2])

@@ -32,6 +32,7 @@ from christoffel import (
     lyndon_words,
     params,
     semiconvergents,
+    standard_encoding,
 )
 from christoffel.fibonacci import FibPrediction
 from christoffel.errors import (
@@ -359,6 +360,16 @@ def restriction_by_cycle_deletion(gamma, rho, k):
     for idx, x in enumerate(survivors):
         images[x] = survivors[(idx + 1) % len(survivors)]
     return Permutation(images)
+
+
+def restriction_chain_by_encodings(gamma, rho, alphabet=(0, 1, 2)):
+    """The restriction chain with every word read off its own exchange: the
+    standard encoding of (gamma-i, i, rho-i) for i = 0..gamma, paired with
+    None and then the merge positions counted by scan."""
+    n = gamma + rho
+    words = [standard_encoding(build_sigma(Composition((gamma - i, i, rho - i))), alphabet)
+             for i in range(gamma + 1)]
+    return list(zip(words, [None] + merge_positions_by_scan(n, pow(gamma, -1, n), gamma)))
 
 
 def semiconvergents_by_prefix(cf):

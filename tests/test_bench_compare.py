@@ -20,7 +20,7 @@ _spec.loader.exec_module(bench_compare)
 
 
 @pytest.mark.parametrize("name", ["BENCH_10_minors.json", "BENCH_12_floorsum.json",
-                                  "BENCH_13_coldstart.json"])
+                                  "BENCH_13_coldstart.json", "BENCH_14_splice.json"])
 def test_summary_recomputed_from_runs(name):
     data = json.loads((ROOT / name).read_text())
     summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])
@@ -40,3 +40,19 @@ def test_claim_rule_rejects_a_narrow_win():
     parent = entry["tasks_per_s"]["parent"]
     parent["q3"] = parent["q1"] + entry["tasks_per_s"]["change"]["median"] - parent["median"]
     assert not bench_compare.claim_met(summary, data["claim"])
+
+
+def test_existing_claim_survives_a_call_that_adds_workloads():
+    claim = bench_compare.merged_claim(None, "pc-enum-sign", 17, 10)
+    assert claim == {"workload": "pc-enum-sign", "metric": "tasks_per_s", "seed": 17,
+                     "pairs": 10, "rule": bench_compare.RULE}
+    assert bench_compare.merged_claim(claim, "pc-enum-sign", 17, 3) is claim
+    assert bench_compare.merged_claim(claim, None, 23, 3) is claim
+    assert bench_compare.merged_claim(None, None, 17, 10) is None
+
+
+@pytest.mark.parametrize("workload, seed", [("sturmian-detvec", 17), ("pc-enum-sign", 23)])
+def test_claim_on_a_new_workload_or_seed_replaces_the_old(workload, seed):
+    claim = bench_compare.merged_claim(None, "pc-enum-sign", 17, 10)
+    new = bench_compare.merged_claim(claim, workload, seed, 3)
+    assert (new["workload"], new["seed"], new["pairs"]) == (workload, seed, 3)

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from christoffel import (
     Composition,
@@ -26,6 +27,7 @@ from christoffel import (
 from christoffel.errors import (
     AlphabetSizeMismatchError,
     EmptyCompositionError,
+    MergeMismatchError,
     NotCircularError,
     NotCoprimeError,
     OutOfRangeError,
@@ -37,6 +39,7 @@ from oracles import (
     encoding_by_interval_index,
     merge_positions_by_scan,
     restriction_by_cycle_deletion,
+    restriction_chain_by_encodings,
 )
 
 W = Word.parse
@@ -180,6 +183,18 @@ class TestStandardEncoding:
                         assert cycle_encodings(exchange, alphabet) == \
                             [expected.rotation(i) for i in range(total)], parts
 
+    @given(parts=st.lists(st.integers(0, 12), min_size=2, max_size=5).filter(any),
+           letters=st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+    def test_equals_interval_lookup_on_random_compositions(self, parts, letters):
+        exchange = build_sigma(Composition(parts))
+        alphabet = letters[:len(parts)]
+        if is_circular(exchange):
+            assert standard_encoding(exchange, alphabet) == \
+                encoding_by_interval_index(exchange, alphabet)
+        else:
+            with pytest.raises(NotCircularError):
+                standard_encoding(exchange, alphabet)
+
     def test_encoding_is_pc_lyndon(self):
         for total in range(2, 17):
             for parts in compositions(total, 3):
@@ -292,6 +307,32 @@ class TestRestrictionWordChain:
                 assert t[:pos - 1] + (1,) + t[pos + 1:] == cur.letters
             checked += 1
 
+    def test_equals_one_encoding_per_step(self):
+        """Splicing equals reading every word off its own exchange, for
+        every coprime 0 < gamma <= rho with gamma + rho <= 120."""
+        for n in range(2, 121):
+            for gamma in range(1, n // 2 + 1):
+                if gcd(gamma, n) == 1:
+                    assert restriction_word_chain(gamma, n - gamma) == \
+                        restriction_chain_by_encodings(gamma, n - gamma), (gamma, n)
+
+    @settings(max_examples=50)
+    @given(case=st.integers(2, 60).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n // 2).filter(
+                   lambda g: gcd(g, n) == 1))),
+           alphabet=st.tuples(*[st.integers(-99, 99) | st.characters()] * 3))
+    def test_equals_one_encoding_per_step_random_alphabets(self, case, alphabet):
+        n, gamma = case
+        assert restriction_word_chain(gamma, n - gamma, alphabet) == \
+            restriction_chain_by_encodings(gamma, n - gamma, alphabet)
+
+    def test_wrong_merge_position_is_a_named_error(self, monkeypatch):
+        import christoffel.iet as iet
+        monkeypatch.setattr(iet, "merge_positions",
+                            lambda n, step, count: [1] * count)
+        with pytest.raises(MergeMismatchError, match=r"merge position 1"):
+            restriction_word_chain(4, 7)
+
 
 @st.composite
 def coprime_steps(draw, max_n=150):
@@ -397,6 +438,29 @@ class TestEnumeration:
                 for w in enumerate_pc_words(n, ell):
                     first, second = palindromic_factorization(w)
                     assert first + second == w
+
+    def test_enumeration_does_not_fill_the_tuple_free_lists(self):
+        """Letter tuples built from a list have their final length from the
+        start, so CPython takes them from its per-length free list and puts
+        them back.  Built straight from an iterator of unknown length they
+        are resized from another length, so every freed one stays in the
+        free list of its length (up to 2000 each): about 1 MiB more in 50
+        rounds.  No gc.collect in between, since a full collection empties
+        the free lists."""
+        def rounds(count):
+            for _ in range(count):
+                for length in range(3, 13):
+                    enumerate_pc_words(length, 3)
+
+        tracemalloc.start()
+        try:
+            rounds(5)
+            before = tracemalloc.get_traced_memory()[0]
+            rounds(50)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 256 * 1024
 
     def test_pc_is_a_class_property(self):
         """All rotations share one table, so they are PC together."""

@@ -64,6 +64,18 @@ def test_sign_command_loads_errors_and_permsign():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_fib_sign_command_skips_the_sturmian_modules():
+    """``fib_detvec_prediction`` imports ``sturmian`` when it runs, so the
+    other ``fib`` commands load neither it nor ``dataclasses``."""
+    loaded = modules_loaded_by("from christoffel.cli import main\n"
+                               "assert main(['fib', 'sign', '9']) == 0")
+    assert {m for m in loaded if m.startswith("christoffel")} <= {
+        "christoffel", "christoffel.cli", "christoffel.errors", "christoffel.fibonacci",
+        "christoffel.permsign", "christoffel._frozen"}
+    assert "christoffel.fibonacci" in loaded
+    assert "dataclasses" not in loaded
+
+
 def test_public_names():
     assert len(christoffel.__all__) == len(set(christoffel.__all__)) == 80
     assert set(christoffel.__all__) == PUBLIC_NAMES

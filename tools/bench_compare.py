@@ -195,6 +195,19 @@ def how(runs: list[dict], change: str) -> str:
             f"alternate which side runs first. Pairs per setting: {counts}")
 
 
+def merged_claim(claim: dict | None, workload: str | None, seed: int, pairs: int) -> dict | None:
+    """The claim record after a call with ``--claim workload``.  An
+    existing claim on the same workload and seed is kept as it is, so a
+    later call that adds other workloads with fewer pairs does not lower
+    its pair count; a new workload or seed starts a new claim."""
+    if not workload:
+        return claim
+    if claim is not None and (claim["workload"], claim["seed"]) == (workload, seed):
+        return claim
+    return {"workload": workload, "metric": "tasks_per_s", "seed": seed, "pairs": pairs,
+            "rule": RULE}
+
+
 def save(data: dict, path: str, change: str, claim_seed: int) -> None:
     """Write the file with its summary computed from all runs so far."""
     prov = data["runs"][0]["provenance"] if data["runs"] else {}
@@ -241,9 +254,7 @@ def main() -> int:
             parser.error(f"{path} compares against {data['parent_commit']}, not {base_commit}")
     if args.description:
         data["change"] = args.description
-    if args.claim:
-        data["claim"] = {"workload": args.claim, "metric": "tasks_per_s", "seed": args.seed,
-                         "pairs": args.pairs, "rule": RULE}
+    data["claim"] = merged_claim(data["claim"], args.claim, args.seed, args.pairs)
     change = args.change or "the working tree"
     claim_seed = data["claim"]["seed"] if data["claim"] else args.seed
 
