@@ -38,10 +38,10 @@ MAX_FIB_CHAIN_COUNT = 30
 # Work and output linear in the size: `word christoffel` letters, `iet`
 # composition totals (each under 0.25 s), closed-form `sturmian detvec`
 # and `fib detvec` lengths (0.28 s and 0.27 s of wall time on the
-# all-ones prefix, interpreter start included).
+# all-ones prefix, interpreter start included), and the word of
+# `word factorize` and `word pc-check` (0.36 s and 0.29 s on the
+# Christoffel word of slope 33333/66667).
 MAX_LINEAR_SIZE = 100_000
-# A word argument has its n rotations sorted, n^2 letters in memory.
-MAX_WORD_ARGUMENT = 2048
 # `fib sign` prints F_m-sized counts, about 0.21 m digits (2,090 here,
 # under Python's 4,300-digit limit for printing an int).
 MAX_FIB_SIGN_INDEX = 10_000
@@ -141,7 +141,7 @@ def _cmd_word_christoffel(args):
 
 def _cmd_word_factorize(args):
     from .words import palindromic_factorization, standard_factorization
-    w = _word_arg(args, MAX_WORD_ARGUMENT)
+    w = _word_arg(args, MAX_LINEAR_SIZE)
     result: dict = {}
     lines = []
     try:
@@ -165,7 +165,7 @@ def _cmd_word_factorize(args):
 
 def _cmd_word_pc_check(args):
     from .words import is_christoffel, is_perfectly_clustering
-    w = _word_arg(args, MAX_WORD_ARGUMENT)
+    w = _word_arg(args, MAX_LINEAR_SIZE)
     ok = is_perfectly_clustering(w)
     kind = is_christoffel(w)
     return ({"word": str(w)}, {"perfectly_clustering": ok, "christoffel": kind},

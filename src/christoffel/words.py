@@ -6,10 +6,15 @@ Burrows-Wheeler tables sort the rotations of a primitive word in
 slope r/q (n = q+r) one residue rule gives every row of the table: in
 row i, position j carries the high letter exactly when (i + qj) mod n < r.
 The lower Christoffel word is row n-1 and the upper one row 0.
+
+Only ``bw_rows`` sorts rotations: the perfectly clustering test walks
+an interval exchange and the palindromic split is one substring search.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
@@ -22,7 +27,9 @@ from .errors import (
     LengthOutOfRangeError,
     NoPalindromicSplitError,
     NotChristoffelError,
+    NotCircularError,
     NotPrimitiveError,
+    SizeLimitError,
 )
 
 Letter = Union[int, Fraction]
@@ -168,27 +175,46 @@ def conjugates(w: Word) -> list[Word]:
     return [Word(t[i:] + t[:i]) for i in range(len(t))]
 
 
-def _sorted_rotation_starts(t: tuple) -> list[int]:
-    """Rotation start indices ordered by decreasing rotation."""
-    n = len(t)
-    return sorted(range(n), key=lambda i: t[i:] + t[:i], reverse=True)
-
-
 def bw_rows(w: Word) -> list[Word]:
     """Rows of the Burrows-Wheeler table: rotations sorted decreasingly."""
     if not is_primitive(w):
         raise NotPrimitiveError(f"word {w} is not primitive")
     t = w.letters
-    return [Word(t[i:] + t[:i]) for i in _sorted_rotation_starts(t)]
+    rotations = sorted((t[i:] + t[:i] for i in range(len(t))), reverse=True)
+    return [Word(r) for r in rotations]
+
+
+def _as_text(t: Sequence[Letter], letters: Sequence[Letter]) -> str:
+    """t as a str that writes letters[j] as chr(j), so that searching and
+    slicing run at C speed; every letter of t must be among ``letters``."""
+    if len(letters) > sys.maxunicode + 1:
+        raise SizeLimitError(
+            f"{len(letters)} distinct letters exceed the {sys.maxunicode + 1} code points")
+    code = {x: chr(j) for j, x in enumerate(letters)}
+    return "".join(map(code.__getitem__, t))
 
 
 def is_perfectly_clustering(w: Word) -> bool:
-    """Last column of the BW table is nondecreasing from top to bottom."""
+    """Last column of the BW table is nondecreasing from top to bottom.
+
+    By Ferenczi and Zamboni, a primitive word is perfectly clustering
+    exactly when the symmetric exchange of its letter counts is one
+    cycle and w is a conjugate of that exchange's standard encoding.  So
+    one walk of the cycle and one search of w in the doubled encoding
+    decide it in O(n), with no rotation sort.
+    """
+    from .iet import _encode, _images  # iet imports this module
     if not is_primitive(w):
         raise NotPrimitiveError(f"word {w} is not primitive")
     t = w.letters
-    last = [t[i - 1] for i in _sorted_rotation_starts(t)]
-    return all(last[i] <= last[i + 1] for i in range(len(last) - 1))
+    counts = Counter(t)
+    letters = sorted(counts)
+    parts = [counts[x] for x in letters]
+    try:
+        encoding = _encode(parts, _images(parts), letters)
+    except NotCircularError:
+        return False
+    return _as_text(t, letters) in _as_text(encoding, letters) * 2
 
 
 def circular_factors(w: Word, n: int) -> list[Word]:
@@ -216,7 +242,7 @@ def christoffel_bw_row(slope: SlopeRatio, i: int,
     if not 0 <= i < n:
         raise IndexOutOfRangeError(f"row {i} outside [0, {n - 1}]")
     a, b = alphabet
-    return Word(b if (i + q * j) % n < r else a for j in range(n))
+    return Word([b if (i + q * j) % n < r else a for j in range(n)])
 
 
 def _christoffel_bw_prefixes(slope: SlopeRatio, rows: Iterable[int], width: int,
@@ -292,17 +318,21 @@ def palindromic_factorization(w: Word) -> tuple[Word, Word]:
     """The unique proper split w = uv with u and v both palindromes.
 
     Perfectly clustering words have exactly one such split; zero or many
-    splits signal a non-perfectly-clustering input.
+    splits signal a non-perfectly-clustering input.  u and v are
+    palindromes exactly when the rotation vu is the reversal of w, so
+    one search of the reversal in w doubled finds the first cut; the
+    others follow it at multiples of the least period of w's rotations.
     """
     t = w.letters
     n = len(t)
-    cuts = [cut for cut in range(1, n)
-            if t[:cut] == t[cut - 1::-1] and t[cut:] == t[:cut - 1:-1]]
-    if not cuts:
+    s = _as_text(t, w.alphabet())
+    doubled = s + s
+    cut = doubled.find(s[::-1], 1)
+    if not 0 < cut < n:
         raise NoPalindromicSplitError(f"{w} has no palindromic split")
-    if len(cuts) > 1:
-        raise AmbiguousSplitError(f"{w} has {len(cuts)} palindromic splits")
-    cut = cuts[0]
+    splits = (n - 1 - cut) // doubled.find(s, 1) + 1
+    if splits > 1:
+        raise AmbiguousSplitError(f"{w} has {splits} palindromic splits")
     return Word(t[:cut]), Word(t[cut:])
 
 
@@ -316,7 +346,7 @@ def lyndon_words(length: int, alphabet: Sequence[Letter]) -> Iterator[Word]:
         w[-1] += 1
         m = len(w)
         if m == length:
-            yield Word(alphabet[i] for i in w)
+            yield Word([alphabet[i] for i in w])
         while len(w) < length:
             w.append(w[-m])
         while w and w[-1] == k - 1:

@@ -27,7 +27,6 @@ from christoffel import (
     determinantal_vector,
     factor_matrix,
     fib,
-    is_perfectly_clustering,
     lower_christoffel,
     lyndon_words,
     params,
@@ -36,6 +35,8 @@ from christoffel import (
 )
 from christoffel.fibonacci import FibPrediction
 from christoffel.errors import (
+    AmbiguousSplitError,
+    NoPalindromicSplitError,
     NotBijectiveError,
     NotCoprimeError,
     OutOfRangeError,
@@ -265,11 +266,33 @@ def fib_detvec_prediction_by_index(n):
     return FibPrediction(n, nu, i, composition, alphabet, tuple(sorted(values)))
 
 
+def pc_by_bw_table(w):
+    """Perfectly clustering by the definition: the last letters of the
+    Burrows-Wheeler rows are nondecreasing from top to bottom.  The table
+    holds n^2 letters."""
+    last = [row.letters[-1] for row in bw_rows(w)]
+    return all(a <= b for a, b in zip(last, last[1:]))
+
+
+def palindromic_factorization_by_scan(w):
+    """The unique split w = uv into two palindromes, every proper cut
+    tested letter by letter in O(n^2); none or several raise the
+    library's errors."""
+    t = w.letters
+    cuts = [cut for cut in range(1, len(t))
+            if t[:cut] == t[cut - 1::-1] and t[cut:] == t[:cut - 1:-1]]
+    if not cuts:
+        raise NoPalindromicSplitError(f"{w} has no palindromic split")
+    if len(cuts) > 1:
+        raise AmbiguousSplitError(f"{w} has {len(cuts)} palindromic splits")
+    return Word(t[:cuts[0]]), Word(t[cuts[0]:])
+
+
 def pc_words_by_lyndon_filter(length, num_letters):
     """Perfectly clustering Lyndon words: Lyndon words with a nondecreasing
     Burrows-Wheeler last column."""
     return sorted(w for w in lyndon_words(length, tuple(range(num_letters)))
-                  if is_perfectly_clustering(w))
+                  if pc_by_bw_table(w))
 
 
 def interval_index(composition, x):

@@ -357,8 +357,8 @@ def test_fib_chain_count_cap(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["word", "christoffel", "--ones", str(cli.MAX_LINEAR_SIZE // 2 + 1),
      "--zeros", str(cli.MAX_LINEAR_SIZE // 2)],
-    ["word", "factorize", "0" * cli.MAX_WORD_ARGUMENT + "1"],
-    ["word", "pc-check", "0" * cli.MAX_WORD_ARGUMENT + "1"],
+    ["word", "factorize", "0" * cli.MAX_LINEAR_SIZE + "1"],
+    ["word", "pc-check", "0" * cli.MAX_LINEAR_SIZE + "1"],
     ["matrix", "bw", "0" * cli.MAX_MATRIX_ORDER + "1"],
     ["iet", "sigma", "--composition", f"{cli.MAX_LINEAR_SIZE},1"],
     ["iet", "encode", "--composition", f"{cli.MAX_LINEAR_SIZE},1"],

@@ -72,11 +72,11 @@ CORPUS = {
     "fib-detvec-len-1": ["fib", "detvec", "--len", "1"],
     "fib-gcd-lemma": ["fib", "gcd-lemma", "--k", "1"],
     "reproduce": ["reproduce", "paper-examples"],
-    # one past each cap constant
+    # one past each cap constant, and past the word argument's cap
     "cap-matrix-order": ["matrix", "det", "--n", "257", "--a", "0", "--b", "1", "--r", "1"],
     "cap-fib-chain-count": ["fib", "chain", "--count", "31"],
     "cap-linear-size": ["word", "christoffel", "--ones", "50001", "--zeros", "50000"],
-    "cap-word-argument": ["word", "pc-check", "0" * 2048 + "1"],
+    "cap-word-argument": ["word", "pc-check", "0" * 100_000 + "1"],
     "cap-fib-sign-index": ["fib", "sign", "10001"],
     "cap-gcd-lemma-k": ["fib", "gcd-lemma", "--k", "10001"],
     "cap-semiconvergents": ["cf", "semiconvergents", "2000,1"],
@@ -143,10 +143,10 @@ EXPECTED = {
     'cap-word-argument': {
         'text': [1,
                  '',
-                 'error [SizeLimitError]: word length 2049 exceeds the cap 2048\n'],
+                 'error [SizeLimitError]: word length 100001 exceeds the cap 100000\n'],
         'json': [1,
                  '',
-                 'error [SizeLimitError]: word length 2049 exceeds the cap 2048\n'],
+                 'error [SizeLimitError]: word length 100001 exceeds the cap 100000\n'],
     },
     'cf-continuant': {
         'text': [0,
