@@ -69,6 +69,20 @@ def _printable(*values: int) -> None:
                              "the interpreter's limit for printing an int")
 
 
+# An error line keeps the head and the tail of a longer message, so an
+# argument echoed in it is cut while the explanation at its end shows.
+_ERROR_MESSAGE_LIMIT = 400
+
+
+def _elided(message: str) -> str:
+    """message, or its head and tail around a note of how much was left out."""
+    if len(message) <= _ERROR_MESSAGE_LIMIT:
+        return message
+    keep = _ERROR_MESSAGE_LIMIT // 2
+    left_out = len(message) - 2 * keep
+    return f"{message[:keep]} ... ({left_out} characters left out) ... {message[-keep:]}"
+
+
 def _parsed(args, name: str, parse):
     """parse(value of the argument); a malformed value names the argument
     as argparse does ("argument --cf: ..."), a domain error passes as is."""
@@ -555,7 +569,7 @@ def main(argv=None) -> int:
             label, code = "DivisionByZero", 1
         else:  # a malformed number, word or scalar argument
             label, code = "usage", 2
-        print(f"error [{label}]: {exc}", file=sys.stderr)
+        print(f"error [{label}]: {_elided(str(exc))}", file=sys.stderr)
         return code
     # `reproduce` prints its report either way; a failing fixture exits 1.
     return 0 if result.get("all_passed", True) else 1

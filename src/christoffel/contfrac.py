@@ -1,9 +1,13 @@
 """Continuants, continued fractions, semi-convergents and Stern-Brocot paths.
 
-The continuant polynomials satisfy K() = 1, K(x1) = x1 and
-K(x1..xn) = K(x1..x_{n-1})*xn + K(x1..x_{n-2}); products of the matrices
-P(a) = [[a,1],[1,0]] collect four continuants and give the numerators and
-denominators of finite continued fractions [n0,...,nk] = K(n0..nk)/K(n1..nk).
+The product P(x1)...P(xn) of the matrices P(a) = [[a,1],[1,0]] is
+[[K(x1..xn), K(x1..x_{n-1})], [K(x2..xn), K(x2..x_{n-1})]], where K is the
+continuant polynomial (K() = 1, K(x1) = x1).  So the finite continued
+fraction [n0,...,nk] = K(n0..nk)/K(n1..nk) is read off the first column.
+Every continuant here comes from that one product, multiplied as a
+balanced tree so that CPython's Karatsuba multiply keeps long quotient
+lists subquadratic; the continuant recurrence and the left-to-right
+fold serve only as test references.
 """
 
 from __future__ import annotations
@@ -18,13 +22,6 @@ from .words import SlopeRatio
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
-def continuant(xs: Sequence[int]) -> int:
-    value, prev = 1, 0
-    for x in xs:
-        value, prev = value * x + prev, value
-    return value
-
-
 def p_matrix(a: int) -> Matrix2:
     return ((a, 1), (1, 0))
 
@@ -37,11 +34,26 @@ def mat2_mul(a: Matrix2, b: Matrix2) -> Matrix2:
 
 
 def p_product(quotients: Sequence[int]) -> Matrix2:
-    """P(n0)...P(nk); entries are the four continuants of the quotient string."""
-    m = ((1, 0), (0, 1))
-    for a in quotients:
-        m = mat2_mul(m, p_matrix(a))
-    return m
+    """P(n0)...P(nk); entries are the four continuants of the quotient string.
+
+    Neighbours are multiplied pairwise, level by level, so the factors of
+    each multiplication have about the same size; the empty product is
+    the identity.
+    """
+    level = [p_matrix(a) for a in quotients]
+    if not level:
+        return ((1, 0), (0, 1))
+    while len(level) > 1:
+        paired = [mat2_mul(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
+def continuant(xs: Sequence[int]) -> int:
+    """K(x1..xn), for any ints; K() = 1."""
+    return p_product(xs)[0][0]
 
 
 class ContinuedFraction(Frozen):
@@ -83,8 +95,8 @@ class ContinuedFraction(Frozen):
         return self
 
     def value(self) -> SlopeRatio:
-        num = continuant(self.quotients)
-        den = continuant(self.quotients[1:])
+        """K(n0..nk) / K(n1..nk), the first column of P(n0)...P(nk)."""
+        (num, _), (den, _) = p_product(self.quotients)
         return SlopeRatio(num, den)
 
     def __str__(self):
@@ -110,7 +122,8 @@ def semiconvergents(cf: ContinuedFraction) -> Iterator[SlopeRatio]:
 
 def christoffel_length(cf: ContinuedFraction) -> int:
     """Length of the Christoffel word of this slope: K(n0..nk) + K(n1..nk)."""
-    return continuant(cf.quotients) + continuant(cf.quotients[1:])
+    (num, _), (den, _) = p_product(cf.quotients)
+    return num + den
 
 
 class StandardSplitMatrix(Frozen):
@@ -137,7 +150,7 @@ class StandardSplitMatrix(Frozen):
 def ppp_factorization(cf: ContinuedFraction) -> StandardSplitMatrix:
     """Standard-factorization counts of the Christoffel word of slope cf."""
     q = cf.quotients
-    if cf.value().ones == 0:
+    if q == (0,):  # the only valid expansion whose value K(n0..nk) is 0
         raise InvalidCFError(f"slope {cf} has no standard factorization")
     m = len(q) - 1
     product = p_product(q[:-1] + (q[-1] - 1,))

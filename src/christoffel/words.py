@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -33,6 +34,10 @@ from .errors import (
 )
 
 Letter = Union[int, Fraction]
+
+# Maps the bytes 0..9 to the ASCII digits, so a word of digit letters
+# prints by one C-level translation.
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _parse_letter_list(text: str) -> tuple[Letter, ...]:
@@ -84,9 +89,10 @@ class Word:
         if text == "":
             return cls(())
         if text.isdigit():
-            return cls(int(ch) for ch in text)
+            return cls(list(map(int, text)))
         if text.isalpha() and text.islower():
-            return cls(ord(ch) - ord("a") for ch in text)
+            a = ord("a")
+            return cls([ord(ch) - a for ch in text])
         return cls(_parse_letter_list(text))
 
     def __len__(self):
@@ -129,10 +135,10 @@ class Word:
         return Word(self.letters[i:] + self.letters[:i])
 
     def __str__(self):
-        if self.letters and all(isinstance(x, int) and 0 <= x <= 9
-                                for x in self.letters):
-            return "".join(str(x) for x in self.letters)
-        return ",".join(str(x) for x in self.letters)
+        t = self.letters
+        if t and all(map(isinstance, t, repeat(int))) and 0 <= min(t) and max(t) <= 9:
+            return bytes(t).translate(_DIGIT_CHARS).decode()
+        return ",".join(map(str, t))
 
     def __repr__(self):
         return f"Word({self})"
@@ -147,15 +153,13 @@ def is_palindrome(w: Word) -> bool:
 
 
 def is_primitive(w: Word) -> bool:
-    """True when w is nonempty and not a power of a shorter word."""
+    """True when w is nonempty and not a power of a shorter word, that is,
+    when w occurs in ww only at the offsets 0 and |w|."""
     n = len(w)
     if n == 0:
         return False
-    t = w.letters
-    for d in range(1, n):
-        if n % d == 0 and t[:d] * (n // d) == t:
-            return False
-    return True
+    s = _as_text(w.letters, w.alphabet())
+    return (s + s).find(s, 1) == n
 
 
 def is_lyndon(w: Word) -> bool:

@@ -29,10 +29,12 @@ from christoffel import (
     fib,
     lower_christoffel,
     lyndon_words,
+    p_matrix,
     params,
     semiconvergents,
     standard_encoding,
 )
+from christoffel.contfrac import mat2_mul
 from christoffel.fibonacci import FibPrediction
 from christoffel.errors import (
     AmbiguousSplitError,
@@ -266,6 +268,14 @@ def fib_detvec_prediction_by_index(n):
     return FibPrediction(n, nu, i, composition, alphabet, tuple(sorted(values)))
 
 
+def is_primitive_by_divisors(w):
+    """Primitive: nonempty and, for no proper divisor d of |w|, the power
+    of the length-d prefix; O(n * d(n)) letter comparisons."""
+    n = len(w)
+    t = w.letters
+    return n > 0 and not any(n % d == 0 and t[:d] * (n // d) == t for d in range(1, n))
+
+
 def pc_by_bw_table(w):
     """Perfectly clustering by the definition: the last letters of the
     Burrows-Wheeler rows are nondecreasing from top to bottom.  The table
@@ -393,6 +403,23 @@ def restriction_chain_by_encodings(gamma, rho, alphabet=(0, 1, 2)):
     words = [standard_encoding(build_sigma(Composition((gamma - i, i, rho - i))), alphabet)
              for i in range(gamma + 1)]
     return list(zip(words, [None] + merge_positions_by_scan(n, pow(gamma, -1, n), gamma)))
+
+
+def continuant_by_recurrence(xs):
+    """K(x1..xn) by K(x1..xn) = K(x1..x_{n-1}) xn + K(x1..x_{n-2}),
+    from K() = 1 and K(x1..x_{-1}) = 0."""
+    value, prev = 1, 0
+    for x in xs:
+        value, prev = value * x + prev, value
+    return value
+
+
+def p_product_by_fold(quotients):
+    """P(n0)...P(nk) multiplied left to right, one factor at a time."""
+    m = ((1, 0), (0, 1))
+    for a in quotients:
+        m = mat2_mul(m, p_matrix(a))
+    return m
 
 
 def semiconvergents_by_prefix(cf):

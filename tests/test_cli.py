@@ -384,11 +384,14 @@ def test_size_cap(capsys, argv):
 
 
 ONES = ",".join(["1"] * 25_000)
+# 130 KB, just under Linux's 128 KiB limit on one argument.
+NINES = ",".join(["9"] * 65_000)
 
 
 @pytest.mark.parametrize("argv", [
     ["cf", "continuant", ONES],
     ["cf", "ppp", ONES],
+    pytest.param(["cf", "ppp", NINES], id="cf ppp 65000 nines"),
     ["cf", "convert-slope", "0," + ONES],
     ["cf", "convert-slope", "--reverse", ONES],
 ], ids=lambda argv: " ".join(argv[:-1]))
@@ -399,6 +402,23 @@ def test_result_past_print_limit(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error [SizeLimitError]: ")
+
+
+@pytest.mark.parametrize("argv, tail", [
+    pytest.param(["cf", "convert-slope", NINES],
+                 "is not the expansion of a density in (0, 1)", id="cf convert-slope"),
+    pytest.param(["word", "pc-check", "01" * 50_000], "is not primitive", id="word pc-check"),
+    pytest.param(["cf", "semiconvergents", "1" + ",0" * 50_000], "0, 0]",
+                 id="cf semiconvergents"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_error_line_elides_a_long_argument(capsys, argv, tail, fmt):
+    """An error that echoes a whole argument prints one short line that
+    keeps the message's head and its explanation at the end."""
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 1000
+    assert err.startswith("error [") and err.rstrip("\n").endswith(tail)
 
 
 def test_continuant_at_print_limit(capsys):

@@ -4,7 +4,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from christoffel import (
     ContinuedFraction,
@@ -12,6 +12,7 @@ from christoffel import (
     cf_density_from_slope,
     cf_slope_from_density,
     christoffel_length,
+    contfrac,
     continuant,
     density_from_slope,
     lower_christoffel,
@@ -24,7 +25,7 @@ from christoffel import (
     stern_brocot_path,
 )
 from christoffel.errors import InvalidCFError, OutOfRangeError
-from oracles import semiconvergents_by_prefix
+from oracles import continuant_by_recurrence, p_product_by_fold, semiconvergents_by_prefix
 
 CF = ContinuedFraction
 
@@ -67,6 +68,41 @@ class TestPProduct:
                 assert det == (-1) ** len(q)
 
 
+# Zero and negative entries included; the balanced product takes any ints.
+QUOTIENT = st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)
+
+
+class TestBalancedProduct:
+    @given(st.lists(QUOTIENT, max_size=40))
+    def test_short_lists_equal_the_oracles(self, xs):
+        assert p_product(xs) == p_product_by_fold(xs)
+        assert continuant(xs) == continuant_by_recurrence(xs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 3000), st.integers(0, 30), st.integers(0, 2 ** 32))
+    def test_long_lists_equal_the_oracles(self, length, digits, seed):
+        rng = random.Random(seed)
+        bound = 10 ** digits
+        xs = tuple(rng.randint(-bound, bound) for _ in range(length))
+        assert p_product(xs) == p_product_by_fold(xs)
+        assert continuant(xs) == continuant_by_recurrence(xs)
+
+    def test_one_product_per_call(self, monkeypatch):
+        """continuant, value and christoffel_length each multiply once, and
+        ppp_factorization reads no value."""
+        calls = []
+        product = contfrac.p_product
+        monkeypatch.setattr(contfrac, "p_product", lambda q: calls.append(q) or product(q))
+        cf = CF((0, 2, 2))
+        for f in (lambda: contfrac.continuant(cf.quotients), cf.value,
+                  lambda: contfrac.christoffel_length(cf)):
+            calls.clear()
+            f()
+            assert calls == [cf.quotients]
+        monkeypatch.setattr(CF, "value", lambda self: pytest.fail("value() called"))
+        assert contfrac.ppp_factorization(cf).matrix == ((1, 1), (3, 2))
+
+
 class TestContinuedFraction:
     def test_validation(self):
         with pytest.raises(InvalidCFError):
@@ -80,6 +116,15 @@ class TestContinuedFraction:
         assert CF((0, 2, 2)).value() == SlopeRatio(2, 5)
         assert CF((1,)).value() == SlopeRatio(1, 1)
         assert CF((2, 1, 2)).value() == SlopeRatio(8, 3)
+
+    @given(st.integers(0, 10 ** 30),
+           st.lists(st.integers(1, 5) | st.integers(1, 10 ** 30), max_size=60))
+    def test_value_and_length_equal_the_recurrence(self, head, tail):
+        cf = CF((head,) + tuple(tail))
+        num = continuant_by_recurrence(cf.quotients)
+        den = continuant_by_recurrence(cf.quotients[1:])
+        assert cf.value() == SlopeRatio(num, den)
+        assert christoffel_length(cf) == num + den
 
     def test_from_slope_roundtrip(self):
         for ones in range(0, 30):

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -44,6 +45,7 @@ from christoffel.errors import (
 from christoffel.words import _as_text
 from oracles import (
     bw_christoffel_kind,
+    is_primitive_by_divisors,
     palindromic_factorization_by_scan,
     pc_by_bw_table,
     standard_factorization_by_scan,
@@ -126,14 +128,14 @@ class TestBwRow:
         per-length tuple free lists; built from a generator they were
         resized, and every freed one stayed (about 2.6 MiB over 200 rounds of
         these slopes).  Hashing a slope builds its field tuple the same
-        way.  No gc.collect in between, since a full collection empties
-        the free lists."""
+        way, and so does parsing a word's digits.  No gc.collect in
+        between, since a full collection empties the free lists."""
         slopes = list(all_slopes(19))
 
         def rounds(count):
             for _ in range(count):
                 for slope in slopes:
-                    lower_christoffel(slope)
+                    Word.parse(str(lower_christoffel(slope)))
                     hash(slope)
 
         tracemalloc.start()
@@ -326,6 +328,13 @@ class TestWordParsing:
         assert W("-5,3,-5").letters == (-5, 3, -5)
         assert str(Word((-5, 3))) == "-5,3"
         assert W("acb").letters == (0, 2, 1)
+        # digits only when every letter is an int in 0..9
+        assert str(Word(())) == ""
+        assert str(Word((0, 9, 1))) == "091"
+        assert str(Word((Fraction(3), 1))) == "3,1"
+        assert str(Word((Fraction(1, 2), 0))) == "1/2,0"
+        assert str(Word((10, 2))) == "10,2"
+        assert str(Word((2, -1))) == "2,-1"
 
 
 def outcome(f, w):
@@ -337,6 +346,7 @@ def outcome(f, w):
 
 
 def assert_matches_oracles(w):
+    assert is_primitive(w) == is_primitive_by_divisors(w), w
     assert outcome(is_perfectly_clustering, w) == outcome(pc_by_bw_table, w), w
     assert outcome(palindromic_factorization, w) == \
         outcome(palindromic_factorization_by_scan, w), w
@@ -378,8 +388,9 @@ def exchange_words(draw):
 
 
 class TestAgainstOracles:
-    """The exchange test and the one-search split against the definitions:
-    the nondecreasing BW last column and the scan of every cut."""
+    """Primitivity, the exchange test and the one-search split against the
+    definitions: no shorter root, the nondecreasing BW last column and the
+    scan of every cut."""
 
     def test_every_small_word(self):
         count = 0
