@@ -7,11 +7,25 @@ as one tuple of ints over one positive common denominator, in lowest
 terms over Q and as residues in [0, p) over GF(p); FieldScalars are built
 only where entries are read.  The product is one integer product, each
 row a sum of big-int multiples of b's rows packed one per integer, read
-back as machine words when a product entry fits in 8 bytes.  The
-determinant over Q is the fraction-free (Bareiss) one of the stored ints;
-over GF(p) it is Gaussian elimination with every entry reduced mod p.  The
-signed maximal minors of a (k+1) x k integer matrix come from the same
-Bareiss routine run on its transpose, then one exact back-substitution.
+back as machine words when a product entry fits in 8 bytes.
+
+Every exact elimination first replaces the rows g_0..g_k by their
+differences D = [g_0 - g_1, ..., g_{k-1} - g_k, g_k] = T G, T upper
+bidiagonal with 1 on the diagonal and -1 above it.  As det T = 1,
+det D = det G, and the signed maximal minors of G are T^T times those
+of D.  Consecutive rows of a Christoffel (Burrows-Wheeler) table differ
+by one adjacent exchange of the two letters (Borel and Reutenauer, "On
+Christoffel classes", 2006), and so do the rows of the factor matrix
+G_n; there D, each row divided by its content, has at most two entries
++-1 in every row but the last, and the elimination does about one row
+update per column instead of one per row below the pivot.  The results
+are exact for every input; the structure only makes them cheap.  The
+determinant over Q is the fraction-free (Bareiss) one of the
+differenced stored ints; over GF(p) it is Gaussian elimination of the
+differences with every entry reduced mod p.  The signed maximal minors
+of a (k+1) x k integer matrix come from the same Bareiss routine run on
+the transpose of D, then one exact back-substitution and the map back
+through T^T.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import ChristoffelError, DimensionMismatchError, KindMismatchError, SizeLimitError
@@ -388,18 +402,22 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def _eliminate(m: list[list[int]]) -> tuple[int, list[int]]:
     """Fraction-free (Bareiss) echelon form of the integer matrix m, in
-    place, with row swaps; every division is exact.
+    place, with row swaps and row negations; every division is exact.
 
     The columns are scanned left to right, column c at row r, the number
     of pivots found so far.  A column with no nonzero entry at or below
     row r is free: it gets no pivot and the scan goes on with the next
-    column.  Afterwards entry (i, j) of row i, j right of its pivot, is
-    the minor of the row-swapped matrix on rows 0..i and on the pivot
+    column.  A negative pivot's row is negated, so every pivot is
+    positive.  After a run of pivots 1, as on the 0/+-1 rows of a
+    differenced Christoffel table, the next pivot 1 equals the divisor
+    and the rows with 0 in its column are left as they are.  Afterwards
+    entry (i, j) of row i, j right of its pivot, is the minor of the
+    row-swapped and row-negated matrix on rows 0..i and on the pivot
     columns of rows 0..i-1 plus column j; so the pivot of the last row
     is the determinant of the pivot columns.  A matrix with independent
     rows has exactly cols - rows free columns.  Returns the sign of the
-    row swaps and the pivot columns, or sign 0 once a further column is
-    free (the rows are then dependent).
+    swaps and negations (each flips it) and the pivot columns, or sign 0
+    once a further column is free (the rows are then dependent).
     """
     rows, cols = len(m), len(m[0])
     sign, prev, r, spare, pivots = 1, 1, 0, cols - rows, []
@@ -415,60 +433,91 @@ def _eliminate(m: list[list[int]]) -> tuple[int, list[int]]:
                 continue
             m[r], m[swap] = m[swap], m[r]
             sign = -sign
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+            sign = -sign
         pivot, tail = m[r][c], m[r][c + 1:]
-        for row in m[r + 1:]:
-            # A row with 0 in the pivot column is only scaled by pivot / prev.
+        below = m[r + 1:]
+        # A row with 0 in the pivot column is only scaled by pivot / prev,
+        # so it is left out when they are equal.
+        for row in below if pivot != prev else [row for row in below if row[c]]:
             f = row[c]
-            if f:
-                row[c + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-            elif pivot != prev:
-                row[c + 1:] = [x * pivot // prev for x in row[c + 1:]]
+            row[c + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1:], tail)]
         prev = pivot
         pivots.append(c)
         r += 1
     return sign, pivots
 
 
+def _differenced(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """D = T G = [g_0 - g_1, ..., g_{k-1} - g_k, g_k] for the rows g_0..g_k
+    of G, where T is upper bidiagonal, 1 on the diagonal and -1 above it,
+    so det T = 1."""
+    return [list(map(sub, g, h)) for g, h in zip(rows, rows[1:])] + [list(g) for g in rows[-1:]]
+
+
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix, by one Bareiss elimination."""
+    """Exact determinant of an integer matrix M, by one Bareiss
+    elimination of its differenced rows.
+
+    det M = det(T M) = det D, since det T = 1 (see ``_differenced``).
+    Each nonzero row of D is divided by its content and the contents
+    are multiplied back in.  Consecutive rows of a Christoffel table
+    differ by one adjacent exchange of its two letters, so there D has
+    rows with two entries +-1 apart from its last, and the elimination
+    does about one row update per column.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("matrix is not square")
     if not n:
         return 1
-    m = [list(r) for r in rows]
-    return _eliminate(m)[0] * m[-1][-1]
+    m = _differenced(rows)
+    content = 1
+    for i, row in enumerate(m):
+        g = gcd(*row)
+        if g > 1:
+            m[i] = [x // g for x in row]
+            content *= g
+    return content * _eliminate(m)[0] * m[-1][-1]
 
 
 def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Signed maximal minors of a (k+1) x k integer matrix G.
 
     Component j is (-1)^(k-j) times the determinant of G without row j,
-    that is of A = G^T without column j, and the vector V spans the
-    kernel of A.  One elimination of the k x (k+1) matrix A gives its
-    echelon form U.  With dependent rows every minor vanishes.
-    Otherwise exactly one column f is free, and the pivot of the last
-    row is sigma * det(A without column f), sigma the sign of the row
-    swaps, so V_f = (-1)^(k-f) * sigma * that pivot.  Back-substitution
-    from the bottom row up gives the rest: for row i with pivot column c,
-    V_c = -(sum_{j>c} U[i][j] V_j) / U[i][c], and every division is
-    exact because V is an integer vector of the kernel of U.
+    so det([G | x]) = V . x for every column x, and V spans the kernel
+    of G^T.  V comes from the differenced matrix D = T G (see
+    ``_differenced``): det([T G | x]) = det([G | T^-1 x]) as det T = 1,
+    so the vector U of D satisfies V = T^T U, that is V_0 = U_0 and
+    V_j = U_j - U_{j-1}.  A = D^T is built in one pass over the columns
+    of G, each differenced as it is read, and one elimination of the
+    k x (k+1) matrix A gives its echelon form.  With dependent rows
+    every minor vanishes.  Otherwise exactly one column f is free, and
+    the pivot of the last row is sigma * det(A without column f), sigma
+    the sign of the row swaps and negations, so U_f = (-1)^(k-f) * sigma
+    * that pivot.  Back-substitution from the bottom row up gives the rest: for
+    row i with pivot column c, U_c = -(sum_{j>c} A[i][j] U_j) / A[i][c],
+    and every division is exact because U is an integer vector of the
+    kernel of the echelon form.  Consecutive rows of G_n differ by one
+    adjacent exchange "10" -> "01" or a final 1 -> 0, so there every
+    column of A but the last holds one or two entries +-1.
     """
     k = len(rows) - 1
     if k < 0 or any(len(r) != k for r in rows):
         raise DimensionMismatchError("need a (k+1) x k matrix")
     if not k:
         return (1,)
-    m = [list(column) for column in zip(*rows)]
+    m = [[*map(sub, column, column[1:]), column[-1]] for column in zip(*rows)]
     sign, pivots = _eliminate(m)
     if not sign:
         return (0,) * (k + 1)
     f = next((i for i, c in enumerate(pivots) if c != i), k)
-    v = [0] * (k + 1)
-    v[f] = (-1) ** (k - f) * sign * m[-1][pivots[-1]]
+    u = [0] * (k + 1)
+    u[f] = (-1) ** (k - f) * sign * m[-1][pivots[-1]]
     for row, c in zip(reversed(m), reversed(pivots)):
-        v[c] = -sum(map(mul, row[c + 1:], v[c + 1:])) // row[c]
-    return tuple(v)
+        u[c] = -sum(map(mul, row[c + 1:], u[c + 1:])) // row[c]
+    return (u[0], *map(sub, u[1:], u))
 
 
 def _det_mod(m: list[list[int]], p: int) -> int:
@@ -497,14 +546,18 @@ def _det_mod(m: list[list[int]], p: int) -> int:
 def det_exact(a: ExactMatrix) -> FieldScalar:
     """Exact determinant of a square matrix.
 
-    Over Q, the stored ints form an integer matrix; its Bareiss
-    determinant divided by den^n is the answer.  Over GF(p), Gaussian
-    elimination on the stored residues, reduced mod p at every step.
+    Over Q, the stored ints form an integer matrix; its determinant by
+    ``det_int`` divided by den^n is the answer.  Over GF(p), Gaussian
+    elimination of the differenced rows (see ``_differenced``, det T = 1)
+    taken mod p, reduced mod p at every step.
     """
     if a.rows != a.cols:
         raise DimensionMismatchError(f"determinant of {a.rows}x{a.cols} matrix")
-    n = a.rows
+    n, p = a.rows, a.modulus
     rows = [a.ints[i * n:(i + 1) * n] for i in range(n)]
-    if a.modulus is None:
+    if p is None:
         return _scalar(Fraction(det_int(rows), a.den ** n), None)
-    return _scalar(_det_mod([list(r) for r in rows], a.modulus), a.modulus)
+    m = _differenced(rows)
+    for row in m[:-1]:
+        row[:] = [x % p for x in row]
+    return _scalar(_det_mod(m, p), p)

@@ -163,12 +163,23 @@ def is_primitive(w: Word) -> bool:
 
 
 def is_lyndon(w: Word) -> bool:
-    """Strictly smallest among its rotations (increasing lexicographic order)."""
-    n = len(w)
+    """Strictly smallest among its rotations (increasing lexicographic order).
+
+    The first step of Duval's Lyndon factorization (Duval, J. Algorithms
+    1983) scans the longest prefix of w that is a prefix of a power of
+    one Lyndon word, whose length j - k is the period; w is Lyndon
+    exactly when that prefix is all of w and the period is n.  At most
+    2n letter comparisons.
+    """
+    t = w.letters
+    n = len(t)
     if n == 0:
         return False
-    t = w.letters
-    return all(t < t[i:] + t[:i] for i in range(1, n))
+    j, k = 1, 0
+    while j < n and t[k] <= t[j]:
+        k = 0 if t[k] < t[j] else k + 1
+        j += 1
+    return j - k == n
 
 
 def conjugates(w: Word) -> list[Word]:

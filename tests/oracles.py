@@ -41,6 +41,7 @@ from christoffel.errors import (
     NoPalindromicSplitError,
     NotBijectiveError,
     NotCoprimeError,
+    NotPrimitiveError,
     OutOfRangeError,
     RestrictionOutOfRangeError,
 )
@@ -133,18 +134,24 @@ def unit_inverse_params(n, r):
 
 
 def cofactor_det(rows):
-    """Naive cofactor expansion along the first row; the determinant oracle."""
+    """Cofactor expansion along the first row, recursively; the determinant
+    oracle.  A minor is the last len(cols) rows on the columns cols, and
+    each is expanded once, so an n x n matrix costs about n 2^n products
+    instead of n!."""
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        if not cols:
+            return 1
+        row = rows[n - len(cols)]
+        total = 0
+        for t, j in enumerate(cols):
+            term = row[j] * minor(cols[:t] + cols[t + 1:])
+            total += -term if t % 2 else term
+        return total
+
+    return minor(tuple(range(n)))
 
 
 def determinantal_vector_by_minors(rows):
@@ -276,11 +283,26 @@ def is_primitive_by_divisors(w):
     return n > 0 and not any(n % d == 0 and t[:d] * (n // d) == t for d in range(1, n))
 
 
+def is_lyndon_by_rotations(w):
+    """Lyndon: nonempty and strictly smaller than each proper rotation,
+    every rotation built; O(n^2) letters."""
+    t = w.letters
+    return len(t) > 0 and all(t < t[i:] + t[:i] for i in range(1, len(t)))
+
+
 def pc_by_bw_table(w):
     """Perfectly clustering by the definition: the last letters of the
-    Burrows-Wheeler rows are nondecreasing from top to bottom.  The table
-    holds n^2 letters."""
-    last = [row.letters[-1] for row in bw_rows(w)]
+    Burrows-Wheeler rows, the rotations sorted decreasingly, are
+    nondecreasing from top to bottom.  Each letter is written as the
+    character of its rank, so the rotations sort as n slices of the
+    doubled str; the table holds n^2 characters."""
+    if not is_primitive_by_divisors(w):
+        raise NotPrimitiveError(f"word {w} is not primitive")
+    t = w.letters
+    rank = {x: chr(j) for j, x in enumerate(sorted(set(t)))}
+    s = "".join(rank[x] for x in t) * 2
+    n = len(t)
+    last = [row[-1] for row in sorted((s[i:i + n] for i in range(n)), reverse=True)]
     return all(a <= b for a, b in zip(last, last[1:]))
 
 

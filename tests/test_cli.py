@@ -445,6 +445,22 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["sign", "zolotareff", "x" * 100_000, "13"], "argument r: "),
+    (["fib", "sign", "9" * 5_000], "argument m: "),
+    (["matrix", "det", "--n", "7" * 50_000 + "x", "--a", "0", "--b", "1", "--r", "2"],
+     "argument --n: "),
+], ids=["sign zolotareff", "fib sign", "matrix det"])
+def test_malformed_int_argument_is_elided(capsys, argv, name):
+    """A malformed int argument gets main's one elided usage line, exit 2,
+    which names the argument, from the leaf parser and the whole tree."""
+    for parse in (main, cli.build_parser().parse_args):
+        code, out, err = exit_of(capsys, parse, argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+        assert err.startswith("error [usage]: " + name)
+
+
 def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["nonsense"])

@@ -10,10 +10,13 @@ import christoffel.numeric as numeric
 from christoffel import (
     ExactMatrix,
     FieldScalar,
+    SturmianSlope,
+    christoffel_chain,
     christoffel_matrix,
     det_exact,
     det_int,
     determinantal_vector,
+    factor_matrix,
     mat_mul,
     params,
 )
@@ -35,6 +38,7 @@ rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
 PRIMES = (2, 3, 7, 31, 65537, 1_000_000_007, 2 ** 61 - 1)
 primes = st.sampled_from(PRIMES)
+GF_PRIMES = (2, 65537, 2 ** 61 - 1)
 
 
 def permanent_free_det(rows):
@@ -497,7 +501,8 @@ class TestDeterminantalVector:
         assert determinantal_vector(rows) == determinantal_vector_by_minors(rows)
 
     def test_one_elimination_and_no_determinant(self, monkeypatch):
-        """Exactly one elimination, run on the k x (k+1) transpose of G."""
+        """Exactly one elimination, run on the k x (k+1) transpose of the
+        differenced matrix [g_0 - g_1, ..., g_{k-1} - g_k, g_k]."""
         calls = []
         eliminate = numeric._eliminate
 
@@ -512,7 +517,7 @@ class TestDeterminantalVector:
         monkeypatch.setattr(numeric, "det_int", forbidden)
         rows = [[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 1]]
         assert determinantal_vector(rows) == determinantal_vector_by_minors(rows)
-        assert calls == [[[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1]]]
+        assert calls == [[[-1, 0, 1, 0], [1, -1, 1, 0], [0, 1, -1, 1]]]
 
     @settings(max_examples=300)
     @given(rows=shaped_tall_matrices())
@@ -535,6 +540,86 @@ class TestDeterminantalVector:
             assert not any(v)
         else:
             assert v[free] != 0
+
+
+def _damaged(draw, rows):
+    """rows as drawn, or with one row copied onto another or set to zero."""
+    rows = [list(r) for r in rows]
+    change = draw(st.sampled_from(["none", "copied row", "zero row"]))
+    if change == "copied row" and len(rows) >= 2:
+        src, dst = draw(st.permutations(range(len(rows))))[:2]
+        rows[dst] = list(rows[src])
+    elif change == "zero row":
+        rows[draw(st.integers(0, len(rows) - 1))] = [0] * len(rows[0])
+    return rows
+
+
+letters = st.integers(-9, 9) | st.integers(-2 ** 65, 2 ** 65)
+
+
+@st.composite
+def christoffel_tables(draw):
+    """(n, a, b, r) for the Christoffel table M(n, a, b, r), n <= 12, with
+    distinct integer letters a and b."""
+    n = draw(st.integers(2, 12))
+    r = draw(st.sampled_from([r for r in range(1, n) if gcd(r, n) == 1]))
+    a, b = draw(st.lists(letters, min_size=2, max_size=2, unique=True))
+    return n, a, b, r
+
+
+@st.composite
+def factor_matrices(draw):
+    """G_n, n <= 9, of a random continued-fraction prefix, some with a row
+    copied onto another or set to zero."""
+    quotients = (draw(st.integers(0, 4)),) + tuple(
+        draw(st.lists(st.integers(1, 5), min_size=3, max_size=6)))
+    slope = SturmianSlope.from_quotients(quotients)
+    big_n = len(christoffel_chain(slope, 10 ** 6)[-1])
+    n = draw(st.integers(0, min(9, big_n - 1)))
+    return _damaged(draw, factor_matrix(slope, n).int_rows())
+
+
+def table_rows(m):
+    return [list(m.values[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
+
+
+class TestDifferencedElimination:
+    """The kernels difference consecutive rows before eliminating; their
+    results stay exact for every input, structured or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=christoffel_tables(), data=st.data())
+    def test_christoffel_tables(self, table, data):
+        """det_int and det_exact over GF(p) of a (possibly damaged) table
+        against cofactor expansion."""
+        rows = _damaged(data.draw, [[int(x) for x in row]
+                                    for row in table_rows(christoffel_matrix(params(*table)))])
+        det = cofactor_det(rows)
+        assert det_int(rows) == det
+        for p in GF_PRIMES:
+            assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=christoffel_tables(), dens=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    def test_rational_christoffel_tables(self, table, dens):
+        n, a, b, r = table
+        a, b = Fraction(a, dens[0]), Fraction(b, dens[1])
+        assume(a != b)
+        m = christoffel_matrix(params(n, a, b, r))
+        assert det_exact(m) == cofactor_det(table_rows(m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=square_matrices())
+    def test_dense_matrices(self, rows):
+        det = cofactor_det(rows)
+        assert det_int(rows) == det
+        for p in GF_PRIMES:
+            assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=factor_matrices())
+    def test_factor_matrices(self, rows):
+        assert determinantal_vector(rows) == determinantal_vector_by_minors(rows)
 
 
 class TestKindStoredOnce:

@@ -110,6 +110,23 @@ class TestFactorMatrix:
         covering = next(w for w in chain if len(w) >= n + 1)
         assert factor_matrix(slope, n) == factor_matrix_by_rotation_sort(covering, n)
 
+    @pytest.mark.parametrize("quotients", [
+        (0,) + (1,) * 11, (2, 1, 2, 1, 2, 1, 2), (0, 2, 2, 2, 2, 2),
+        (0, 1, 2, 1, 3, 2, 1, 2, 1, 1, 3), (3, 1, 4, 1, 5, 9)])
+    def test_consecutive_rows_differ_by_one_exchange(self, quotients):
+        """Row j+1 of G_n is row j with one adjacent "10" made "01", or with
+        its final 1 made 0; differencing consecutive rows, as the exact
+        kernels do, leaves 0/+-1 rows with at most two nonzero entries."""
+        slope = SturmianSlope.from_quotients(quotients)
+        for n in range(65):
+            rows = [str(r) for r in factor_matrix(slope, n).rows]
+            for u, v in zip(rows, rows[1:]):
+                p = next(i for i in range(n) if u[i] != v[i])
+                if p == n - 1:
+                    assert (u[p], v[p]) == ("1", "0"), (n, u, v)
+                else:
+                    assert u[p:p + 2] == "10" and v == u[:p] + "01" + u[p + 2:], (n, u, v)
+
     def test_rotation_slices_equal_rows_from_residue_rule(self):
         """Every slope with both letters and N <= 60, every 0 <= n < N."""
         for big_n in range(2, 61):

@@ -45,6 +45,7 @@ from christoffel.errors import (
 from christoffel.words import _as_text
 from oracles import (
     bw_christoffel_kind,
+    is_lyndon_by_rotations,
     is_primitive_by_divisors,
     palindromic_factorization_by_scan,
     pc_by_bw_table,
@@ -175,6 +176,16 @@ class TestBasicPredicates:
         assert is_lyndon(W("0001001"))
         assert not is_lyndon(W("1001000"))
         assert not is_lyndon(W("0101"))
+
+    @settings(max_examples=500)
+    @given(letters=st.lists(st.integers(0, 2), max_size=14)
+           | st.lists(st.sampled_from("ab"), max_size=40),
+           power=st.integers(2, 3))
+    def test_lyndon_equals_rotation_scan(self, letters, power):
+        """Duval's scan against every rotation, on words, their squares and
+        cubes (never Lyndon) and the empty word."""
+        for w in (Word(letters), Word(letters * power)):
+            assert is_lyndon(w) == is_lyndon_by_rotations(w)
 
     def test_palindrome(self):
         assert is_palindrome(W("aca"))
