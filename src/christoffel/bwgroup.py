@@ -118,17 +118,20 @@ def bw_matrix(w: Word) -> ExactMatrix:
 def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
     """The Burrows-Wheeler table of slope r/q over {a, b}, row by row.
 
-    a and b are cleared over the lcm of their denominators (1 over GF(p)),
-    so the table of the two integers over that denominator is the matrix.
-    Row 0 comes from the residue rule; row i is row 0 rotated left by
-    i * q^(-1) mod n, one slice of the doubled row.
+    a and b are cleared over the lcm of their denominators (1 over GF(p),
+    where they are residues already), so the table of the two integers
+    over that denominator is the matrix.  That form is canonical: a prime
+    power exactly dividing the lcm divides one letter's reduced
+    denominator, so it does not divide that letter's integer, and both
+    letters occur.  Row 0 comes from the residue rule; row i is row 0
+    rotated left by i * q^(-1) mod n, one slice of the doubled row.
     """
     n = p.n
     a, b = p.a.value, p.b.value
     den = lcm(a.denominator, b.denominator)
     letters = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
     rows = _christoffel_bw_prefixes(SlopeRatio(p.r, p.q), range(n), n, letters)
-    return ExactMatrix._from_ints(n, n, p.modulus, list(chain.from_iterable(rows)), den)
+    return ExactMatrix._trusted(n, n, p.modulus, tuple(list(chain.from_iterable(rows))), den)
 
 
 def to_triple(p: ChristoffelParams) -> GroupTriple:

@@ -5,27 +5,33 @@ denominator) or elements of a prime field GF(p); the two kinds never mix.
 A matrix stores its kind once (``modulus``, None over Q) and its entries
 as one tuple of ints over one positive common denominator, in lowest
 terms over Q and as residues in [0, p) over GF(p); FieldScalars are built
-only where entries are read.  The product is one integer product, each
-row a sum of big-int multiples of b's rows packed one per integer, read
-back as machine words when a product entry fits in 8 bytes.
+only where entries are read.
 
-Every exact elimination first replaces the rows g_0..g_k by their
-differences D = [g_0 - g_1, ..., g_{k-1} - g_k, g_k] = T G, T upper
-bidiagonal with 1 on the diagonal and -1 above it.  As det T = 1,
-det D = det G, and the signed maximal minors of G are T^T times those
-of D.  Consecutive rows of a Christoffel (Burrows-Wheeler) table differ
-by one adjacent exchange of the two letters (Borel and Reutenauer, "On
-Christoffel classes", 2006), and so do the rows of the factor matrix
-G_n; there D, each row divided by its content, has at most two entries
-+-1 in every row but the last, and the elimination does about one row
-update per column instead of one per row below the pivot.  The results
-are exact for every input; the structure only makes them cheap.  The
-determinant over Q is the fraction-free (Bareiss) one of the
-differenced stored ints; over GF(p) it is Gaussian elimination of the
-differences with every entry reduced mod p.  The signed maximal minors
-of a (k+1) x k integer matrix come from the same Bareiss routine run on
-the transpose of D, then one exact back-substitution and the map back
-through T^T.
+Every exact kernel first replaces the rows g_0..g_k of its (left)
+matrix by their differences D = [g_0 - g_1, ..., g_{k-1} - g_k, g_k] =
+T G, T upper bidiagonal with 1 on the diagonal and -1 above it.  As
+det T = 1, det D = det G, and the signed maximal minors of G are T^T
+times those of D.  Consecutive rows of a Christoffel (Burrows-Wheeler)
+table differ by one adjacent exchange of the two letters (Borel and
+Reutenauer, "On Christoffel classes", 2006), and so do the rows of the
+factor matrix G_n; there D, each row divided by its content, has at
+most two entries +-1 in every row but the last.  The results are exact
+for every input; the structure only makes them cheap.
+
+The product a b is one integer product: b's rows are packed one per
+big integer, and row i of the product, P_i = P_{i+1} + (a_i - a_{i+1}) b,
+is built from the bottom up from the nonzero entries of the differenced
+rows of a, read back as machine words when a product entry fits in
+8 bytes.  A Christoffel left factor thus costs about 2n + k packed
+multiply-adds instead of n k.
+
+The eliminations do about one row update per column there instead of
+one per row below the pivot.  The determinant over Q is the
+fraction-free (Bareiss) one of the differenced stored ints; over GF(p)
+it is Gaussian elimination of the differences with every entry reduced
+mod p.  The signed maximal minors of a (k+1) x k integer matrix come
+from the same Bareiss routine run on the transpose of D, then one exact
+back-substitution and the map back through T^T.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import struct
 import sys
 from array import array
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Sequence, Union
@@ -272,8 +279,15 @@ class ExactMatrix:
             g = gcd(den, *ints)
             if g > 1:
                 ints, den = [x // g for x in ints], den // g
+        return cls._trusted(rows, cols, modulus, tuple(ints), den)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, modulus: int | None, ints: tuple[int, ...],
+                 den: int = 1) -> "ExactMatrix":
+        """Wrap an int tuple that is in the canonical form by construction,
+        without the checks of ``_from_ints``."""
         out = object.__new__(cls)
-        out.rows, out.cols, out.modulus, out.ints, out.den = rows, cols, modulus, tuple(ints), den
+        out.rows, out.cols, out.modulus, out.ints, out.den = rows, cols, modulus, ints, den
         return out
 
     @classmethod
@@ -363,23 +377,33 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product: one integer product over the denominators' product.
 
     Row t of b is packed into one integer, its entries in slots of
-    ``width`` bytes; a slot holds any entry of b and of the product, whose
-    size is at most k * max|a| * max|b|, with a spare top bit for the sign.
-    Row i of the product is then sum_t a_it * packed_t (n^2 big-int
-    products instead of n^3 small ones).  Adding half a slot to every slot
-    makes each slot nonnegative, so no borrow crosses a slot; flipping each
-    slot's top bit back leaves its entry in two's complement.  Slots are
-    laid out in native byte order.  A width of at most 8 bytes is rounded
-    up to 1, 2, 4 or 8, so b's rows are packed from an ``array`` of machine
-    words and every slot of the product is read back as one; wider slots
-    are written and read one ``int.to_bytes``/``int.from_bytes`` at a time.
+    ``width`` bytes; a slot holds any entry of b and of the product.  Over
+    Q a product entry is at most k * max|a| * max|b| in size; over GF(p)
+    both factors hold residues in [0, p), so it is at most k * (p-1)^2 and
+    neither factor is scanned.  A spare top bit holds the sign.  Row i of
+    the product is P_i = sum_t a_it * packed_t, built from the bottom up
+    through the differenced rows of a (see ``_differenced``): P_{n-1} is
+    the last row of a times the packed rows, and P_i = P_{i+1} + sum_t
+    d_it * packed_t with d_i = a_i - a_{i+1}, summed over the nonzero d_it
+    only.  Consecutive rows of a Christoffel table differ by one adjacent
+    exchange, so there each row costs two big-int products instead of k.
+    Adding half a slot to every slot makes each slot nonnegative, so no
+    borrow crosses a slot; flipping each slot's top bit back leaves its
+    entry in two's complement.  Slots are laid out in native byte order.
+    A width of at most 8 bytes is rounded up to 1, 2, 4 or 8, so b's rows
+    are packed from an ``array`` of machine words and every slot of the
+    product is read back as one; wider slots are written and read one
+    ``int.to_bytes``/``int.from_bytes`` at a time.
     """
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.modulus != b.modulus:
         raise KindMismatchError("mixed scalar kinds in product")
-    n, k, m = a.rows, a.cols, b.cols
-    bound = max(k * _max_abs(a.ints), 1) * _max_abs(b.ints)
+    n, k, m, p = a.rows, a.cols, b.cols, a.modulus
+    if p is None:
+        bound = max(k * _max_abs(a.ints), 1) * _max_abs(b.ints)
+    else:
+        bound = max(k, 1) * (p - 1) ** 2
     width = bound.bit_length() // 8 + 1
     width, fmt = next(((w, f) for w, f in _WORDS if w >= width), (width, None))
     size, order = width * m, sys.byteorder
@@ -390,14 +414,23 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raw = b"".join(x.to_bytes(width, order, signed=True) for x in b.ints)
     packed = [(int.from_bytes(raw[t * size:(t + 1) * size], order) ^ offset) - offset
               for t in range(k)]
-    blob = b"".join(((sum(map(mul, a.ints[i * k:(i + 1) * k], packed)) + offset) ^ offset)
-                    .to_bytes(size, order) for i in range(n))
+    # d holds the rows d_0..d_{n-2}, one after the other.
+    d = list(map(sub, a.ints, a.ints[k:]))
+    total = sum(map(mul, a.ints[(n - 1) * k:n * k], packed))
+    sums = [total] if n else []
+    for i in range(n - 2, -1, -1):
+        row = d[i * k:(i + 1) * k]
+        total += sum(map(mul, compress(row, row), compress(packed, row)))
+        sums.append(total)
+    blob = b"".join(((x + offset) ^ offset).to_bytes(size, order) for x in reversed(sums))
     if fmt:
         ints = memoryview(blob).cast(fmt).tolist()
     else:
         ints = [int.from_bytes(blob[s:s + width], order, signed=True)
                 for s in range(0, len(blob), width)]
-    return ExactMatrix._from_ints(n, m, a.modulus, ints, a.den * b.den)
+    if p is None:
+        return ExactMatrix._from_ints(n, m, None, ints, a.den * b.den)
+    return ExactMatrix._trusted(n, m, p, tuple([x % p for x in ints]))
 
 
 def _eliminate(m: list[list[int]]) -> tuple[int, list[int]]:

@@ -81,14 +81,24 @@ def christoffel_chain(slope: SturmianSlope, max_len: int) -> list[Word]:
 def _covering(slope: SturmianSlope, n: int) -> tuple[int, SlopeRatio]:
     """The least chain index nu with |w_nu| >= n + 1, and its slope.
 
-    Lengths increase strictly, so the walk stops after at most n items.
+    Item (m, h) of the chain (see ``semiconvergents``) has length
+    h L1 + L2, with L1 and L2 the lengths p + q of the convergents m-1
+    and m-2.  So the least item of block m that covers n has
+    h = max(1, ceil((n + 1 - L2) / L1)) when that is at most n_m, and nu
+    is the number of items of the earlier blocks plus h - 1: one
+    division per quotient.
     """
-    s = None
-    for nu, s in enumerate(semiconvergents(slope.cf)):
-        if s.length >= n + 1:
-            return nu, s
+    p1, q1, p2, q2 = 1, 0, 0, 1
+    nu = 0
+    for a in slope.cf.quotients:
+        h = max(1, -((p2 + q2 - n - 1) // (p1 + q1)))
+        if h <= a:
+            return nu + h - 1, SlopeRatio(h * p1 + p2, h * q1 + q2)
+        nu += a
+        p1, q1, p2, q2 = a * p1 + p2, a * q1 + q2, p1, q1
+    # The last item, if any, is the last convergent.
     raise InsufficientCFError(
-        f"chain ends at length {s.length if s else 0}; "
+        f"chain ends at length {p1 + q1 if nu else 0}; "
         f"extend the continued fraction to cover factor length {n}")
 
 

@@ -38,6 +38,7 @@ from christoffel.contfrac import mat2_mul
 from christoffel.fibonacci import FibPrediction
 from christoffel.errors import (
     AmbiguousSplitError,
+    InsufficientCFError,
     NoPalindromicSplitError,
     NotBijectiveError,
     NotCoprimeError,
@@ -232,6 +233,19 @@ def g_chain_by_rotation_sort(w, small):
             h = next(h for h in range(1, len(prev)) if prev[h - 1][:n] == prev[h][:n])
         steps.append((factor_matrix_by_rotation_sort(w, n), h))
     return steps
+
+
+def covering_by_walk(slope, n):
+    """(nu, slope) of the first chain item of length >= n + 1, by walking
+    the semiconvergents one by one; InsufficientCFError with the
+    library's text when the prefix does not reach it."""
+    s = None
+    for nu, s in enumerate(semiconvergents(slope.cf)):
+        if s.length >= n + 1:
+            return nu, s
+    raise InsufficientCFError(
+        f"chain ends at length {s.length if s else 0}; "
+        f"extend the continued fraction to cover factor length {n}")
 
 
 def special_factor_determinant_by_elimination(slope, n):

@@ -21,7 +21,7 @@ _spec.loader.exec_module(bench_compare)
 
 @pytest.mark.parametrize("name", ["BENCH_10_minors.json", "BENCH_12_floorsum.json",
                                   "BENCH_13_coldstart.json", "BENCH_14_splice.json",
-                                  "BENCH_17_rowdiff.json"])
+                                  "BENCH_17_rowdiff.json", "BENCH_18_diffprod.json"])
 def test_summary_recomputed_from_runs(name):
     data = json.loads((ROOT / name).read_text())
     summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])
@@ -57,3 +57,18 @@ def test_claim_on_a_new_workload_or_seed_replaces_the_old(workload, seed):
     claim = bench_compare.merged_claim(None, "pc-enum-sign", 17, 10)
     new = bench_compare.merged_claim(claim, workload, seed, 3)
     assert (new["workload"], new["seed"], new["pairs"]) == (workload, seed, 3)
+
+
+def test_traced_per_call_is_the_median_over_traced_pairs():
+    """Each side's per-call figures are medians over every traced pair,
+    not the figures of pair 0."""
+    data = json.loads((ROOT / "BENCH_18_diffprod.json").read_text())
+    assert bench_compare.traced_per_call(data["runs"]) == data["traced_per_call"]
+    for side in bench_compare.SIDES:
+        runs = [r for r in data["runs"]
+                if r["trace"] and r["workload"] == "bw-matrix-group" and r["side"] == side]
+        figures = data["traced_per_call"]["bw-matrix-group"][side]
+        assert figures["traced_pairs"] == len(runs) == 3
+        per_call = sorted(bench_compare._traced_side(r)["numeric.mat_mul"]["self_ms_per_call"]
+                          for r in runs)
+        assert figures["numeric.mat_mul"]["self_ms_per_call"] == per_call[1]

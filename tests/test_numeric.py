@@ -17,6 +17,7 @@ from christoffel import (
     det_int,
     determinantal_vector,
     factor_matrix,
+    group_inverse,
     mat_mul,
     params,
 )
@@ -728,3 +729,114 @@ class TestKindStoredOnce:
         monkeypatch.undo()
         assert entry == rows[17][42] and row == tuple(rows[17])
         assert ints.den == 1 and ints.entry(3, 7) == -29 and identity.entry(5, 5) == 1
+
+
+# Letters with unrelated denominators, 0 among them.
+rational_letters = st.sampled_from((0, 1, -1, 7)) | st.integers(-10 ** 6, 10 ** 6) | st.builds(
+    Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 4))
+
+
+@st.composite
+def christoffel_left_factors(draw, modulus, n=None):
+    """M(n, a, b, r) for n <= 24, built over Q and then read mod p: a left
+    factor whose consecutive rows differ by one adjacent exchange, also
+    over GF(p) with p <= n, where no Christoffel params exist."""
+    n = n or draw(st.integers(2, 24))
+    r = draw(st.integers(1, n - 1).filter(lambda r: gcd(r, n) == 1))
+    usable = rational_letters if modulus is None else rational_letters.filter(
+        lambda x: Fraction(x).denominator % modulus)
+    a = draw(usable)
+    b = draw(usable.filter(lambda x: x != a))
+    table = christoffel_matrix(params(n, a, b, r))
+    return ExactMatrix.from_rows(table_rows(table), modulus)
+
+
+class TestDifferencedProduct:
+    """The product built from the differenced rows of its left factor,
+    P_i = P_{i+1} + (a_i - a_{i+1}) B, against the per-entry product in
+    value and in hash: Christoffel left factors, dense ones, repeated
+    rows and empty shapes."""
+
+    kinds = st.sampled_from((None, 2, 65537, 2 ** 61 - 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), modulus=kinds)
+    def test_christoffel_left_factor(self, data, modulus):
+        a = data.draw(christoffel_left_factors(modulus))
+        if data.draw(st.booleans()):
+            b = data.draw(christoffel_left_factors(modulus, a.rows))
+        else:
+            m = data.draw(st.integers(0, 6))
+            entries = st.integers(-3, 3) | rationals | st.integers(-2 ** 70, 2 ** 70)
+            if modulus is not None:
+                entries = entries.filter(lambda x: Fraction(x).denominator % modulus)
+            b = matrix(data.draw(shaped(entries, a.rows, m)), m, modulus)
+        assert_equals_per_entry_product(a, b)
+
+    @pytest.mark.parametrize("modulus", [None, 37, 65537, 2 ** 61 - 1])
+    def test_group_products(self, modulus):
+        """M1 M2 and M M^-1 of tables with unrelated letter denominators
+        and a letter 0, as the group workload multiplies them."""
+        rng = random.Random(18)
+        for _ in range(6):
+            n = rng.randint(3, 31 if modulus != 37 else 36)
+            r1, r2 = (rng.choice([r for r in range(1, n) if gcd(r, n) == 1]) for _ in "12")
+            a = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            p1 = params(n, 0, a, r1, modulus)
+            p2 = params(n, Fraction(-5, 7), a, r2, modulus)
+            for left, right in ((p1, p2), (p1, group_inverse(p1)), (p2, p1)):
+                assert_equals_per_entry_product(christoffel_matrix(left),
+                                                christoffel_matrix(right))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), modulus=kinds, shape=st.tuples(
+        st.integers(1, 10), st.integers(1, 10), st.integers(0, 6)))
+    def test_equal_consecutive_rows(self, data, modulus, shape):
+        """Rows repeated in runs difference to zero rows, which add nothing."""
+        n, k, m = shape
+        entries = st.integers(-2, 2) | st.integers(-2 ** 66, 2 ** 66)
+        distinct = data.draw(shaped(entries, n, k))
+        runs = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        rows = [row for row, run in zip(distinct, runs) for _ in range(run)]
+        a = matrix(rows, k, modulus)
+        b = matrix(data.draw(shaped(entries, k, m)), m, modulus)
+        assert_equals_per_entry_product(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), modulus=kinds, n=st.integers(1, 9))
+    def test_dense_factors(self, data, modulus, n):
+        entries = st.integers(-10 ** 6, 10 ** 6) | st.integers(-2 ** 70, 2 ** 70)
+        a = matrix(data.draw(shaped(entries, n, n)), n, modulus)
+        b = matrix(data.draw(shaped(entries, n, n)), n, modulus)
+        assert_equals_per_entry_product(a, b)
+
+    @pytest.mark.parametrize("modulus", [None, 2, 65537, 2 ** 61 - 1])
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0),
+                                       (1, 0, 1), (0, 1, 0)])
+    def test_empty_shapes(self, modulus, shape):
+        n, k, m = shape
+        a = matrix([[1 + i + j for j in range(k)] for i in range(n)], k, modulus)
+        b = matrix([[2 - i * j for j in range(m)] for i in range(k)], m, modulus)
+        product = mat_mul(a, b)
+        assert (product.rows, product.cols, product.modulus) == (n, m, modulus)
+        assert product.ints == (0,) * (n * m) and product.den == 1
+        assert_equals_per_entry_product(a, b)
+
+
+class TestChristoffelMatrixForm:
+    """christoffel_matrix builds its canonical form directly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), modulus=st.sampled_from((None, 37, 65537, 2 ** 61 - 1)))
+    def test_equals_matrix_of_its_rows(self, data, modulus):
+        n = data.draw(st.integers(2, 30 if modulus != 37 else 36))
+        r = data.draw(st.integers(1, n - 1).filter(lambda r: gcd(r, n) == 1))
+        usable = rational_letters if modulus is None else rational_letters.filter(
+            lambda x: Fraction(x).denominator % modulus)
+        a = data.draw(usable)
+        b = data.draw(usable.filter(
+            lambda x: x != a if modulus is None else Fraction(x - a).numerator % modulus))
+        m = christoffel_matrix(params(n, a, b, r, modulus))
+        rebuilt = ExactMatrix.from_rows([m.row(i) for i in range(n)], modulus)
+        assert m == rebuilt and hash(m) == hash(rebuilt)
+        assert (m.ints, m.den) == (rebuilt.ints, rebuilt.den)

@@ -34,8 +34,9 @@ from christoffel.errors import (
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
-from christoffel.sturmian import _factor_matrix, _standard_split
+from christoffel.sturmian import _covering, _factor_matrix, _standard_split
 from oracles import (
+    covering_by_walk,
     determinantal_vector_by_identity_block,
     factor_matrix_by_rotation_sort,
     factor_matrix_by_rows,
@@ -67,6 +68,43 @@ class TestChain:
             words = christoffel_chain(SturmianSlope.from_quotients(quotients), 1000)
             assert str(words[0]) == "01"
             assert all(len(a) < len(b) for a, b in zip(words, words[1:]))
+
+
+class TestCovering:
+    """The covering chain item by one ceiling division per quotient, against
+    the walk over every semiconvergent."""
+
+    @settings(max_examples=400)
+    @given(n0=st.integers(0, 6), rest=st.lists(st.integers(1, 9), max_size=8),
+           n=st.integers(0, 400))
+    def test_equals_walk(self, n0, rest, n):
+        slope = SturmianSlope.from_quotients((n0, *rest))
+        try:
+            expected = covering_by_walk(slope, n)
+        except InsufficientCFError as exc:
+            with pytest.raises(InsufficientCFError) as info:
+                _covering(slope, n)
+            assert str(info.value) == str(exc)
+        else:
+            assert _covering(slope, n) == expected
+
+    @pytest.mark.parametrize("quotients, n, end", [
+        ((0,), 0, 0), ((0,), 3, 0), ((2,), 5, 3), ((0, 1), 2, 2), ((0, 3, 2), 400, 9)])
+    def test_prefix_too_short(self, quotients, n, end):
+        with pytest.raises(InsufficientCFError, match=(
+                f"^chain ends at length {end}; extend the continued fraction to cover "
+                f"factor length {n}$")):
+            _covering(SturmianSlope.from_quotients(quotients), n)
+
+    def test_huge_quotient(self):
+        """Block 1 of [0; 10^18, 5] holds the slopes 1/h, of length h + 1,
+        and block 2 the slopes h/(10^18 h + 1)."""
+        big = 10 ** 18
+        slope = SturmianSlope.from_quotients((0, big, 5))
+        assert _covering(slope, 10 ** 12) == (10 ** 12 - 1, SlopeRatio(1, 10 ** 12))
+        assert _covering(slope, big) == (big - 1, SlopeRatio(1, big))
+        assert _covering(slope, big + 1) == (big, SlopeRatio(1, big + 1))
+        assert _covering(slope, 3 * big + 2) == (big + 2, SlopeRatio(3, 3 * big + 1))
 
 
 class TestFactorMatrix:

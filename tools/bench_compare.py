@@ -14,8 +14,10 @@ first when k is even.  ``--trace`` adds one traced pair per workload,
 The result goes to ``BENCH_<NN>_<TAG>.json`` (stdlib only, the schema of
 ``BENCH_10_minors.json``): every run, and per workload the median and
 quartiles of each end-to-end metric on each side, the change's wins and
-ratios on ``tasks_per_s``, and the claim rule.  Runs on a seed other
-than the claimed one are summarized under ``"<workload> (seed <S>)"``.
+ratios on ``tasks_per_s``, the claim rule, and per traced function the
+median over the traced pairs of its calls and self time per call.  Runs
+on a seed other than the claimed one are summarized under
+``"<workload> (seed <S>)"``.
 If the file exists, the new runs are added to it (same base commit) and
 the summary is computed again from all runs.
 """
@@ -158,29 +160,47 @@ def claim_met(summary: dict, claim: dict) -> bool:
             and stats["change"]["median"] - stats["parent"]["median"] > spread)
 
 
-def traced_per_call(runs: list[dict]) -> dict:
-    """Per workload and side, from the first traced pair: calls and self
-    time per call of every traced function that ran, and each layer's self
-    time per task."""
+def _traced_side(run: dict) -> dict:
+    """One traced run: calls and self time per call of every traced
+    function that ran, and each layer's self time per task."""
+    metrics = run["result"]["metrics"]
+    tasks = run["provenance"]["samples"]["traced_tasks"]
+    side: dict = {"traced_tasks": tasks}
+    for name, metric in metrics.items():
+        if name.count(".") == 2 and name.endswith(".calls") and metric["value"]:
+            func = name[:-len(".calls")]
+            calls, self_s = metric["value"], metrics[func + ".self_s"]["value"]
+            side[func] = {"calls": calls, "calls_per_task": calls / tasks,
+                          "self_s": self_s, "self_ms_per_call": self_s * 1e3 / calls}
+    for name, metric in metrics.items():
+        if name.count(".") == 1 and name.endswith(".self_s") and name != "trace.overhead_s":
+            side[name + "_per_task_ms"] = metric["value"] * 1e3 / tasks
+    side["trace.overhead_frac"] = metrics["trace.overhead_frac"]["value"]
+    return side
+
+
+def _median_fields(items: list[dict]) -> dict:
+    """Field by field, the median over the dicts that have the field."""
     out: dict = {}
-    for run in runs:
-        if not run["trace"] or run["pair"] != 0:
-            continue
-        metrics = run["result"]["metrics"]
-        tasks = run["provenance"]["samples"]["traced_tasks"]
-        side: dict = {"traced_tasks": tasks}
-        for name, metric in metrics.items():
-            if name.count(".") == 2 and name.endswith(".calls") and metric["value"]:
-                func = name[:-len(".calls")]
-                calls, self_s = metric["value"], metrics[func + ".self_s"]["value"]
-                side[func] = {"calls": calls, "calls_per_task": calls / tasks,
-                              "self_s": self_s, "self_ms_per_call": self_s * 1e3 / calls}
-        for name, metric in metrics.items():
-            if name.count(".") == 1 and name.endswith(".self_s") and name != "trace.overhead_s":
-                side[name + "_per_task_ms"] = metric["value"] * 1e3 / tasks
-        side["trace.overhead_frac"] = metrics["trace.overhead_frac"]["value"]
-        out.setdefault(run["workload"], {})[run["side"]] = side
+    for key in dict.fromkeys(key for item in items for key in item):
+        values = [item[key] for item in items if key in item]
+        out[key] = (_median_fields(values) if isinstance(values[0], dict)
+                    else statistics.median(values))
     return out
+
+
+def traced_per_call(runs: list[dict]) -> dict:
+    """Per workload and side, the median over all traced pairs of each
+    figure of ``_traced_side``, with the number of traced pairs; a
+    function that ran in only some pairs gets the median over those."""
+    sides: dict = {}
+    for run in runs:
+        if run["trace"]:
+            sides.setdefault(run["workload"], {}).setdefault(run["side"], []).append(
+                _traced_side(run))
+    return {workload: {side: {"traced_pairs": len(items), **_median_fields(items)}
+                       for side, items in by_side.items()}
+            for workload, by_side in sides.items()}
 
 
 def how(runs: list[dict], change: str) -> str:
