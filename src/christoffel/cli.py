@@ -48,7 +48,7 @@ MAX_LINEAR_SIZE = 100_000
 # `fib sign` prints F_m-sized counts, about 0.21 m digits (2,090 here,
 # under Python's 4,300-digit limit for printing an int).
 MAX_FIB_SIGN_INDEX = 10_000
-# `fib gcd-lemma` computes F_{6k+5} (0.3 s).
+# `fib gcd-lemma` computes F_{6k+5} (0.27 s of wall time).
 MAX_GCD_LEMMA_K = 10_000
 # `cf semiconvergents` prints sum(quotients) slopes (0.84 MB for all ones).
 MAX_SEMICONVERGENTS = 2000
@@ -87,14 +87,18 @@ def _elided(message: str) -> str:
 
 
 def _parsed(args, name: str, parse):
-    """parse(value of the argument); a malformed value names the argument
-    as argparse does ("argument --cf: ..."), a domain error passes as is."""
+    """parse(value of the argument); a malformed value, a zero denominator
+    included, names the argument as argparse does ("argument --cf: ..."),
+    a domain error passes as is."""
+    text = getattr(args, name.lstrip("-"))
     try:
-        return parse(getattr(args, name.lstrip("-")))
+        return parse(text)
     except ChristoffelError:
         raise
     except ValueError as exc:
         raise ValueError(f"argument {name}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError(f"argument {name}: zero denominator in {text!r}") from exc
 
 
 def _word_arg(args, cap: int) -> Word:
@@ -146,7 +150,7 @@ def _cmd_word_christoffel(args):
     slope = SlopeRatio(args.ones, args.zeros)
     try:
         alphabet = _parse_letter_list(args.alphabet) if args.alphabet else (0, 1)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         alphabet = ()
     if len(alphabet) != 2:
         raise ValueError(f"--alphabet needs two numeric letters, got {args.alphabet!r}")
@@ -411,11 +415,10 @@ def _cmd_fib_chain(args):
 
 
 def _cmd_fib_detvec(args):
-    from .fibonacci import fib_detvec_prediction
-    from .sturmian import SturmianSlope, determinantal_vector_closed
+    from .fibonacci import _covering_slope, fib_detvec_prediction
+    from .sturmian import determinantal_vector_closed
     prediction = fib_detvec_prediction(_capped(args.len, MAX_LINEAR_SIZE, "--len"))
-    slope = SturmianSlope.from_quotients((0,) + (1,) * max(prediction.nu + 4, 8))
-    closed = determinantal_vector_closed(slope, args.len)
+    closed = determinantal_vector_closed(_covering_slope(args.len), args.len)
     return ({"len": args.len},
             {"nu": prediction.nu, "i": prediction.i,
              "composition": list(prediction.composition),

@@ -73,6 +73,14 @@ class FibPrediction(Frozen):
         object.__setattr__(self, "values", values)
 
 
+def _covering_slope(n: int) -> SturmianSlope:
+    """The Fibonacci slope [0; 1, 1, ...] with enough quotients for the
+    chain to cover factor length n: F_{2m+2} >= 2^m, so 2 * bit_length(n)
+    + 4 chain words do."""
+    from .sturmian import SturmianSlope
+    return SturmianSlope.from_quotients((0,) + (1,) * (2 * n.bit_length() + 4))
+
+
 def fib_detvec_prediction(n: int) -> FibPrediction:
     """Shape of the n-th Fibonacci determinantal vector, for every n >= 0.
 
@@ -80,10 +88,8 @@ def fib_detvec_prediction(n: int) -> FibPrediction:
     chain index with F_{nu+3} > n and i = F_{nu+3} - 1 - n.  The values
     are the distinct absolute values of the letters that occur.
     """
-    from .sturmian import SturmianSlope, _vector_shape
-    # F_{2m+2} >= 2^m, so 2 * bit_length(n) + 4 chain words cover length n.
-    slope = SturmianSlope.from_quotients((0,) + (1,) * (2 * n.bit_length() + 4))
-    nu, _, i, composition, alphabet = _vector_shape(slope, n)
+    from .sturmian import _vector_shape
+    nu, _, i, composition, alphabet = _vector_shape(_covering_slope(n), n)
     values = tuple(sorted({abs(x) for x, part in zip(alphabet, composition) if part}))
     return FibPrediction(n, nu, i, composition, alphabet, values)
 
@@ -125,7 +131,12 @@ def gcd_lemma_check(k: int) -> tuple[bool, bool, bool | None]:
     """
     if k < 0:
         raise OutOfRangeError("k must be >= 0")
-    a = gcd(fib(6 * k + 1) - 1, fib(6 * k + 3)) == 2
-    b = gcd(fib(6 * k + 3) - 1, fib(6 * k + 5)) == 1
-    c = gcd(fib(6 * k - 1) - 1, fib(6 * k + 1)) == 1 if k >= 1 else None
+    # F_{6k-1+j} for j = 0..6: two walks, then one addition each.
+    f = [fib(6 * k - 1), fib(6 * k)]
+    for _ in range(5):
+        f.append(f[-2] + f[-1])
+    f_minus1, _, f1, _, f3, _, f5 = f
+    a = gcd(f1 - 1, f3) == 2
+    b = gcd(f3 - 1, f5) == 1
+    c = gcd(f_minus1 - 1, f1) == 1 if k >= 1 else None
     return a, b, c

@@ -273,23 +273,6 @@ def merge_position_sum(n: int, step: int, count: int) -> int:
     return step * i * (i + 1) // 2 - n * s0 - i * (i - 1) // 2 + 3 * s1 - (2 * i + 1) * s0
 
 
-def last_merge_position(n: int, step: int, count: int) -> int:
-    """merge_positions(n, step, count)[-1] in O(log n), for gcd(step, n) = 1.
-
-    With c = count*step mod n, floor((x step + n - c) / n) - floor(x step / n)
-    is 1 exactly when the mark of x lies at or above c, so two floor sums
-    over x < count count the earlier marks above c; d = (count - 1) minus
-    that, and the position is c - d.
-    """
-    _check_marks(n, step, count)
-    if count == 0:
-        raise OutOfRangeError("no merge position for count 0")
-    step %= n
-    mark = count * step % n
-    above = _floor_sums(step, n - mark, n, count - 1)[0] - _floor_sums(step, 0, n, count - 1)[0]
-    return mark - (count - 1 - above)
-
-
 def enumerate_pc_words(length: int, num_letters: int,
                        alphabet: Sequence[Letter] | None = None) -> list[Word]:
     """All perfectly clustering Lyndon words of the given length.

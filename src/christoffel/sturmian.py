@@ -36,13 +36,7 @@ from .errors import (
     NotPerfectlyClusteringError,
     OutOfRangeError,
 )
-from .iet import (
-    _encode,
-    _images,
-    last_merge_position,
-    merge_position_sum,
-    merge_positions,
-)
+from .iet import _encode, _images, merge_position_sum, merge_positions
 from .numeric import determinantal_vector
 from .permsign import zolotareff
 from .words import (
@@ -219,15 +213,20 @@ def _vector_shape(slope: SturmianSlope, n: int):
     return nu, s, i, (big_n - len1 - i, i, len1 - i), (-m1, m2 - m1, m2)
 
 
+def _global_sign(s: SlopeRatio, i: int) -> tuple[int, int, int]:
+    """(eps (-1)^t, eps, t): the global sign of V_n and its two factors,
+    eps the sign of x -> r x on Z/NZ and t = sum_{1<=j<=i} (N - j - h_j)
+    with h_j the merge positions."""
+    big_n = s.length
+    epsilon = zolotareff(s.ones, big_n)
+    t = i * big_n - i * (i + 1) // 2 - merge_position_sum(big_n, s.zeros, i)
+    return (epsilon if t % 2 == 0 else -epsilon), epsilon, t
+
+
 def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVector:
     """V_n in closed form, exact global sign included."""
     nu, s, i, parts, (lo, mid, hi) = _vector_shape(slope, n)
-    big_n = s.length
-
-    epsilon = zolotareff(s.ones, big_n)
-    # t = sum_{1<=j<=i} (N - j - h_j) with h_j the merge positions.
-    t = i * big_n - i * (i + 1) // 2 - merge_position_sum(big_n, s.zeros, i)
-    sign = epsilon * (1 if t % 2 == 0 else -1)
+    sign, epsilon, t = _global_sign(s, i)
 
     components = tuple(_encode(parts, _images(parts), (sign * lo, sign * mid, sign * hi)))
 
@@ -237,7 +236,7 @@ def determinantal_vector_closed(slope: SturmianSlope, n: int) -> DeterminantalVe
     else:
         ctx_comp = parts
         ctx_alphabet = (lo, mid, hi)
-    context = DetContext(nu=nu, word_length=big_n, i=i, epsilon=epsilon, t=t,
+    context = DetContext(nu=nu, word_length=s.length, i=i, epsilon=epsilon, t=t,
                          composition=ctx_comp, alphabet=ctx_alphabet)
     return DeterminantalVector(components, context)
 
@@ -290,16 +289,17 @@ def vector_merge_step(v: DeterminantalVector) -> DeterminantalVector:
 def special_factor_determinant(slope: SturmianSlope, n: int) -> int:
     """Determinant of the n factors of length n without the right-special one.
 
-    Defined in the three-letter range (i >= 1); the value is plus or
-    minus the middle alphabet letter |w''|_1 - |w'|_1, and is returned
-    with the sign of its component in V_n.  The right-special factor u is
-    the single one that extends by both letters: the last merge step
-    G_{n+1} -> G_n folds the rows u1 and u0, at h_i - 1 and h_i, into
-    row h_i - 1 of G_n.
+    Defined in the three-letter range (i >= 1).  The right-special factor
+    u is the single one that extends by both letters: the last merge step
+    G_{n+1} -> G_n folds the rows u1 and u0, at h_i - 1 and h_i, into row
+    h_i - 1 of G_n, and the minor without that row is the component of
+    V_n there.  The fold adds the components of V_{n+1} at those rows,
+    the end letters -|w'|_1 and |w''|_1 up to its sign, so the last
+    merge puts the middle letter |w''|_1 - |w'|_1 at row h_i - 1.  The
+    value is that letter times the global sign of V_n: no vector is
+    encoded and no merge row computed.
     """
-    vector = determinantal_vector_closed(slope, n)
-    i = vector.context.i
+    _, s, i, _, (_, mid, _) = _vector_shape(slope, n)
     if i == 0:
         raise OutOfRangeError(f"factor length {n} has a two-letter vector; no middle value")
-    s = _covering(slope, n)[1]
-    return vector.components[last_merge_position(s.length, s.zeros, i) - 1]
+    return _global_sign(s, i)[0] * mid

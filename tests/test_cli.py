@@ -31,7 +31,7 @@ class TestWordCommands:
                            "--upper")
         assert code == 0 and out.strip() == "1001000"
 
-    @pytest.mark.parametrize("alphabet", ["1,2,3", "a,b"])
+    @pytest.mark.parametrize("alphabet", ["1,2,3", "a,b", "1/0,1"])
     def test_christoffel_bad_alphabet_is_usage_error(self, capsys, alphabet):
         code, out, err = run(capsys, "word", "christoffel", "--ones", "3", "--zeros", "4",
                              "--alphabet", alphabet)
@@ -314,6 +314,10 @@ MALFORMED = [
     (["iet", "encode", "--composition", "1,2", "--alphabet", "1,x"], "--alphabet"),
     (["matrix", "mul", "--n", "3", "--a", "0", "--b", "1", "--r", "1",
       "--a2", "0", "--b2", "y", "--r2", "1"], "--b2"),
+    # A zero denominator is a malformed number, not a division by zero.
+    (["matrix", "christoffel", "--n", "3", "--a", "1/0", "--b", "1", "--r", "1"], "--a"),
+    (["word", "pc-check", "1/0,1"], "word"),
+    (["iet", "encode", "--composition", "1,2", "--alphabet", "1/0,1"], "--alphabet"),
 ]
 
 

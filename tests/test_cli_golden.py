@@ -345,12 +345,12 @@ EXPECTED = {
                  ''],
     },
     'matrix-christoffel-division-by-zero': {
-        'text': [1,
+        'text': [2,
                  '',
-                 'error [DivisionByZero]: Fraction(1, 0)\n'],
-        'json': [1,
+                 "error [usage]: argument --a: zero denominator in '1/0'\n"],
+        'json': [2,
                  '',
-                 'error [DivisionByZero]: Fraction(1, 0)\n'],
+                 "error [usage]: argument --a: zero denominator in '1/0'\n"],
     },
     'matrix-christoffel-fractions': {
         'text': [0,

@@ -34,7 +34,7 @@ from christoffel.errors import (
     RestrictionOutOfRangeError,
     SizeLimitError,
 )
-from christoffel.iet import last_merge_position, merge_position_sum, merge_positions
+from christoffel.iet import merge_position_sum, merge_positions
 from oracles import (
     encoding_by_interval_index,
     merge_positions_by_scan,
@@ -348,10 +348,7 @@ class TestMergePositions:
 
     @given(case=coprime_steps(10_000))
     def test_floor_sums_equal_fenwick_rows(self, case):
-        rows = merge_positions(*case)
-        assert merge_position_sum(*case) == sum(rows)
-        if rows:
-            assert last_merge_position(*case) == rows[-1]
+        assert merge_position_sum(*case) == sum(merge_positions(*case))
 
     def test_floor_sums_every_count_small_moduli(self):
         """Rows do not depend on the count, so one list of n - 1 rows per
@@ -366,9 +363,8 @@ class TestMergePositions:
                 for count, row in enumerate(rows, 1):
                     total += row
                     assert merge_position_sum(n, step, count) == total, (n, step, count)
-                    assert last_merge_position(n, step, count) == row, (n, step, count)
 
-    @pytest.mark.parametrize("func", [merge_position_sum, last_merge_position])
+    @pytest.mark.parametrize("func", [merge_position_sum])
     def test_floor_sums_reject_bad_arguments(self, func):
         with pytest.raises(NotCoprimeError):
             func(12, 4, 3)
@@ -388,11 +384,6 @@ class TestMergePositions:
         for count in (-1, 12):
             with pytest.raises(OutOfRangeError):
                 merge_positions(12, 5, count)
-        assert merge_positions(12, 5, 11)[-1] == last_merge_position(12, 5, 11)
-
-    def test_last_merge_position_needs_a_step(self):
-        with pytest.raises(OutOfRangeError):
-            last_merge_position(12, 5, 0)
 
 
 class TestEnumeration:

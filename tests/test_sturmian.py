@@ -34,6 +34,8 @@ from christoffel.errors import (
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
+from christoffel.iet import merge_positions
+from christoffel import sturmian
 from christoffel.sturmian import _covering, _factor_matrix, _standard_split
 from oracles import (
     covering_by_walk,
@@ -467,6 +469,37 @@ class TestSpecialFactor:
             value = special_factor_determinant(slope, n)
             oracle = determinantal_vector_oracle(factor_matrix(slope, n))
             assert value in oracle.components
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(),
+           quotients=st.lists(st.integers(1, 4), min_size=2, max_size=14))
+    def test_is_component_at_last_merge_row(self, data, quotients):
+        """The component of the closed-form V_n at row h_i - 1, with h_i the
+        last Fenwick merge row of the covering chain word."""
+        slope = SturmianSlope.from_quotients([0] + quotients)
+        top = christoffel_length(slope.cf)
+        assume(top >= 3)
+        n = data.draw(st.integers(1, min(2000, top - 2)))
+        s = _covering(slope, n)[1]
+        i = s.length - 1 - n
+        assume(i >= 1)
+        h = merge_positions(s.length, s.zeros, i)[-1]
+        assert special_factor_determinant(slope, n) == \
+            determinantal_vector_closed(slope, n).components[h - 1]
+
+    def test_encodes_no_vector(self, monkeypatch):
+        """The value comes from the shape and the sign of V_n alone."""
+        cases = [(slope, n) for slope in (ORDER11, FIB, SQRT2ISH)
+                 for n in range(christoffel_length(slope.cf) - 1)
+                 if determinantal_vector_closed(slope, n).context.i >= 1]
+        expected = [special_factor_determinant(slope, n) for slope, n in cases]
+
+        def forbidden(*args):
+            raise AssertionError("special_factor_determinant built a vector or merge row")
+
+        for name in ("_encode", "determinantal_vector_closed", "merge_positions"):
+            monkeypatch.setattr(sturmian, name, forbidden)
+        assert [special_factor_determinant(slope, n) for slope, n in cases] == expected
 
 
 def test_factor_rows_strictly_decreasing():
