@@ -33,8 +33,9 @@ from .errors import ChristoffelError, NotChristoffelError, SizeLimitError
 # The costs quoted are single runs on 2 vCPUs at the cap.
 # A matrix command builds n^2 entries (`det` then eliminates the
 # differenced table with about n row updates, 0.14 s of wall time as a
-# median of 5), and so does the exact-minor oracle of `sturmian detvec`
-# (0.14 s, likewise).
+# median of 5), and so does the exact-minor oracle of `sturmian detvec`,
+# which then reads the minors off the n row differences of G_n with no
+# elimination (0.10 s, likewise).
 MAX_MATRIX_ORDER = 256
 # `fib chain` words grow about 1.6x per word (5.7 MB of output).
 MAX_FIB_CHAIN_COUNT = 30
@@ -48,7 +49,8 @@ MAX_LINEAR_SIZE = 100_000
 # `fib sign` prints F_m-sized counts, about 0.21 m digits (2,090 here,
 # under Python's 4,300-digit limit for printing an int).
 MAX_FIB_SIGN_INDEX = 10_000
-# `fib gcd-lemma` computes F_{6k+5} (0.27 s of wall time).
+# `fib gcd-lemma` computes F_{6k+5} from one walk of the recurrence
+# (0.15 s of wall time as a median of 5).
 MAX_GCD_LEMMA_K = 10_000
 # `cf semiconvergents` prints sum(quotients) slopes (0.84 MB for all ones).
 MAX_SEMICONVERGENTS = 2000
@@ -148,10 +150,7 @@ def _cmd_word_christoffel(args):
     from .words import SlopeRatio, _parse_letter_list, lower_christoffel, upper_christoffel
     _capped(args.ones + args.zeros, MAX_LINEAR_SIZE, "--ones + --zeros")
     slope = SlopeRatio(args.ones, args.zeros)
-    try:
-        alphabet = _parse_letter_list(args.alphabet) if args.alphabet else (0, 1)
-    except (ValueError, ZeroDivisionError):
-        alphabet = ()
+    alphabet = _parsed(args, "--alphabet", _parse_letter_list) if args.alphabet else (0, 1)
     if len(alphabet) != 2:
         raise ValueError(f"--alphabet needs two numeric letters, got {args.alphabet!r}")
     w = (upper_christoffel if args.upper else lower_christoffel)(slope, alphabet)

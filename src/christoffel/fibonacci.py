@@ -17,16 +17,21 @@ from ._frozen import Frozen
 from .errors import IndexTooSmallError, OutOfRangeError
 
 
+def _fib_pair(m: int) -> tuple[int, int]:
+    """(F_{m-1}, F_m) for m >= 0, from one walk of the recurrence."""
+    a, b = 1, 0  # F_{-1}, F_0
+    for _ in range(m):
+        a, b = b, a + b
+    return a, b
+
+
 def fib(m: int) -> int:
     """Fibonacci number with F_1 = F_2 = 1; F_0 = 0 and F_{-1} = 1 admitted."""
     if m < -1:
         raise OutOfRangeError(f"F_{m} not supported")
     if m == -1:
         return 1
-    a, b = 1, 0  # F_{-1}, F_0
-    for _ in range(m):
-        a, b = b, a + b
-    return b
+    return _fib_pair(m)[1]
 
 
 def lucas(m: int) -> int:
@@ -131,8 +136,8 @@ def gcd_lemma_check(k: int) -> tuple[bool, bool, bool | None]:
     """
     if k < 0:
         raise OutOfRangeError("k must be >= 0")
-    # F_{6k-1+j} for j = 0..6: two walks, then one addition each.
-    f = [fib(6 * k - 1), fib(6 * k)]
+    # F_{6k-1+j} for j = 0..6: one walk, then one addition each.
+    f = [*_fib_pair(6 * k)]
     for _ in range(5):
         f.append(f[-2] + f[-1])
     f_minus1, _, f1, _, f3, _, f5 = f

@@ -18,26 +18,35 @@ earlier removals below the current one.  The factorization needs no
 word: |w'| = r^(-1) mod N and |w'|_1 = (|w'| r - 1)/N, and t needs only
 the sum of the merge positions, which floor sums give in O(log N), so
 the closed form costs O(n + log N).  Successive vectors merge at the
-palindromic factorization, up to a global sign.
+palindromic factorization, up to a global sign.  The exact minors need
+no elimination either: the row differences of G_n are the edges of a
+path, and the minors follow from their order and the last row (see
+``determinantal_vector_oracle``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import accumulate, compress, count, islice, takewhile
+from operator import ne, sub
 from typing import Sequence
 
 from ._frozen import Frozen
 from .contfrac import ContinuedFraction, semiconvergents
 from .errors import (
     AmbiguousSplitError,
+    DimensionMismatchError,
     InsufficientCFError,
     NoPalindromicSplitError,
+    NotChristoffelError,
     NotPerfectlyClusteringError,
     OutOfRangeError,
 )
 from .iet import _encode, _images, merge_position_sum, merge_positions
-from .numeric import determinantal_vector
+# The generic kernel is not used here; the name stays so that
+# ``sturmian.determinantal_vector`` resolves, as the benchmark's tracer
+# (perfbench/tracer.py LAYERS) looks it up in this module.
+from .numeric import determinantal_vector  # noqa: F401
 from .permsign import zolotareff
 from .words import (
     SlopeRatio,
@@ -185,8 +194,53 @@ class DeterminantalVector:
 
 
 def determinantal_vector_oracle(matrix: FactorMatrix) -> DeterminantalVector:
-    """V_n as the signed maximal minors of G_n, by one exact elimination."""
-    return DeterminantalVector(determinantal_vector(matrix.int_rows()))
+    """V_n as the signed maximal minors of G_n, read off its row differences.
+
+    Consecutive rows of G_n differ by one adjacent exchange "10" -> "01"
+    or a final 1 -> 0, so the n differences d_i = g_i - g_{i+1} are the n
+    edges e_j - e_{j+1} (j < n - 1) and e_{n-1} of a path, each once, in
+    some order pi: d_i is edge pi(i).  With D = T G as in
+    ``numeric.determinantal_vector`` (det T = 1, V_0 = U_0 and
+    V_j = U_j - U_{j-1}), U_n = det(d_0, ..., d_{n-1}) = sign(pi), since
+    the edges in their own order form a unit upper bidiagonal matrix.
+    The kernel equation sum_i U_i d_i = -U_n g_n then telescopes along
+    the path: U_i = -U_n (g_n[0] + ... + g_n[pi(i)]).  So no elimination
+    runs: one lazy scan per row pair finds its first differing column,
+    one cycle walk gives sign(pi), and one prefix sum the rest, O(n)
+    Python-level steps.  A row pair that is not such an exchange, or
+    that repeats one, is not part of a G_n and raises
+    NotChristoffelError; rows of the wrong shape raise
+    DimensionMismatchError.
+    """
+    rows = [r.letters for r in matrix.rows]
+    k = len(rows) - 1
+    if k < 0 or any(len(r) != k for r in rows):
+        raise DimensionMismatchError("need a (k+1) x k matrix")
+    edges: list[int] = []  # edges[i] = pi(i)
+    pair_of = [-1] * k  # pair_of[j] = pi^(-1)(j), later the cycle walk's unvisited marks
+    for i, (a, b) in enumerate(zip(rows, rows[1:])):
+        j = next(compress(count(), map(ne, a, b)), k)
+        if (j == k or a[j] - b[j] != 1
+                or j + 1 < k and (a[j + 1] - b[j + 1] != -1 or a[j + 2:] != b[j + 2:])):
+            raise NotChristoffelError(
+                f"rows {i} and {i + 1} do not differ by one exchange \"10\" -> \"01\" "
+                f"or a final 1 -> 0; not a factor matrix G_{k}")
+        if pair_of[j] >= 0:
+            raise NotChristoffelError(
+                f"rows {i} and {i + 1} repeat the exchange at column {j} of rows "
+                f"{pair_of[j]} and {pair_of[j] + 1}; not a factor matrix G_{k}")
+        pair_of[j] = i
+        edges.append(j)
+    sign = 1
+    for start, j in enumerate(edges):
+        if pair_of[start] >= 0:
+            pair_of[start] = -1
+            while j != start:
+                pair_of[j], j, sign = -1, edges[j], -sign
+    prefix = [*accumulate(rows[k])]
+    u = [-sign * prefix[j] for j in edges]
+    u.append(sign)
+    return DeterminantalVector((u[0], *map(sub, u[1:], u)))
 
 
 def _standard_split(s: SlopeRatio) -> tuple[int, int]:

@@ -38,6 +38,8 @@ class TestWordCommands:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error [usage]: ")
         assert "--alphabet" in err
+        if alphabet == "1/0,1":
+            assert err == "error [usage]: argument --alphabet: zero denominator in '1/0,1'\n"
 
     def test_factorize(self, capsys):
         code, out, _ = run(capsys, "word", "factorize", "01101110111")

@@ -19,6 +19,7 @@ from christoffel import (
     zolotareff,
 )
 from christoffel.errors import IndexTooSmallError, OutOfRangeError
+from christoffel import fibonacci
 from christoffel.fibonacci import FibPrediction
 import oracles
 
@@ -158,6 +159,22 @@ class TestGcdLemma:
             a, b, c = gcd_lemma_check(k)
             assert a and b
             assert c is None if k == 0 else c
+
+    def test_one_walk_of_the_recurrence(self, monkeypatch):
+        """F_{6k-1} and F_{6k} come from one walk, not one walk each."""
+        assert [fibonacci._fib_pair(m) for m in range(40)] \
+            == [(fib(m - 1), fib(m)) for m in range(40)]
+        walks, pair = [], fibonacci._fib_pair
+
+        def counted(m):
+            walks.append(m)
+            return pair(m)
+
+        monkeypatch.setattr(fibonacci, "_fib_pair", counted)
+        for k in (0, 1, 7):
+            walks.clear()
+            assert gcd_lemma_check(k) == (True, True, None if k == 0 else True)
+            assert walks == [6 * k]
 
 
 class TestBoundaryDeterminants:

@@ -30,13 +30,14 @@ from christoffel import (
 from christoffel.errors import (
     DimensionMismatchError,
     InsufficientCFError,
+    NotChristoffelError,
     NotPerfectlyClusteringError,
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
 from christoffel.iet import merge_positions
-from christoffel import sturmian
-from christoffel.sturmian import _covering, _factor_matrix, _standard_split
+from christoffel import numeric, sturmian
+from christoffel.sturmian import FactorMatrix, _covering, _factor_matrix, _standard_split
 from oracles import (
     covering_by_walk,
     determinantal_vector_by_identity_block,
@@ -45,6 +46,7 @@ from oracles import (
     g_chain_by_rotation_sort,
     special_factor_determinant_by_elimination,
 )
+from test_values import FACTORS
 
 FIB = SturmianSlope.from_quotients((0, 1, 1, 1, 1, 1, 1, 1))
 ORDER11 = SturmianSlope.from_quotients((2, 1, 2))
@@ -204,8 +206,9 @@ class TestOracle:
     def test_equals_identity_block_on_every_small_slope(self):
         """Elimination of G^T equals elimination of [G | I] on every distinct
         factor matrix of every slope with both letters and N <= 34, every
-        n < N.  (To N <= 80 the same sweep covers 26,398 matrices in about
-        nine minutes; the hypothesis test below samples that range.)"""
+        n < N, and the path-minor oracle and the closed form equal both.
+        (To N <= 80 the same sweep covers 26,398 matrices in about nine
+        minutes; the hypothesis test below samples that range.)"""
         seen = set()
         for big_n in range(2, 35):
             for r in range(1, big_n):
@@ -216,8 +219,11 @@ class TestOracle:
                         if m not in seen:
                             seen.add(m)
                             rows = m.int_rows()
-                            assert determinantal_vector(rows) \
+                            expected = determinantal_vector(rows)
+                            assert expected \
                                 == determinantal_vector_by_identity_block(rows), (r, big_n, n)
+                            assert determinantal_vector_oracle(m).components == expected \
+                                == determinantal_vector_closed(slope, n).components, (r, big_n, n)
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -225,8 +231,78 @@ class TestOracle:
         big_n = data.draw(st.integers(2, 80))
         r = data.draw(st.integers(1, big_n - 1).filter(lambda r: gcd(r, big_n) == 1))
         n = data.draw(st.integers(0, big_n - 1))
-        rows = factor_matrix(_slope_of(big_n, r), n).int_rows()
-        assert determinantal_vector(rows) == determinantal_vector_by_identity_block(rows)
+        m = factor_matrix(_slope_of(big_n, r), n)
+        rows = m.int_rows()
+        expected = determinantal_vector(rows)
+        assert expected == determinantal_vector_by_identity_block(rows)
+        assert determinantal_vector_oracle(m).components == expected
+
+    @pytest.mark.parametrize("m", [
+        FactorMatrix(0, (Word(()),), (0,)),
+        FactorMatrix(1, (Word((1,)), Word((0,))), (0, 1)),
+        FACTORS,
+    ], ids=["n=0", "n=1", "test_values.FACTORS"])
+    def test_path_minors_on_small_matrices(self, m):
+        assert determinantal_vector_oracle(m).components \
+            == determinantal_vector(m.int_rows())
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_path_minors_on_every_edge_order(self, data):
+        """Any order of the path edges and any integer last row: the rows
+        need not be factors of a Sturmian word for the minors to follow."""
+        k = data.draw(st.integers(1, 12))
+        order = data.draw(st.permutations(range(k)))
+        last = data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+        rows = [last]
+        for j in reversed(order):
+            row = list(rows[0])
+            row[j] += 1
+            if j + 1 < k:
+                row[j + 1] -= 1
+            rows.insert(0, row)
+        m = FactorMatrix(k, tuple(map(Word, rows)), tuple(range(k + 1)))
+        assert determinantal_vector_oracle(m).components == determinantal_vector(rows)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["10", "10", "00"], "rows 0 and 1 do not differ"),
+        (["110", "101", "100", "001"], "rows 2 and 3 do not differ"),
+        (["110", "010", "001", "000"], "rows 0 and 1 do not differ"),
+        (["101", "010", "001", "000"], "rows 0 and 1 do not differ"),
+        (["01", "10", "00"], "rows 0 and 1 do not differ"),
+        (["11", "10", "11"], "rows 1 and 2 do not differ"),
+        (["1100", "1010", "0110", "0101", "0011"],
+         "rows 3 and 4 repeat the exchange at column 1 of rows 0 and 1"),
+    ], ids=["equal-rows", "non-adjacent-columns", "inner-column-alone", "tail-differs",
+            "wrong-direction", "final-letter-raised", "repeated-edge"])
+    def test_malformed_matrix_rejected(self, rows, message):
+        words = tuple(map(Word.parse, rows))
+        m = FactorMatrix(len(rows) - 1, words, tuple(range(len(rows))))
+        with pytest.raises(NotChristoffelError, match=message):
+            determinantal_vector_oracle(m)
+
+    @pytest.mark.parametrize("rows", [["10", "01"], ["10", "01", "00", "00"],
+                                      ["10", "1", "00"], []],
+                             ids=["too-few", "too-many", "short-row", "empty"])
+    def test_wrong_shape_rejected(self, rows):
+        words = tuple(map(Word.parse, rows))
+        with pytest.raises(DimensionMismatchError):
+            determinantal_vector_oracle(FactorMatrix(2, words, tuple(range(len(rows)))))
+
+    def test_runs_no_elimination(self, monkeypatch):
+        """The oracle reads the minors off the row differences: neither the
+        Bareiss routine nor the generic kernel runs."""
+        cases = [factor_matrix(slope, n) for slope in (ORDER11, FIB, SQRT2ISH)
+                 for n in range(christoffel_length(slope.cf) - 1)]
+        expected = [determinantal_vector_oracle(m) for m in cases]
+
+        def forbidden(*args):
+            raise AssertionError("the oracle ran an elimination")
+
+        monkeypatch.setattr(numeric, "_eliminate", forbidden)
+        monkeypatch.setattr(numeric, "determinantal_vector", forbidden)
+        monkeypatch.setattr(sturmian, "determinantal_vector", forbidden)
+        assert [determinantal_vector_oracle(m) for m in cases] == expected
 
     def test_merge_lemma_on_random_matrices(self):
         """If rows h-1, h agree except trailing 1, 0 then the minor vectors
