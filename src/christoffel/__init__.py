@@ -23,13 +23,12 @@ _EXPORTS = {
     "iet": ("Composition", "IetPermutation", "build_sigma", "cycle_encodings",
             "cyclic_restriction", "enumerate_pc_words", "is_circular", "pak_redlich_circular",
             "restriction_word_chain", "standard_encoding", "two_interval_circular"),
-    "numeric": ("ExactMatrix", "FieldScalar", "det_exact", "det_int", "determinantal_vector",
-                "mat_mul"),
+    "numeric": ("ExactMatrix", "FieldScalar", "det_exact", "det_int", "mat_mul"),
     "permsign": ("Permutation", "cycle_type_string", "jacobi", "zolotareff"),
     "sturmian": ("DeterminantalVector", "FactorMatrix", "SturmianSlope", "christoffel_chain",
-                 "determinantal_vector_closed", "determinantal_vector_oracle",
-                 "factor_matrix", "g_chain", "special_factor_determinant",
-                 "vector_merge_step"),
+                 "determinantal_vector", "determinantal_vector_closed",
+                 "determinantal_vector_oracle", "factor_matrix", "g_chain",
+                 "special_factor_determinant", "vector_merge_step"),
     "words": ("SlopeRatio", "Word", "bw_rows", "christoffel_bw_row", "circular_factors",
               "conjugates", "is_christoffel", "is_lyndon", "is_palindrome",
               "is_perfectly_clustering", "is_primitive", "lower_christoffel", "lyndon_words",

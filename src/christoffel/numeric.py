@@ -10,13 +10,12 @@ only where entries are read.
 Every exact kernel first replaces the rows g_0..g_k of its (left)
 matrix by their differences D = [g_0 - g_1, ..., g_{k-1} - g_k, g_k] =
 T G, T upper bidiagonal with 1 on the diagonal and -1 above it.  As
-det T = 1, det D = det G, and the signed maximal minors of G are T^T
-times those of D.  Consecutive rows of a Christoffel (Burrows-Wheeler)
-table differ by one adjacent exchange of the two letters (Borel and
-Reutenauer, "On Christoffel classes", 2006), and so do the rows of the
-factor matrix G_n; there D, each row divided by its content, has at
-most two entries +-1 in every row but the last.  The results are exact
-for every input; the structure only makes them cheap.
+det T = 1, det D = det G.  Consecutive rows of a Christoffel
+(Burrows-Wheeler) table differ by one adjacent exchange of the two
+letters (Borel and Reutenauer, "On Christoffel classes", 2006); there
+D, each row divided by its content, has at most two entries +-1 in
+every row but the last.  The results are exact for every input; the
+structure only makes them cheap.
 
 The product a b is one integer product: b's rows are packed one per
 big integer, and row i of the product, P_i = P_{i+1} + (a_i - a_{i+1}) b,
@@ -29,9 +28,7 @@ The eliminations do about one row update per column there instead of
 one per row below the pivot.  The determinant over Q is the
 fraction-free (Bareiss) one of the differenced stored ints; over GF(p)
 it is Gaussian elimination of the differences with every entry reduced
-mod p.  The signed maximal minors of a (k+1) x k integer matrix come
-from the same Bareiss routine run on the transpose of D, then one exact
-back-substitution and the map back through T^T.
+mod p.
 """
 
 from __future__ import annotations
@@ -433,53 +430,40 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._trusted(n, m, p, tuple([x % p for x in ints]))
 
 
-def _eliminate(m: list[list[int]]) -> tuple[int, list[int]]:
-    """Fraction-free (Bareiss) echelon form of the integer matrix m, in
-    place, with row swaps and row negations; every division is exact.
+def _eliminate(m: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination of the square integer matrix m,
+    in place, with row swaps and row negations; every division is exact.
 
-    The columns are scanned left to right, column c at row r, the number
-    of pivots found so far.  A column with no nonzero entry at or below
-    row r is free: it gets no pivot and the scan goes on with the next
-    column.  A negative pivot's row is negated, so every pivot is
-    positive.  After a run of pivots 1, as on the 0/+-1 rows of a
-    differenced Christoffel table, the next pivot 1 equals the divisor
-    and the rows with 0 in its column are left as they are.  Afterwards
-    entry (i, j) of row i, j right of its pivot, is the minor of the
-    row-swapped and row-negated matrix on rows 0..i and on the pivot
-    columns of rows 0..i-1 plus column j; so the pivot of the last row
-    is the determinant of the pivot columns.  A matrix with independent
-    rows has exactly cols - rows free columns.  Returns the sign of the
-    swaps and negations (each flips it) and the pivot columns, or sign 0
-    once a further column is free (the rows are then dependent).
+    Column c gets its pivot at row c.  A negative pivot's row is negated,
+    so every pivot is positive.  After a run of pivots 1, as on the 0/+-1
+    rows of a differenced Christoffel table, the next pivot 1 equals the
+    divisor and the rows with 0 in its column are left as they are.
+    Afterwards the last entry of the last row is the determinant of the
+    row-swapped and row-negated matrix.  Returns the sign of the swaps and
+    negations (each flips it), or 0 once a column has no nonzero entry at
+    or below its row (m is then singular).
     """
-    rows, cols = len(m), len(m[0])
-    sign, prev, r, spare, pivots = 1, 1, 0, cols - rows, []
-    for c in range(cols):
-        if r == rows:
-            break
-        if m[r][c] == 0:
-            swap = next((i for i in range(r + 1, rows) if m[i][c]), None)
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n):
+        if m[c][c] == 0:
+            swap = next((i for i in range(c + 1, n) if m[i][c]), None)
             if swap is None:
-                spare -= 1
-                if spare < 0:
-                    return 0, pivots
-                continue
-            m[r], m[swap] = m[swap], m[r]
+                return 0
+            m[c], m[swap] = m[swap], m[c]
             sign = -sign
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
+        if m[c][c] < 0:
+            m[c] = [-x for x in m[c]]
             sign = -sign
-        pivot, tail = m[r][c], m[r][c + 1:]
-        below = m[r + 1:]
+        pivot, tail = m[c][c], m[c][c + 1:]
+        below = m[c + 1:]
         # A row with 0 in the pivot column is only scaled by pivot / prev,
         # so it is left out when they are equal.
         for row in below if pivot != prev else [row for row in below if row[c]]:
             f = row[c]
             row[c + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1:], tail)]
         prev = pivot
-        pivots.append(c)
-        r += 1
-    return sign, pivots
+    return sign
 
 
 def _differenced(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -512,45 +496,7 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
         if g > 1:
             m[i] = [x // g for x in row]
             content *= g
-    return content * _eliminate(m)[0] * m[-1][-1]
-
-
-def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Signed maximal minors of a (k+1) x k integer matrix G.
-
-    Component j is (-1)^(k-j) times the determinant of G without row j,
-    so det([G | x]) = V . x for every column x, and V spans the kernel
-    of G^T.  V comes from the differenced matrix D = T G (see
-    ``_differenced``): det([T G | x]) = det([G | T^-1 x]) as det T = 1,
-    so the vector U of D satisfies V = T^T U, that is V_0 = U_0 and
-    V_j = U_j - U_{j-1}.  A = D^T is built in one pass over the columns
-    of G, each differenced as it is read, and one elimination of the
-    k x (k+1) matrix A gives its echelon form.  With dependent rows
-    every minor vanishes.  Otherwise exactly one column f is free, and
-    the pivot of the last row is sigma * det(A without column f), sigma
-    the sign of the row swaps and negations, so U_f = (-1)^(k-f) * sigma
-    * that pivot.  Back-substitution from the bottom row up gives the rest: for
-    row i with pivot column c, U_c = -(sum_{j>c} A[i][j] U_j) / A[i][c],
-    and every division is exact because U is an integer vector of the
-    kernel of the echelon form.  Consecutive rows of G_n differ by one
-    adjacent exchange "10" -> "01" or a final 1 -> 0, so there every
-    column of A but the last holds one or two entries +-1.
-    """
-    k = len(rows) - 1
-    if k < 0 or any(len(r) != k for r in rows):
-        raise DimensionMismatchError("need a (k+1) x k matrix")
-    if not k:
-        return (1,)
-    m = [[*map(sub, column, column[1:]), column[-1]] for column in zip(*rows)]
-    sign, pivots = _eliminate(m)
-    if not sign:
-        return (0,) * (k + 1)
-    f = next((i for i, c in enumerate(pivots) if c != i), k)
-    u = [0] * (k + 1)
-    u[f] = (-1) ** (k - f) * sign * m[-1][pivots[-1]]
-    for row, c in zip(reversed(m), reversed(pivots)):
-        u[c] = -sum(map(mul, row[c + 1:], u[c + 1:])) // row[c]
-    return (u[0], *map(sub, u[1:], u))
+    return content * _eliminate(m) * m[-1][-1]
 
 
 def _det_mod(m: list[list[int]], p: int) -> int:

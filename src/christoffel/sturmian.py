@@ -21,7 +21,7 @@ the closed form costs O(n + log N).  Successive vectors merge at the
 palindromic factorization, up to a global sign.  The exact minors need
 no elimination either: the row differences of G_n are the edges of a
 path, and the minors follow from their order and the last row (see
-``determinantal_vector_oracle``).
+``determinantal_vector``).
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .iet import _encode, _images, merge_position_sum, merge_positions
-# The generic kernel is not used here; the name stays so that
-# ``sturmian.determinantal_vector`` resolves, as the benchmark's tracer
-# (perfbench/tracer.py LAYERS) looks it up in this module.
-from .numeric import determinantal_vector  # noqa: F401
 from .permsign import zolotareff
 from .words import (
     SlopeRatio,
@@ -180,9 +176,6 @@ class DeterminantalVector:
     components: tuple[int, ...]
     context: DetContext | None = None
 
-    def as_word(self) -> Word:
-        return Word(self.components)
-
     def __len__(self):
         return len(self.components)
 
@@ -193,26 +186,30 @@ class DeterminantalVector:
         return out
 
 
-def determinantal_vector_oracle(matrix: FactorMatrix) -> DeterminantalVector:
-    """V_n as the signed maximal minors of G_n, read off its row differences.
+def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Signed maximal minors of the factor matrix G_n, read off its row
+    differences.
 
-    Consecutive rows of G_n differ by one adjacent exchange "10" -> "01"
-    or a final 1 -> 0, so the n differences d_i = g_i - g_{i+1} are the n
-    edges e_j - e_{j+1} (j < n - 1) and e_{n-1} of a path, each once, in
-    some order pi: d_i is edge pi(i).  With D = T G as in
-    ``numeric.determinantal_vector`` (det T = 1, V_0 = U_0 and
-    V_j = U_j - U_{j-1}), U_n = det(d_0, ..., d_{n-1}) = sign(pi), since
-    the edges in their own order form a unit upper bidiagonal matrix.
-    The kernel equation sum_i U_i d_i = -U_n g_n then telescopes along
-    the path: U_i = -U_n (g_n[0] + ... + g_n[pi(i)]).  So no elimination
-    runs: one lazy scan per row pair finds its first differing column,
-    one cycle walk gives sign(pi), and one prefix sum the rest, O(n)
-    Python-level steps.  A row pair that is not such an exchange, or
-    that repeats one, is not part of a G_n and raises
-    NotChristoffelError; rows of the wrong shape raise
-    DimensionMismatchError.
+    Component j of V is (-1)^(n-j) det(G without row j) for the rows
+    g_0..g_n of the (n+1) x n matrix G.  With the differenced matrix
+    D = T G = [g_0 - g_1, ..., g_{n-1} - g_n, g_n], T upper bidiagonal
+    with 1 on the diagonal and -1 above it (det T = 1), the signed
+    maximal minors U of D give V = T^T U: V_0 = U_0 and
+    V_j = U_j - U_{j-1}.  Consecutive rows of G_n differ by one adjacent
+    exchange "10" -> "01" or a final 1 -> 0, so the n differences
+    d_i = g_i - g_{i+1} are the n edges e_j - e_{j+1} (j < n - 1) and
+    e_{n-1} of a path, each once, in some order pi: d_i is edge pi(i).
+    U_n = det(d_0, ..., d_{n-1}) = sign(pi), since the edges in their own
+    order form a unit upper bidiagonal matrix.  The kernel equation
+    sum_i U_i d_i = -U_n g_n then telescopes along the path:
+    U_i = -U_n (g_n[0] + ... + g_n[pi(i)]).  So no elimination runs: one
+    lazy scan per row pair finds its first differing column, one cycle
+    walk gives sign(pi), and one prefix sum the rest, O(n) Python-level
+    steps.  A row pair that is not such an exchange, or that repeats one,
+    is not part of a G_n and raises NotChristoffelError; rows of the
+    wrong shape raise DimensionMismatchError.
     """
-    rows = [r.letters for r in matrix.rows]
+    rows = [*map(tuple, rows)]  # so that list and tuple tails compare
     k = len(rows) - 1
     if k < 0 or any(len(r) != k for r in rows):
         raise DimensionMismatchError("need a (k+1) x k matrix")
@@ -240,7 +237,12 @@ def determinantal_vector_oracle(matrix: FactorMatrix) -> DeterminantalVector:
     prefix = [*accumulate(rows[k])]
     u = [-sign * prefix[j] for j in edges]
     u.append(sign)
-    return DeterminantalVector((u[0], *map(sub, u[1:], u)))
+    return (u[0], *map(sub, u[1:], u))
+
+
+def determinantal_vector_oracle(matrix: FactorMatrix) -> DeterminantalVector:
+    """V_n as the signed maximal minors of G_n (see ``determinantal_vector``)."""
+    return DeterminantalVector(determinantal_vector([r.letters for r in matrix.rows]))
 
 
 def _standard_split(s: SlopeRatio) -> tuple[int, int]:

@@ -65,11 +65,6 @@ class SlopeRatio(Frozen):
     def length(self) -> int:
         return self.ones + self.zeros
 
-    def as_fraction(self) -> Fraction:
-        if self.zeros == 0:
-            raise InvalidSlopeError("slope 1/0 has no finite value")
-        return Fraction(self.ones, self.zeros)
-
     def __str__(self):
         return f"{self.ones}/{self.zeros}"
 

@@ -24,7 +24,6 @@ from christoffel import (
     christoffel_matrix,
     circular_factors,
     consecutive_rows_square,
-    determinantal_vector,
     factor_matrix,
     fib,
     lower_christoffel,
@@ -156,11 +155,27 @@ def cofactor_det(rows):
 
 
 def determinantal_vector_by_minors(rows):
-    """Signed maximal minors of a (k+1) x k matrix, one cofactor expansion
-    per removed row: component i is (-1)^(k-i) det(rows without row i)."""
+    """Signed maximal minors of a (k+1) x k matrix by cofactor expansion:
+    component i is (-1)^(k-i) det(rows without row i).  Each determinant
+    is expanded along its first column.  minor[mask] is the determinant
+    of the rows in the bit set mask, kept in order, on the last
+    popcount(mask) columns; each is expanded once for all k+1
+    determinants, so the vector costs about k 2^k products."""
     k = len(rows) - 1
-    return tuple((-1) ** (k - i) * cofactor_det([r for j, r in enumerate(rows) if j != i])
-                 for i in range(k + 1))
+    full = (1 << (k + 1)) - 1
+    minor = [1] * (full + 1)
+    for mask in range(1, full):
+        c = k - bin(mask).count("1")
+        total, odd, rest = 0, False, mask
+        while rest:
+            bit = rest & -rest
+            x = rows[bit.bit_length() - 1][c]
+            if x:
+                term = x * minor[mask ^ bit]
+                total += -term if odd else term
+            odd, rest = not odd, rest ^ bit
+        minor[mask] = total
+    return tuple((-1) ** (k - i) * minor[full ^ (1 << i)] for i in range(k + 1))
 
 
 def determinantal_vector_by_identity_block(rows):
@@ -251,13 +266,14 @@ def covering_by_walk(slope, n):
 def special_factor_determinant_by_elimination(slope, n):
     """The minor of G_n without its right-special row: the row u with both
     u0 and u1 among the circular factors of length n+1 of the covering
-    chain word, and the component of V_n at u from one exact elimination."""
+    chain word, and the component of V_n at u from one Bareiss elimination
+    of [G_n | I], not from the row differences of G_n."""
     w = next(lower_christoffel(s) for s in semiconvergents(slope.cf) if s.length > n)
     matrix = factor_matrix(slope, n)
     longer = {u.letters for u in circular_factors(w, n + 1)}
     h = next(idx for idx, u in enumerate(matrix.rows)
              if u.letters + (0,) in longer and u.letters + (1,) in longer)
-    return determinantal_vector(matrix.int_rows())[h]
+    return determinantal_vector_by_identity_block(matrix.int_rows())[h]
 
 
 def fib_detvec_prediction_by_index(n):

@@ -2,6 +2,7 @@
 the modules it uses."""
 
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 import christoffel
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # The public names the package bound when it imported every submodule.
 PUBLIC_NAMES = frozenset("""
@@ -74,6 +76,31 @@ def test_fib_sign_command_skips_the_sturmian_modules():
         "christoffel.permsign", "christoffel._frozen"}
     assert "christoffel.fibonacci" in loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["sturmian", "detvec", "--cf", "2,1,2", "--len", "10"],
+    ["fib", "detvec", "--len", "10"],
+], ids=["sturmian-detvec", "fib-detvec"])
+def test_detvec_commands_skip_numeric(argv):
+    """The path-minor kernel lives in ``sturmian``: the determinantal-vector
+    commands load neither ``christoffel.numeric`` nor ``array``."""
+    loaded = modules_loaded_by("from christoffel.cli import main\n"
+                               f"assert main({argv!r}) == 0")
+    assert "christoffel.sturmian" in loaded
+    assert not loaded & {"christoffel.numeric", "array"}
+
+
+def test_traced_functions_resolve():
+    """Every function that ``perfbench/tracer.py`` traces is a callable of
+    its layer's module."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, funcs in tracer.LAYERS.items():
+        module = importlib.import_module(f"christoffel.{layer}")
+        for func in funcs:
+            assert callable(getattr(module, func, None)), f"{layer}.{func}"
 
 
 def test_public_names():

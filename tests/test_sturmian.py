@@ -41,6 +41,7 @@ from christoffel.sturmian import FactorMatrix, _covering, _factor_matrix, _stand
 from oracles import (
     covering_by_walk,
     determinantal_vector_by_identity_block,
+    determinantal_vector_by_minors,
     factor_matrix_by_rotation_sort,
     factor_matrix_by_rows,
     g_chain_by_rotation_sort,
@@ -158,7 +159,8 @@ class TestFactorMatrix:
     def test_consecutive_rows_differ_by_one_exchange(self, quotients):
         """Row j+1 of G_n is row j with one adjacent "10" made "01", or with
         its final 1 made 0; differencing consecutive rows, as the exact
-        kernels do, leaves 0/+-1 rows with at most two nonzero entries."""
+        kernel ``determinantal_vector`` does, leaves 0/+-1 rows with at
+        most two nonzero entries."""
         slope = SturmianSlope.from_quotients(quotients)
         for n in range(65):
             rows = [str(r) for r in factor_matrix(slope, n).rows]
@@ -191,6 +193,11 @@ class TestOracle:
     def test_empty(self):
         assert determinantal_vector([[]]) == (1,)
 
+    def test_list_and_tuple_rows(self):
+        """Row tails compare by value, whatever sequence type holds them."""
+        assert determinantal_vector([(1, 0), [0, 1], (0, 0)]) \
+            == determinantal_vector_by_minors([[1, 0], [0, 1], [0, 0]])
+
     def test_fibonacci_small(self):
         assert determinantal_vector_oracle(factor_matrix(FIB, 3)).components \
             == (-1, 1, 0, 1)
@@ -204,11 +211,11 @@ class TestOracle:
             determinantal_vector([])
 
     def test_equals_identity_block_on_every_small_slope(self):
-        """Elimination of G^T equals elimination of [G | I] on every distinct
-        factor matrix of every slope with both letters and N <= 34, every
-        n < N, and the path-minor oracle and the closed form equal both.
-        (To N <= 80 the same sweep covers 26,398 matrices in about nine
-        minutes; the hypothesis test below samples that range.)"""
+        """The path-minor oracle and the closed form equal the elimination
+        of [G | I] on every distinct factor matrix of every slope with both
+        letters and N <= 34, every n < N.  (To N <= 80 the same sweep
+        covers 26,398 matrices; the hypothesis test below samples that
+        range.)"""
         seen = set()
         for big_n in range(2, 35):
             for r in range(1, big_n):
@@ -218,10 +225,7 @@ class TestOracle:
                         m = factor_matrix(slope, n)
                         if m not in seen:
                             seen.add(m)
-                            rows = m.int_rows()
-                            expected = determinantal_vector(rows)
-                            assert expected \
-                                == determinantal_vector_by_identity_block(rows), (r, big_n, n)
+                            expected = determinantal_vector_by_identity_block(m.int_rows())
                             assert determinantal_vector_oracle(m).components == expected \
                                 == determinantal_vector_closed(slope, n).components, (r, big_n, n)
 
@@ -232,10 +236,8 @@ class TestOracle:
         r = data.draw(st.integers(1, big_n - 1).filter(lambda r: gcd(r, big_n) == 1))
         n = data.draw(st.integers(0, big_n - 1))
         m = factor_matrix(_slope_of(big_n, r), n)
-        rows = m.int_rows()
-        expected = determinantal_vector(rows)
-        assert expected == determinantal_vector_by_identity_block(rows)
-        assert determinantal_vector_oracle(m).components == expected
+        assert determinantal_vector_oracle(m).components \
+            == determinantal_vector_by_identity_block(m.int_rows())
 
     @pytest.mark.parametrize("m", [
         FactorMatrix(0, (Word(()),), (0,)),
@@ -244,7 +246,7 @@ class TestOracle:
     ], ids=["n=0", "n=1", "test_values.FACTORS"])
     def test_path_minors_on_small_matrices(self, m):
         assert determinantal_vector_oracle(m).components \
-            == determinantal_vector(m.int_rows())
+            == determinantal_vector_by_minors(m.int_rows())
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -262,7 +264,8 @@ class TestOracle:
                 row[j + 1] -= 1
             rows.insert(0, row)
         m = FactorMatrix(k, tuple(map(Word, rows)), tuple(range(k + 1)))
-        assert determinantal_vector_oracle(m).components == determinantal_vector(rows)
+        expected = determinantal_vector_by_identity_block(rows)
+        assert determinantal_vector(rows) == determinantal_vector_oracle(m).components == expected
 
     @pytest.mark.parametrize("rows, message", [
         (["10", "10", "00"], "rows 0 and 1 do not differ"),
@@ -291,7 +294,7 @@ class TestOracle:
 
     def test_runs_no_elimination(self, monkeypatch):
         """The oracle reads the minors off the row differences: neither the
-        Bareiss routine nor the generic kernel runs."""
+        Bareiss routine nor a determinant runs."""
         cases = [factor_matrix(slope, n) for slope in (ORDER11, FIB, SQRT2ISH)
                  for n in range(christoffel_length(slope.cf) - 1)]
         expected = [determinantal_vector_oracle(m) for m in cases]
@@ -300,13 +303,13 @@ class TestOracle:
             raise AssertionError("the oracle ran an elimination")
 
         monkeypatch.setattr(numeric, "_eliminate", forbidden)
-        monkeypatch.setattr(numeric, "determinantal_vector", forbidden)
-        monkeypatch.setattr(sturmian, "determinantal_vector", forbidden)
+        monkeypatch.setattr(numeric, "det_int", forbidden)
         assert [determinantal_vector_oracle(m) for m in cases] == expected
 
     def test_merge_lemma_on_random_matrices(self):
         """If rows h-1, h agree except trailing 1, 0 then the minor vectors
-        merge with sign (-1)^(k-h)."""
+        merge with sign (-1)^(k-h).  Random 0/1 rows are not factor
+        matrices, so the minors come from the identity-block elimination."""
         rng = random.Random(41)
         for _ in range(50):
             k = rng.randint(2, 7)
@@ -316,8 +319,8 @@ class TestOracle:
             a = base[:h - 1] + [shared + [1], shared + [0]] + base[h - 1:k - 1]
             assert len(a) == k + 1
             b = [row[:-1] for i, row in enumerate(a) if i != h]
-            da = determinantal_vector(a)
-            db = determinantal_vector(b)
+            da = determinantal_vector_by_identity_block(a)
+            db = determinantal_vector_by_identity_block(b)
             merged = da[:h - 1] + (da[h - 1] + da[h],) + da[h + 1:]
             sign = 1 if (k - h) % 2 == 0 else -1
             assert merged == tuple(sign * x for x in db)
