@@ -5,7 +5,9 @@ its own ``__init__`` with ``object.__setattr__``.  Like a frozen
 dataclass, an instance then equals only an instance of the same class
 with equal fields, hashes like the tuple of its fields, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion, and pickles
-and copies by calling the constructor again.  The classes do not use
+and copies by calling the constructor again.  A class that stores its
+fields in another form lists them in ``_field_names`` and reads each back
+as a property; the rest then follow those values.  The classes do not use
 ``dataclasses``: importing it takes about 9 ms (Python 3.11, 2 vCPUs),
 about as long as everything else a light CLI command imports.
 """
@@ -13,9 +15,13 @@ about as long as everything else a light CLI command imports.
 
 class Frozen:
     __slots__ = ()
+    _field_names: tuple[str, ...] = ()
+
+    def _names(self) -> tuple[str, ...]:
+        return self._field_names or self.__slots__
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names()])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -26,7 +32,7 @@ class Frozen:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names())
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -6,10 +6,20 @@ letters a; entry (i, j) is b exactly when (i + qj) mod n < r, q = n - r.
 Over a field of characteristic 0 or > n, the invertible ones form a
 commutative group isomorphic to K* x K* x (Z/nZ)* via
 M(n, a, b, r) -> ((n-r)a + rb, b - a, r).
+
+Parameters and triples store their kind once (``modulus``, None over Q)
+and their two letters as raw ints, as ``ExactMatrix`` stores its entries:
+over Q two ints over one positive denominator, the three in lowest terms
+(gcd(den, x, y) = 1); over GF(p) two residues in [0, p) over 1.  The form
+is canonical, so it is also the form of the matrix's table.  The group
+operations are then a few integer operations on those ints, brought back
+to the canonical form once: by one gcd over Q, by one modular inverse
+over GF(p).  The letters are read as FieldScalars through properties.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
@@ -35,29 +45,76 @@ def _check_characteristic(n: int, modulus: int | None) -> None:
             f"characteristic {modulus} must exceed the order {n}")
 
 
-class ChristoffelParams(Frozen):
-    """The (n, a, b, r) parameterization of a Christoffel matrix."""
+def _check_order(n: int, r: int) -> None:
+    if n < 2:
+        raise OutOfRangeError(f"order must be >= 2, got {n}")
+    if not 1 <= r <= n - 1:
+        raise OutOfRangeError(f"r={r} outside [1, {n - 1}]")
+    if gcd(r, n) != 1:
+        raise NotCoprimeError(f"gcd({r}, {n}) != 1")
 
-    __slots__ = ("n", "a", "b", "r")
+
+def _cleared(x, y, modulus: int | None) -> tuple[int, int, int]:
+    """Raw values x, y of one kind (Fractions over Q, residues over GF(p))
+    as two ints over their least common denominator: canonical, since a
+    prime power exactly dividing the lcm divides one value's reduced
+    denominator and so not that value's int."""
+    if modulus is not None:
+        return x, y, 1
+    den = lcm(x.denominator, y.denominator)
+    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
+
+
+def _canonical(x: int, y: int, den: int, modulus: int | None) -> tuple[int, int, int]:
+    """x / den and y / den, den a unit of the kind, in the canonical form."""
+    if modulus is not None:
+        u = pow(den, -1, modulus)
+        return x * u % modulus, y * u % modulus, 1
+    if den < 0:
+        x, y, den = -x, -y, -den
+    g = gcd(den, x, y)
+    return (x, y, den) if g == 1 else (x // g, y // g, den // g)
+
+
+def _read(x: int, den: int, modulus: int | None) -> FieldScalar:
+    return _scalar(Fraction(x, den) if modulus is None else x, modulus)
+
+
+def _fill(out, n: int, r: int, modulus: int | None, x: int, y: int, den: int):
+    """Store n, r, the kind and the canonical ints x, y over den in the new
+    ChristoffelParams or GroupTriple out, and return it."""
+    for name, value in zip(type(out).__slots__, (n, r, modulus, x, y, den)):
+        object.__setattr__(out, name, value)
+    return out
+
+
+class ChristoffelParams(Frozen):
+    """The (n, a, b, r) parameterization of a Christoffel matrix.
+
+    The letters a and b are stored as the ints ``_a`` and ``_b`` over
+    ``_den`` in the canonical form of the module docstring; ``a`` and
+    ``b`` read them as FieldScalars.  Equality, hashing, printing and
+    pickling follow (n, a, b, r).
+    """
+
+    __slots__ = ("n", "r", "modulus", "_a", "_b", "_den")
+    _field_names = ("n", "a", "b", "r")
 
     def __init__(self, n: int, a: FieldScalar, b: FieldScalar, r: int):
         a = a if isinstance(a, FieldScalar) else FieldScalar.coerce(a)
         b = b if isinstance(b, FieldScalar) else FieldScalar.coerce(b)
-        if n < 2:
-            raise OutOfRangeError(f"order must be >= 2, got {n}")
-        if not 1 <= r <= n - 1:
-            raise OutOfRangeError(f"r={r} outside [1, {n - 1}]")
-        if gcd(r, n) != 1:
-            raise NotCoprimeError(f"gcd({r}, {n}) != 1")
+        _check_order(n, r)
         if a.modulus != b.modulus:
             raise KindMismatchError("a and b must share one scalar kind")
-        if a == b:
-            raise ChristoffelError("alphabet letters must differ")
-        _check_characteristic(n, a.modulus)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r", r)
+        _set_letters(self, n, r, a.modulus, a.value, b.value)
+
+    @property
+    def a(self) -> FieldScalar:
+        return _read(self._a, self._den, self.modulus)
+
+    @property
+    def b(self) -> FieldScalar:
+        return _read(self._b, self._den, self.modulus)
 
     @property
     def q(self) -> int:
@@ -68,87 +125,146 @@ class ChristoffelParams(Frozen):
         """Inverse of r modulo n, in [1, n-1]."""
         return pow(self.r, -1, self.n)
 
-    @property
-    def modulus(self) -> int | None:
-        return self.a.modulus
+
+def _set_letters(p: ChristoffelParams, n: int, r: int, modulus: int | None, a, b) -> None:
+    """Check the raw letters a, b of a checked order and store them in p."""
+    if a == b:
+        raise ChristoffelError("alphabet letters must differ")
+    _check_characteristic(n, modulus)
+    _fill(p, n, r, modulus, *_cleared(a, b, modulus))
 
 
 def params(n: int, a: ScalarLike, b: ScalarLike, r: int,
            modulus: int | None = None) -> ChristoffelParams:
     """Convenience constructor coercing plain numbers.  The modulus is
-    tested for primality once, not once per scalar."""
+    tested for primality once per process (see ``numeric._check_modulus``),
+    not once per scalar."""
     _check_modulus(modulus)
-    return ChristoffelParams(n, _scalar(_lift(a, modulus), modulus),
-                             _scalar(_lift(b, modulus), modulus), r)
+    a, b = _lift(a, modulus), _lift(b, modulus)
+    _check_order(n, r)
+    p = object.__new__(ChristoffelParams)
+    _set_letters(p, n, r, modulus, a, b)
+    return p
 
 
 class GroupTriple(Frozen):
-    """Image ((n-r)a + rb, b - a, r) of a Christoffel matrix in K* x K* x (Z/n)*."""
+    """Image ((n-r)a + rb, b - a, r) of a Christoffel matrix in K* x K* x (Z/n)*.
 
-    __slots__ = ("n", "c", "d", "r")
+    c and d are stored as the ints ``_c`` and ``_d`` over ``_den`` in the
+    canonical form of the module docstring; ``c`` and ``d`` read them as
+    FieldScalars.  r is kept as given.
+    """
+
+    __slots__ = ("n", "r", "modulus", "_c", "_d", "_den")
+    _field_names = ("n", "c", "d", "r")
 
     def __init__(self, n: int, c: FieldScalar, d: FieldScalar, r: int):
+        c = c if isinstance(c, FieldScalar) else FieldScalar.coerce(c)
+        d = d if isinstance(d, FieldScalar) else FieldScalar.coerce(d)
         if c.is_zero():
             raise NonInvertibleRowSumError("row sum c must be nonzero")
         if d.is_zero():
             raise NonInvertibleRowSumError("difference d must be nonzero")
         if gcd(r % n, n) != 1:
             raise NotCoprimeError(f"gcd({r}, {n}) != 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
+        if c.modulus != d.modulus:
+            raise KindMismatchError("c and d must share one scalar kind")
+        _fill(self, n, r, c.modulus, *_cleared(c.value, d.value, c.modulus))
+
+    @property
+    def c(self) -> FieldScalar:
+        return _read(self._c, self._den, self.modulus)
+
+    @property
+    def d(self) -> FieldScalar:
+        return _read(self._d, self._den, self.modulus)
 
     def inverse(self) -> "GroupTriple":
-        return GroupTriple(self.n, self.c.inverse(), self.d.inverse(),
-                           pow(self.r, -1, self.n))
+        """(1/c, 1/d, r^(-1) mod n): den d' / (c' d') and den c' / (c' d')."""
+        c, d, den = self._c, self._d, self._den
+        return _fill(object.__new__(GroupTriple), self.n, pow(self.r, -1, self.n),
+                     self.modulus, *_canonical(den * d, den * c, c * d, self.modulus))
 
     def __mul__(self, other: "GroupTriple") -> "GroupTriple":
         if self.n != other.n:
             raise OrderMismatchError(f"orders {self.n} and {other.n} differ")
-        return GroupTriple(self.n, self.c * other.c, self.d * other.d,
-                           (self.r * other.r) % self.n)
+        modulus = _one_kind(self.modulus, other.modulus)
+        return _fill(object.__new__(GroupTriple), self.n, (self.r * other.r) % self.n,
+                     modulus, *_canonical(self._c * other._c, self._d * other._d,
+                                          self._den * other._den, modulus))
+
+
+def _one_kind(m1: int | None, m2: int | None) -> int | None:
+    if m1 != m2:
+        raise KindMismatchError(f"mixed scalar kinds: modulus {m1} and modulus {m2}")
+    return m1
 
 
 def bw_matrix(w: Word) -> ExactMatrix:
-    """Burrows-Wheeler table of a primitive word as an exact matrix."""
-    return ExactMatrix.from_rows([row.letters for row in bw_rows(w)])
+    """Burrows-Wheeler table of a primitive word as an exact matrix.
+
+    The word's distinct letters are cleared over the lcm of their
+    denominators once each, and each sorted rotation is mapped through
+    that table.  The form is canonical as in ``christoffel_matrix``:
+    every letter occurs in every row.
+    """
+    rows = bw_rows(w)
+    values = {x: Fraction(x) for x in set(w.letters)}
+    den = lcm(*[v.denominator for v in values.values()])
+    code = {x: v.numerator * (den // v.denominator) for x, v in values.items()}
+    ints = list(map(code.__getitem__, chain.from_iterable([row.letters for row in rows])))
+    return ExactMatrix._trusted(len(rows), len(rows), None, tuple(ints), den,
+                                max(map(abs, code.values())))
 
 
 def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
     """The Burrows-Wheeler table of slope r/q over {a, b}, row by row.
 
-    a and b are cleared over the lcm of their denominators (1 over GF(p),
-    where they are residues already), so the table of the two integers
-    over that denominator is the matrix.  That form is canonical: a prime
-    power exactly dividing the lcm divides one letter's reduced
-    denominator, so it does not divide that letter's integer, and both
-    letters occur.  Row 0 comes from the residue rule; row i is row 0
-    rotated left by i * q^(-1) mod n, one slice of the doubled row.
+    The table of the two stored ints over the stored denominator is the
+    matrix, in canonical form since both letters occur.  Row 0 comes from
+    the residue rule; row i is row 0 rotated left by i * q^(-1) mod n, one
+    slice of the doubled row.  The largest |entry| is max(|a'|, |b'|) for
+    the stored ints a', b'.
     """
-    n = p.n
-    a, b = p.a.value, p.b.value
-    den = lcm(a.denominator, b.denominator)
-    letters = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-    rows = _christoffel_bw_prefixes(SlopeRatio(p.r, p.q), range(n), n, letters)
-    return ExactMatrix._trusted(n, n, p.modulus, tuple(list(chain.from_iterable(rows))), den)
+    n, a, b = p.n, p._a, p._b
+    rows = _christoffel_bw_prefixes(SlopeRatio(p.r, p.q), range(n), n, (a, b))
+    return ExactMatrix._trusted(n, n, p.modulus, tuple(list(chain.from_iterable(rows))),
+                                p._den, max(abs(a), abs(b)))
+
+
+def _row_sum(p: ChristoffelParams) -> int:
+    """The int of the row sum c = (n-r)a + rb over p's denominator; a
+    zero row sum raises NonInvertibleRowSumError."""
+    c = (p.n - p.r) * p._a + p.r * p._b
+    if p.modulus is not None:
+        c %= p.modulus
+    if c == 0:
+        raise NonInvertibleRowSumError(f"row sum of {p} is zero")
+    return c
 
 
 def to_triple(p: ChristoffelParams) -> GroupTriple:
-    c = p.a * (p.n - p.r) + p.b * p.r
-    if c.is_zero():
-        raise NonInvertibleRowSumError(f"row sum of {p} is zero")
-    return GroupTriple(p.n, c, p.b - p.a, p.r)
+    c = _row_sum(p)
+    return _fill(object.__new__(GroupTriple), p.n, p.r, p.modulus,
+                 *_canonical(c, p._b - p._a, p._den, p.modulus))
+
+
+def _from_letters(n: int, r: int, modulus: int | None, c: int, d: int,
+                  den: int) -> ChristoffelParams:
+    """Params of the triple (c / den, d / den, r): a = (c - rd)/n, b = a + d."""
+    a = c - r * d
+    return _fill(object.__new__(ChristoffelParams), n, r, modulus,
+                 *_canonical(a, a + n * d, n * den, modulus))
 
 
 def from_triple(n: int, t: GroupTriple) -> ChristoffelParams:
     """Inverse of the isomorphism: a = (c - rd)/n, b = a + d."""
     if t.n != n:
         raise OrderMismatchError(f"triple of order {t.n} used at order {n}")
-    _check_characteristic(n, t.c.modulus)
+    _check_characteristic(n, t.modulus)
     r = t.r % n
-    a = (t.c - t.d * r) / n
-    return ChristoffelParams(n, a, a + t.d, r)
+    _check_order(n, r)
+    return _from_letters(n, r, t.modulus, t._c, t._d, t._den)
 
 
 def group_identity(n: int, modulus: int | None = None) -> ChristoffelParams:
@@ -157,22 +273,32 @@ def group_identity(n: int, modulus: int | None = None) -> ChristoffelParams:
 
 
 def group_mul(p1: ChristoffelParams, p2: ChristoffelParams) -> ChristoffelParams:
-    """Parameters of the matrix product, via the componentwise triple product."""
+    """Parameters of the matrix product, via the componentwise triple
+    product: a = (c1 c2 - r d1 d2)/n and b = a + d1 d2, r = r1 r2 mod n."""
     if p1.n != p2.n:
         raise OrderMismatchError(f"orders {p1.n} and {p2.n} differ")
-    return from_triple(p1.n, to_triple(p1) * to_triple(p2))
+    n = p1.n
+    c1, c2 = _row_sum(p1), _row_sum(p2)
+    modulus = _one_kind(p1.modulus, p2.modulus)
+    return _from_letters(n, p1.r * p2.r % n, modulus, c1 * c2,
+                         (p1._b - p1._a) * (p2._b - p2._a), p1._den * p2._den)
 
 
 def group_inverse(p: ChristoffelParams) -> ChristoffelParams:
-    """Group inverse via the inverted triple."""
-    return from_triple(p.n, to_triple(p).inverse())
+    """Group inverse via the inverted triple (1/c, 1/d, r^(-1) mod n), whose
+    ints are den d and den c over c d in p's ints c, d over den."""
+    c, d, den = _row_sum(p), p._b - p._a, p._den
+    return _from_letters(p.n, pow(p.r, -1, p.n), p.modulus, den * d, den * c, c * d)
 
 
 def det_closed(p: ChristoffelParams) -> FieldScalar:
     """Determinant by the closed form ((n-r)a + rb)(b - a)^(n-1) sgn(x -> rx)."""
-    c = p.a * (p.n - p.r) + p.b * p.r
-    d = p.b - p.a
-    return c * d ** (p.n - 1) * zolotareff(p.r, p.n)
+    n, m = p.n, p.modulus
+    c = ((n - p.r) * p._a + p.r * p._b) * zolotareff(p.r, n)
+    d = p._b - p._a
+    if m is None:
+        return _scalar(Fraction(c * d ** (n - 1), p._den ** n), None)
+    return _scalar(c * pow(d, n - 1, m) % m, m)
 
 
 def consecutive_rows_square(p: ChristoffelParams, i: int) -> int:

@@ -78,9 +78,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# Moduli already proven prime, so that a program working over one field
+# runs Miller-Rabin once, not once per scalar, matrix or parameter set.
+# A composite is never stored, so it is rejected at every call; the memo is
+# emptied when it reaches _PRIME_MEMO_SIZE moduli.  Only an int is looked
+# up: a float equal to a stored prime goes to is_prime, which rejects it.
+_PRIME_MEMO_SIZE = 64
+_proven_primes: set[int] = set()
+
+
 def _check_modulus(modulus: int | None) -> None:
-    if modulus is not None and not is_prime(modulus):
+    if modulus is None or type(modulus) is int and modulus in _proven_primes:
+        return
+    if not is_prime(modulus):
         raise ChristoffelError(f"modulus {modulus} is not prime")
+    if len(_proven_primes) >= _PRIME_MEMO_SIZE:
+        _proven_primes.clear()
+    _proven_primes.add(modulus)
 
 
 def _lift(x, modulus: int | None):
@@ -243,10 +257,13 @@ class ExactMatrix:
     [0, p).  The form is canonical, so equal matrices compare and hash
     equal.  ``values``, ``entries``, ``entry``, ``row`` and ``column`` are
     read-only views: raw values (Fractions over Q, ints over GF(p)), or
-    FieldScalars of the matrix's kind.
+    FieldScalars of the matrix's kind.  The largest |stored int|, which
+    sizes the slots of ``mat_mul`` over Q, is derived data: set by the
+    constructors that know it and found once otherwise; equality, hashing
+    and printing ignore it.
     """
 
-    __slots__ = ("rows", "cols", "modulus", "ints", "den")
+    __slots__ = ("rows", "cols", "modulus", "ints", "den", "_max")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[FieldScalar]):
         if len(entries) != rows * cols:
@@ -260,8 +277,8 @@ class ExactMatrix:
             raise KindMismatchError(f"mixed scalar kinds in matrix: {moduli}")
         modulus = moduli.pop() if moduli else None
         ints, den = _integer_form([e.value for e in entries], modulus)
-        self.rows, self.cols, self.modulus, self.ints, self.den = \
-            rows, cols, modulus, tuple(ints), den
+        self.rows, self.cols, self.modulus, self.ints, self.den, self._max = \
+            rows, cols, modulus, tuple(ints), den, None
 
     @classmethod
     def _from_ints(cls, rows: int, cols: int, modulus: int | None, ints,
@@ -280,11 +297,13 @@ class ExactMatrix:
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, modulus: int | None, ints: tuple[int, ...],
-                 den: int = 1) -> "ExactMatrix":
+                 den: int = 1, max_abs: int | None = None) -> "ExactMatrix":
         """Wrap an int tuple that is in the canonical form by construction,
-        without the checks of ``_from_ints``."""
+        without the checks of ``_from_ints``; max_abs, when given, is the
+        largest |x| over the ints."""
         out = object.__new__(cls)
-        out.rows, out.cols, out.modulus, out.ints, out.den = rows, cols, modulus, ints, den
+        out.rows, out.cols, out.modulus, out.ints, out.den, out._max = \
+            rows, cols, modulus, ints, den, max_abs
         return out
 
     @classmethod
@@ -301,7 +320,15 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int, modulus: int | None = None) -> "ExactMatrix":
         _check_modulus(modulus)
-        return cls._from_ints(n, n, modulus, [int(i == j) for i in range(n) for j in range(n)])
+        ints = tuple([int(i == j) for i in range(n) for j in range(n)])
+        return cls._trusted(n, n, modulus, ints, 1, min(n, 1))
+
+    def _max_abs(self) -> int:
+        """The largest |x| over the stored ints, found once."""
+        if self._max is None:
+            ints = self.ints
+            self._max = max(max(ints), -min(ints)) if ints else 0
+        return self._max
 
     def _value(self, x: int):
         """The raw value of the stored int x."""
@@ -362,10 +389,6 @@ def _integer_form(values: list, modulus: int | None) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in lifted], den
 
 
-def _max_abs(ints: tuple[int, ...]) -> int:
-    return max(max(ints), -min(ints)) if ints else 0
-
-
 # (size in bytes, native signed format) of the machine words, smallest first.
 _WORDS = tuple((struct.calcsize(f), f) for f in "bhiq")
 
@@ -375,14 +398,14 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
     Row t of b is packed into one integer, its entries in slots of
     ``width`` bytes; a slot holds any entry of b and of the product.  Over
-    Q a product entry is at most k * max|a| * max|b| in size; over GF(p)
-    both factors hold residues in [0, p), so it is at most k * (p-1)^2 and
-    neither factor is scanned.  A spare top bit holds the sign.  Row i of
-    the product is P_i = sum_t a_it * packed_t, built from the bottom up
-    through the differenced rows of a (see ``_differenced``): P_{n-1} is
-    the last row of a times the packed rows, and P_i = P_{i+1} + sum_t
-    d_it * packed_t with d_i = a_i - a_{i+1}, summed over the nonzero d_it
-    only.  Consecutive rows of a Christoffel table differ by one adjacent
+    Q a product entry is at most k * max|a| * max|b| in size, each factor's
+    max|x| read from its stored bound (see ``ExactMatrix``); over GF(p)
+    both factors hold residues in [0, p), so it is at most k * (p-1)^2.
+    A spare top bit holds the sign.  Row i of the product is P_i = sum_t
+    a_it * packed_t, built from the bottom up through the differenced rows
+    of a (see ``_differenced``): P_{n-1} is the last row of a times the
+    packed rows, and P_i = P_{i+1} + sum_t d_it * packed_t with d_i = a_i -
+    a_{i+1}, summed over the nonzero d_it only.  Consecutive rows of a Christoffel table differ by one adjacent
     exchange, so there each row costs two big-int products instead of k.
     Adding half a slot to every slot makes each slot nonnegative, so no
     borrow crosses a slot; flipping each slot's top bit back leaves its
@@ -398,7 +421,7 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise KindMismatchError("mixed scalar kinds in product")
     n, k, m, p = a.rows, a.cols, b.cols, a.modulus
     if p is None:
-        bound = max(k * _max_abs(a.ints), 1) * _max_abs(b.ints)
+        bound = max(k * a._max_abs(), 1) * b._max_abs()
     else:
         bound = max(k, 1) * (p - 1) ** 2
     width = bound.bit_length() // 8 + 1

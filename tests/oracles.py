@@ -8,6 +8,7 @@ or checks a lemma of the paper on a matrix the library built.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from christoffel import (
     Composition,
@@ -37,11 +38,16 @@ from christoffel.contfrac import mat2_mul
 from christoffel.fibonacci import FibPrediction
 from christoffel.errors import (
     AmbiguousSplitError,
+    CharacteristicTooSmallError,
+    ChristoffelError,
     InsufficientCFError,
+    KindMismatchError,
+    NonInvertibleRowSumError,
     NoPalindromicSplitError,
     NotBijectiveError,
     NotCoprimeError,
     NotPrimitiveError,
+    OrderMismatchError,
     OutOfRangeError,
     RestrictionOutOfRangeError,
 )
@@ -78,6 +84,99 @@ def christoffel_matrix_by_rows(p):
     slope = SlopeRatio(p.r, p.q)
     return ExactMatrix.from_rows(
         [christoffel_bw_row(slope, i, (p.a, p.b)).letters for i in range(p.n)], p.modulus)
+
+
+# --- The Christoffel group on FieldScalars -----------------------------------
+# Parameters and triples as tuples of FieldScalars, every step of the group
+# law one FieldScalar operation, with the checks of the library's
+# constructors in their order: the reference for bwgroup's raw-int route.
+
+class ScalarParams(NamedTuple):
+    """(n, a, b, r) with FieldScalar letters a and b."""
+
+    n: int
+    a: FieldScalar
+    b: FieldScalar
+    r: int
+
+    @property
+    def q(self):
+        return self.n - self.r
+
+    @property
+    def modulus(self):
+        return self.a.modulus
+
+
+def _checked_scalar_params(n, a, b, r):
+    if n < 2:
+        raise OutOfRangeError(f"order must be >= 2, got {n}")
+    if not 1 <= r <= n - 1:
+        raise OutOfRangeError(f"r={r} outside [1, {n - 1}]")
+    if gcd(r, n) != 1:
+        raise NotCoprimeError(f"gcd({r}, {n}) != 1")
+    if a.modulus != b.modulus:
+        raise KindMismatchError("a and b must share one scalar kind")
+    if a == b:
+        raise ChristoffelError("alphabet letters must differ")
+    if a.modulus is not None and a.modulus <= n:
+        raise CharacteristicTooSmallError(f"characteristic {a.modulus} <= {n}")
+    return ScalarParams(n, a, b, r)
+
+
+def params_by_scalars(n, a, b, r, modulus=None):
+    """ScalarParams of numbers or FieldScalars, lifted to the given kind."""
+    return _checked_scalar_params(n, FieldScalar.coerce(a, modulus),
+                                  FieldScalar.coerce(b, modulus), r)
+
+
+def to_triple_by_scalars(p):
+    """(n, (n-r)a + rb, b - a, r)."""
+    c = p.a * (p.n - p.r) + p.b * p.r
+    if c.is_zero():
+        raise NonInvertibleRowSumError(f"row sum of {p} is zero")
+    return (p.n, c, p.b - p.a, p.r)
+
+
+def from_triple_by_scalars(n, t):
+    """ScalarParams of a = (c - rd)/n, b = a + d."""
+    order, c, d, r = t
+    if order != n:
+        raise OrderMismatchError(f"triple of order {order} used at order {n}")
+    if c.modulus is not None and c.modulus <= n:
+        raise CharacteristicTooSmallError(f"characteristic {c.modulus} <= {n}")
+    r %= n
+    a = (c - d * r) / n
+    return _checked_scalar_params(n, a, a + d, r)
+
+
+def triple_mul_by_scalars(t1, t2):
+    if t1[0] != t2[0]:
+        raise OrderMismatchError(f"orders {t1[0]} and {t2[0]} differ")
+    n = t1[0]
+    return (n, t1[1] * t2[1], t1[2] * t2[2], t1[3] * t2[3] % n)
+
+
+def triple_inverse_by_scalars(t):
+    n, c, d, r = t
+    return (n, c.inverse(), d.inverse(), pow(r, -1, n))
+
+
+def group_mul_by_scalars(p1, p2):
+    if p1.n != p2.n:
+        raise OrderMismatchError(f"orders {p1.n} and {p2.n} differ")
+    product = triple_mul_by_scalars(to_triple_by_scalars(p1), to_triple_by_scalars(p2))
+    return from_triple_by_scalars(p1.n, product)
+
+
+def group_inverse_by_scalars(p):
+    return from_triple_by_scalars(p.n, triple_inverse_by_scalars(to_triple_by_scalars(p)))
+
+
+def det_closed_by_scalars(p):
+    """((n-r)a + rb)(b - a)^(n-1) times the sign of x -> rx mod n, walked."""
+    c = p.a * (p.n - p.r) + p.b * p.r
+    return c * (p.b - p.a) ** (p.n - 1) * zolotareff_by_walk(p.r, p.n)
 
 
 # --- Christoffel-matrix lemmas, each checked on the built matrix ----------

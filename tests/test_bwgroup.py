@@ -3,15 +3,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import christoffel.numeric as numeric
 import oracles
 from christoffel import (
+    ChristoffelParams,
     ExactMatrix,
     FieldScalar,
     SlopeRatio,
     Word,
     bw_matrix,
+    bw_rows,
     christoffel_matrix,
     consecutive_rows_square,
     det_closed,
@@ -38,7 +41,16 @@ from christoffel.errors import (
 from oracles import (
     christoffel_matrix_by_rows,
     column_shift_check,
+    det_closed_by_scalars,
+    from_triple_by_scalars,
+    group_inverse_by_scalars,
+    group_mul_by_scalars,
+    is_prime_by_trial_division,
+    params_by_scalars,
     row_pair_prefix_check,
+    to_triple_by_scalars,
+    triple_inverse_by_scalars,
+    triple_mul_by_scalars,
     unit_inverse_params,
     verify_consecutive_rows,
 )
@@ -158,16 +170,31 @@ class TestTriples:
 
     @pytest.mark.parametrize("a", [3, FieldScalar(3, 65537)], ids=["int", "residue"])
     def test_params_tests_modulus_once(self, monkeypatch, a):
-        """One params call runs one primality test, whatever its scalars."""
+        """A fresh prime modulus runs one primality test per process, over
+        any number of params, scalar and matrix calls, whatever the scalars;
+        a composite one is rejected at every call; the memo of proven
+        primes stays bounded."""
         calls = []
         is_prime = numeric.is_prime
         monkeypatch.setattr(numeric, "is_prime", lambda p: calls.append(p) or is_prime(p))
-        p = params(7, a, Fraction(1, 2), 2, 65537)
+        monkeypatch.setattr(numeric, "_proven_primes", set())
+        for _ in range(3):
+            p = params(7, a, Fraction(1, 2), 2, 65537)
+            FieldScalar(5, 65537)
+            ExactMatrix.from_rows([[1, Fraction(1, 2)]], 65537)
+            ExactMatrix.identity(3, 65537)
         assert calls == [65537]
         assert (p.a.value, p.b.value, p.a.modulus, p.b.modulus) == (3, 32769, 65537, 65537)
-        with pytest.raises(ChristoffelError):
-            params(7, 3, 4, 2, 65535)
-        assert calls == [65537, 65535]
+        for _ in range(3):
+            with pytest.raises(ChristoffelError):
+                params(7, 3, 4, 2, 65535)
+        assert calls == [65537] + [65535] * 3
+        size = numeric._PRIME_MEMO_SIZE
+        primes = [q for q in range(70_001, 100_000, 2) if is_prime(q)][:3 * size]
+        for q in primes:
+            FieldScalar(1, q)
+            assert len(numeric._proven_primes) <= size
+        assert len(calls) == 4 + len(primes) == 4 + 3 * size
 
     def test_characteristic_guard(self):
         with pytest.raises(CharacteristicTooSmallError):
@@ -410,3 +437,149 @@ class TestStructure:
     def test_invalid_r(self):
         with pytest.raises(NotCoprimeError):
             params(6, 0, 1, 2)
+
+
+def _outcome(f, *args):
+    """f(*args) as (n, letter, letter, r) for params and triples, or the
+    class of the library error it raised."""
+    try:
+        x = f(*args)
+    except (ChristoffelError, ZeroDivisionError) as error:
+        return type(error)
+    if isinstance(x, ChristoffelParams):
+        return (x.n, x.a, x.b, x.r)
+    if isinstance(x, GroupTriple):
+        return (x.n, x.c, x.d, x.r)
+    return x
+
+
+def _stored_canonically(x):
+    """The stored ints are in lowest terms over a positive denominator over
+    Q, residues over 1 over GF(p)."""
+    ints, den = (x._a, x._b) if isinstance(x, ChristoffelParams) else (x._c, x._d), x._den
+    if x.modulus is None:
+        return den > 0 and gcd(den, *ints) == 1
+    return den == 1 and all(0 <= v < x.modulus for v in ints)
+
+
+def _prime_above(n):
+    return next(p for p in range(n + 1, 2 * n + 3) if is_prime_by_trial_division(p))
+
+
+LETTERS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                    st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6))
+
+
+@st.composite
+def _letter_pair(draw, n, r):
+    """Two letters: mostly free, sometimes equal, sometimes of row sum 0."""
+    a = draw(LETTERS)
+    shape = draw(st.sampled_from(("free", "free", "free", "equal", "zero row sum")))
+    if shape == "equal":
+        return a, a
+    if shape == "zero row sum" and 1 <= r:
+        return a, Fraction(-(n - r) * a, r)
+    return a, draw(LETTERS.filter(lambda b: b != a))
+
+
+@st.composite
+def _group_cases(draw):
+    n = draw(st.integers(2, 40))
+    modulus = draw(st.sampled_from((None, 2 ** 61 - 1, 65537, "above n")))
+    if modulus == "above n":
+        modulus = _prime_above(n)
+    # One r in ten is out of range; gcd(r, n) > 1 comes up by itself.
+    r1 = draw(st.sampled_from((0, n)) if draw(st.integers(0, 9)) == 9 else st.integers(1, n - 1))
+    r2 = draw(st.integers(1, n - 1))
+    return n, modulus, r1, draw(_letter_pair(n, r1)), r2, draw(_letter_pair(n, r2))
+
+
+class TestRawRoute:
+    """The group law on raw ints against the FieldScalar route of
+    ``oracles`` (equal values, or the same error class), and the tables
+    built from raw ints against the same tables given entry by entry."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_group_cases(), other_kind=st.booleans())
+    def test_equals_the_scalar_route(self, case, other_kind):
+        n, modulus, r1, (a1, b1), r2, (a2, b2) = case
+        outcome = _outcome(params, n, a1, b1, r1, modulus)
+        assert outcome == _outcome(params_by_scalars, n, a1, b1, r1, modulus)
+        if isinstance(outcome, type):
+            return
+        new, old = params(n, a1, b1, r1, modulus), params_by_scalars(n, a1, b1, r1, modulus)
+        assert _stored_canonically(new) and hash(new) == hash(old)
+        assert ChristoffelParams(n, new.a, new.b, r1) == new
+        assert christoffel_matrix(new) == christoffel_matrix_by_rows(old)
+        assert christoffel_matrix(new)._max == max(map(abs, christoffel_matrix(new).ints))
+        assert det_closed(new) == det_closed_by_scalars(old)
+        assert _outcome(group_inverse, new) == _outcome(group_inverse_by_scalars, old)
+        assert _outcome(to_triple, new) == _outcome(to_triple_by_scalars, old)
+        # The second factor: the same order, over the same kind or over Q.
+        kind = None if other_kind else modulus
+        second = _outcome(params, n, a2, b2, r2, kind)
+        assert second == _outcome(params_by_scalars, n, a2, b2, r2, kind)
+        if not isinstance(second, type):
+            assert _outcome(group_mul, new, params(n, a2, b2, r2, kind)) \
+                == _outcome(group_mul_by_scalars, old, params_by_scalars(n, a2, b2, r2, kind))
+        if isinstance(_outcome(to_triple, new), type):
+            return
+        t, old_t = to_triple(new), to_triple_by_scalars(old)
+        assert _stored_canonically(t) and hash(t) == hash(old_t)
+        assert _outcome(from_triple, n, t) == _outcome(from_triple_by_scalars, n, old_t)
+        assert from_triple(n, t) == new
+        assert _outcome(t.inverse) == triple_inverse_by_scalars(old_t)
+        assert _outcome(t.__mul__, t.inverse()) \
+            == triple_mul_by_scalars(old_t, triple_inverse_by_scalars(old_t))
+        for x in (group_inverse(new), t.inverse(), t * t):
+            assert _stored_canonically(x)
+
+    def test_constructors_take_scalars_and_numbers(self):
+        half = Fraction(1, 2)
+        for modulus in (None, 31):
+            p = params(7, 3, half, 2, modulus)
+            assert ChristoffelParams(7, p.a, p.b, 2) == p
+            t = to_triple(p)
+            assert GroupTriple(7, t.c, t.d, 2) == t
+        assert ChristoffelParams(7, 3, half, 2) == params(7, 3, half, 2)
+        assert GroupTriple(7, half, 3, 9) == GroupTriple(7, FieldScalar(half), FieldScalar(3), 9)
+        assert GroupTriple(7, half, 3, 9).r == 9
+
+    @pytest.mark.parametrize("modulus", [None, 65537, 2 ** 61 - 1])
+    def test_mat_mul_with_and_without_the_stored_bound(self, modulus):
+        """Tables that carry their largest |entry| multiply as their
+        entries, given again with from_rows, do."""
+        rng = random.Random(40)
+        for scale in (1, 10 ** 3, 10 ** 9, 10 ** 30):
+            for _ in range(6):
+                n = rng.randint(2, 24)
+                p1, p2 = (_random_params_of_order(rng, n) for _ in range(2))
+                p1, p2 = (params(n, Fraction(p.a.value * scale, rng.randint(1, scale)),
+                                 p.b.value * scale, p.r, modulus) for p in (p1, p2))
+                m1, m2 = christoffel_matrix(p1), christoffel_matrix(p2)
+                bare1, bare2 = (ExactMatrix.from_rows([m.row(i) for i in range(n)], modulus)
+                                for m in (m1, m2))
+                assert (bare1, bare2) == (m1, m2) and bare1._max is bare2._max is None
+                product = mat_mul(bare1, bare2)
+                assert mat_mul(m1, m2) == mat_mul(m1, bare2) == mat_mul(bare1, m2) == product
+                assert product == christoffel_matrix(group_mul(p1, p2))
+                one = ExactMatrix.identity(n, modulus)
+                assert mat_mul(one, m1) == mat_mul(m1, one) == m1
+
+    @settings(max_examples=150, deadline=None)
+    @given(letters=st.lists(st.one_of(st.integers(-50, 50),
+                                      st.fractions(-50, 50, max_denominator=10 ** 6)),
+                            min_size=1, max_size=12))
+    def test_bw_matrix_equals_the_table_of_its_rows(self, letters):
+        """The table built through the cleared letters equals from_rows of
+        the sorted rotations, and carries its largest |entry|."""
+        w = Word(letters)
+        try:
+            rows = bw_rows(w)
+        except NotPrimitiveError:
+            with pytest.raises(NotPrimitiveError):
+                bw_matrix(w)
+            return
+        m = bw_matrix(w)
+        assert m == ExactMatrix.from_rows([row.letters for row in rows])
+        assert m._max == max(map(abs, m.ints)) and gcd(m.den, *m.ints) == 1

@@ -654,6 +654,7 @@ class TestKindStoredOnce:
             return is_prime_by_trial_division(p)
 
         monkeypatch.setattr(numeric, "is_prime", counting)
+        monkeypatch.setattr(numeric, "_proven_primes", set())
         rng = random.Random(12)
         p = 1_000_000_007
         a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(6)] for _ in range(6)], p)
