@@ -8,20 +8,18 @@ commutative group isomorphic to K* x K* x (Z/nZ)* via
 M(n, a, b, r) -> ((n-r)a + rb, b - a, r).
 
 Parameters and triples store their kind once (``modulus``, None over Q)
-and their two letters as raw ints, as ``ExactMatrix`` stores its entries:
-over Q two ints over one positive denominator, the three in lowest terms
-(gcd(den, x, y) = 1); over GF(p) two residues in [0, p) over 1.  The form
-is canonical, so it is also the form of the matrix's table.  The group
-operations are then a few integer operations on those ints, brought back
-to the canonical form once: by one gcd over Q, by one modular inverse
-over GF(p).  The letters are read as FieldScalars through properties.
+and their two letters as two ints over one denominator in the canonical
+form of ``numeric``, the form of an ``ExactMatrix``'s entries, so it is
+also the form of the matrix's table.  The group operations are then a
+few integer operations on those ints, brought back to the canonical form
+once by ``numeric._reduced``.  The letters are read as FieldScalars
+through properties.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from ._frozen import Frozen
 from .errors import (
@@ -34,7 +32,8 @@ from .errors import (
     OrderMismatchError,
     OutOfRangeError,
 )
-from .numeric import ExactMatrix, FieldScalar, ScalarLike, _check_modulus, _lift, _scalar
+from .numeric import (ExactMatrix, FieldScalar, ScalarLike, _check_modulus, _integer_form,
+                      _read, _reduced)
 from .permsign import zolotareff
 from .words import SlopeRatio, Word, _christoffel_bw_prefixes, bw_rows
 
@@ -54,35 +53,11 @@ def _check_order(n: int, r: int) -> None:
         raise NotCoprimeError(f"gcd({r}, {n}) != 1")
 
 
-def _cleared(x, y, modulus: int | None) -> tuple[int, int, int]:
-    """Raw values x, y of one kind (Fractions over Q, residues over GF(p))
-    as two ints over their least common denominator: canonical, since a
-    prime power exactly dividing the lcm divides one value's reduced
-    denominator and so not that value's int."""
-    if modulus is not None:
-        return x, y, 1
-    den = lcm(x.denominator, y.denominator)
-    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
-
-
-def _canonical(x: int, y: int, den: int, modulus: int | None) -> tuple[int, int, int]:
-    """x / den and y / den, den a unit of the kind, in the canonical form."""
-    if modulus is not None:
-        u = pow(den, -1, modulus)
-        return x * u % modulus, y * u % modulus, 1
-    if den < 0:
-        x, y, den = -x, -y, -den
-    g = gcd(den, x, y)
-    return (x, y, den) if g == 1 else (x // g, y // g, den // g)
-
-
-def _read(x: int, den: int, modulus: int | None) -> FieldScalar:
-    return _scalar(Fraction(x, den) if modulus is None else x, modulus)
-
-
-def _fill(out, n: int, r: int, modulus: int | None, x: int, y: int, den: int):
-    """Store n, r, the kind and the canonical ints x, y over den in the new
-    ChristoffelParams or GroupTriple out, and return it."""
+def _fill(out, n: int, r: int, modulus: int | None, form: tuple):
+    """Store n, r, the kind and the canonical form ((x, y), den) of the
+    two letters in the new ChristoffelParams or GroupTriple out, and
+    return it."""
+    (x, y), den = form
     for name, value in zip(type(out).__slots__, (n, r, modulus, x, y, den)):
         object.__setattr__(out, name, value)
     return out
@@ -106,7 +81,7 @@ class ChristoffelParams(Frozen):
         _check_order(n, r)
         if a.modulus != b.modulus:
             raise KindMismatchError("a and b must share one scalar kind")
-        _set_letters(self, n, r, a.modulus, a.value, b.value)
+        _set_letters(self, n, r, a.modulus, _integer_form([a.value, b.value], a.modulus))
 
     @property
     def a(self) -> FieldScalar:
@@ -126,12 +101,15 @@ class ChristoffelParams(Frozen):
         return pow(self.r, -1, self.n)
 
 
-def _set_letters(p: ChristoffelParams, n: int, r: int, modulus: int | None, a, b) -> None:
-    """Check the raw letters a, b of a checked order and store them in p."""
+def _set_letters(p: ChristoffelParams, n: int, r: int, modulus: int | None,
+                 form: tuple) -> None:
+    """Check the canonical form of the letters of a checked order and
+    store it in p; equal letters have equal ints."""
+    (a, b), _ = form
     if a == b:
         raise ChristoffelError("alphabet letters must differ")
     _check_characteristic(n, modulus)
-    _fill(p, n, r, modulus, *_cleared(a, b, modulus))
+    _fill(p, n, r, modulus, form)
 
 
 def params(n: int, a: ScalarLike, b: ScalarLike, r: int,
@@ -140,10 +118,10 @@ def params(n: int, a: ScalarLike, b: ScalarLike, r: int,
     tested for primality once per process (see ``numeric._check_modulus``),
     not once per scalar."""
     _check_modulus(modulus)
-    a, b = _lift(a, modulus), _lift(b, modulus)
+    form = _integer_form([a, b], modulus)
     _check_order(n, r)
     p = object.__new__(ChristoffelParams)
-    _set_letters(p, n, r, modulus, a, b)
+    _set_letters(p, n, r, modulus, form)
     return p
 
 
@@ -169,7 +147,7 @@ class GroupTriple(Frozen):
             raise NotCoprimeError(f"gcd({r}, {n}) != 1")
         if c.modulus != d.modulus:
             raise KindMismatchError("c and d must share one scalar kind")
-        _fill(self, n, r, c.modulus, *_cleared(c.value, d.value, c.modulus))
+        _fill(self, n, r, c.modulus, _integer_form([c.value, d.value], c.modulus))
 
     @property
     def c(self) -> FieldScalar:
@@ -183,15 +161,15 @@ class GroupTriple(Frozen):
         """(1/c, 1/d, r^(-1) mod n): den d' / (c' d') and den c' / (c' d')."""
         c, d, den = self._c, self._d, self._den
         return _fill(object.__new__(GroupTriple), self.n, pow(self.r, -1, self.n),
-                     self.modulus, *_canonical(den * d, den * c, c * d, self.modulus))
+                     self.modulus, _reduced((den * d, den * c), c * d, self.modulus))
 
     def __mul__(self, other: "GroupTriple") -> "GroupTriple":
         if self.n != other.n:
             raise OrderMismatchError(f"orders {self.n} and {other.n} differ")
         modulus = _one_kind(self.modulus, other.modulus)
         return _fill(object.__new__(GroupTriple), self.n, (self.r * other.r) % self.n,
-                     modulus, *_canonical(self._c * other._c, self._d * other._d,
-                                          self._den * other._den, modulus))
+                     modulus, _reduced((self._c * other._c, self._d * other._d),
+                                       self._den * other._den, modulus))
 
 
 def _one_kind(m1: int | None, m2: int | None) -> int | None:
@@ -203,15 +181,15 @@ def _one_kind(m1: int | None, m2: int | None) -> int | None:
 def bw_matrix(w: Word) -> ExactMatrix:
     """Burrows-Wheeler table of a primitive word as an exact matrix.
 
-    The word's distinct letters are cleared over the lcm of their
-    denominators once each, and each sorted rotation is mapped through
-    that table.  The form is canonical as in ``christoffel_matrix``:
-    every letter occurs in every row.
+    The word's distinct letters are brought to the canonical form over Q
+    once each, and each sorted rotation is mapped through that table.  The
+    form is also the matrix's, as in ``christoffel_matrix``: every letter
+    occurs in every row.
     """
     rows = bw_rows(w)
-    values = {x: Fraction(x) for x in set(w.letters)}
-    den = lcm(*[v.denominator for v in values.values()])
-    code = {x: v.numerator * (den // v.denominator) for x, v in values.items()}
+    letters = list(set(w.letters))
+    ints, den = _integer_form(letters, None)
+    code = dict(zip(letters, ints))
     ints = list(map(code.__getitem__, chain.from_iterable([row.letters for row in rows])))
     return ExactMatrix._trusted(len(rows), len(rows), None, tuple(ints), den,
                                 max(map(abs, code.values())))
@@ -246,7 +224,7 @@ def _row_sum(p: ChristoffelParams) -> int:
 def to_triple(p: ChristoffelParams) -> GroupTriple:
     c = _row_sum(p)
     return _fill(object.__new__(GroupTriple), p.n, p.r, p.modulus,
-                 *_canonical(c, p._b - p._a, p._den, p.modulus))
+                 _reduced((c, p._b - p._a), p._den, p.modulus))
 
 
 def _from_letters(n: int, r: int, modulus: int | None, c: int, d: int,
@@ -254,7 +232,7 @@ def _from_letters(n: int, r: int, modulus: int | None, c: int, d: int,
     """Params of the triple (c / den, d / den, r): a = (c - rd)/n, b = a + d."""
     a = c - r * d
     return _fill(object.__new__(ChristoffelParams), n, r, modulus,
-                 *_canonical(a, a + n * d, n * den, modulus))
+                 _reduced((a, a + n * d), n * den, modulus))
 
 
 def from_triple(n: int, t: GroupTriple) -> ChristoffelParams:
@@ -297,8 +275,8 @@ def det_closed(p: ChristoffelParams) -> FieldScalar:
     c = ((n - p.r) * p._a + p.r * p._b) * zolotareff(p.r, n)
     d = p._b - p._a
     if m is None:
-        return _scalar(Fraction(c * d ** (n - 1), p._den ** n), None)
-    return _scalar(c * pow(d, n - 1, m) % m, m)
+        return _read(c * d ** (n - 1), p._den ** n, None)
+    return _read(c * pow(d, n - 1, m) % m, 1, m)
 
 
 def consecutive_rows_square(p: ChristoffelParams, i: int) -> int:

@@ -262,12 +262,10 @@ def _cmd_iet_sigma(args):
     from .iet import build_sigma, is_circular
     comp = _composition_arg(args)
     exchange = build_sigma(comp)
+    images, cycles = list(exchange.sigma.images), exchange.sigma.cycle_string()
     return ({"composition": list(comp.parts)},
-            {"images": list(exchange.sigma.images),
-             "cycles": exchange.sigma.cycle_string(),
-             "circular": is_circular(exchange)},
-            [f"images: {list(exchange.sigma.images)}",
-             f"cycles: {exchange.sigma.cycle_string()}"])
+            {"images": images, "cycles": cycles, "circular": is_circular(exchange)},
+            [f"images: {images}", f"cycles: {cycles}"])
 
 
 def _cmd_iet_encode(args):

@@ -3,9 +3,9 @@
 Scalars are either arbitrary-precision rationals (kept reduced, positive
 denominator) or elements of a prime field GF(p); the two kinds never mix.
 A matrix stores its kind once (``modulus``, None over Q) and its entries
-as one tuple of ints over one positive common denominator, in lowest
-terms over Q and as residues in [0, p) over GF(p); FieldScalars are built
-only where entries are read.
+in the canonical form: ints over one positive common denominator, in
+lowest terms over Q and residues in [0, p) over 1 over GF(p);
+FieldScalars are built only where entries are read.
 
 Every exact kernel first replaces the rows g_0..g_k of its (left)
 matrix by their differences D = [g_0 - g_1, ..., g_{k-1} - g_k, g_k] =
@@ -238,11 +238,13 @@ class FieldScalar:
 
     @classmethod
     def parse(cls, text: str) -> "FieldScalar":
-        """Inverse of ``str``: accepts "p/q", "p", "v mod p" (or "v%p")."""
+        """Inverse of ``str``: accepts "p/q", "p", "v mod p" (or "v%p").
+        The text is split at its first separator, so a second one makes
+        the modulus malformed."""
         text = text.strip()
         for sep in (" mod ", "%"):
             if sep in text:
-                v, p = text.split(sep)
+                v, _, p = text.partition(sep)
                 return cls.residue(int(v.strip()), int(p.strip()))
         return cls.rational(Fraction(text))
 
@@ -281,26 +283,11 @@ class ExactMatrix:
             rows, cols, modulus, tuple(ints), den, None
 
     @classmethod
-    def _from_ints(cls, rows: int, cols: int, modulus: int | None, ints,
-                   den: int = 1) -> "ExactMatrix":
-        """The matrix of entries ints[k] / den, row by row, brought to the
-        canonical form.  den > 0, and den = 1 over GF(p); the modulus was
-        checked before."""
-        if modulus is not None:
-            if ints and (min(ints) < 0 or max(ints) >= modulus):
-                ints = [x % modulus for x in ints]
-        elif den > 1:
-            g = gcd(den, *ints)
-            if g > 1:
-                ints, den = [x // g for x in ints], den // g
-        return cls._trusted(rows, cols, modulus, tuple(ints), den)
-
-    @classmethod
     def _trusted(cls, rows: int, cols: int, modulus: int | None, ints: tuple[int, ...],
                  den: int = 1, max_abs: int | None = None) -> "ExactMatrix":
-        """Wrap an int tuple that is in the canonical form by construction,
-        without the checks of ``_from_ints``; max_abs, when given, is the
-        largest |x| over the ints."""
+        """Wrap an int tuple that is in the canonical form by construction
+        (see ``_integer_form`` and ``_reduced``), without checking it;
+        max_abs, when given, is the largest |x| over the ints."""
         out = object.__new__(cls)
         out.rows, out.cols, out.modulus, out.ints, out.den, out._max = \
             rows, cols, modulus, ints, den, max_abs
@@ -315,7 +302,7 @@ class ExactMatrix:
             raise DimensionMismatchError("ragged rows")
         _check_modulus(modulus)
         ints, den = _integer_form([x for r in data for x in r], modulus)
-        return cls._from_ints(len(data), ncols, modulus, ints, den)
+        return cls._trusted(len(data), ncols, modulus, tuple(ints), den)
 
     @classmethod
     def identity(cls, n: int, modulus: int | None = None) -> "ExactMatrix":
@@ -330,25 +317,23 @@ class ExactMatrix:
             self._max = max(max(ints), -min(ints)) if ints else 0
         return self._max
 
-    def _value(self, x: int):
-        """The raw value of the stored int x."""
-        return Fraction(x, self.den) if self.modulus is None else x
-
     @property
     def values(self) -> tuple:
         """Raw entries row by row: Fractions over Q, ints in [0, p) over GF(p)."""
-        return tuple(map(self._value, self.ints))
+        return tuple([x.value for x in self.entries])
 
     @property
     def entries(self) -> tuple[FieldScalar, ...]:
-        return tuple(_scalar(v, self.modulus) for v in self.values)
+        den, modulus = self.den, self.modulus
+        return tuple([_read(x, den, modulus) for x in self.ints])
 
     def entry(self, i: int, j: int) -> FieldScalar:
-        return _scalar(self._value(self.ints[i * self.cols + j]), self.modulus)
+        return _read(self.ints[i * self.cols + j], self.den, self.modulus)
 
     def row(self, i: int) -> tuple[FieldScalar, ...]:
-        return tuple(_scalar(self._value(x), self.modulus)
-                     for x in self.ints[i * self.cols:(i + 1) * self.cols])
+        den, modulus = self.den, self.modulus
+        return tuple([_read(x, den, modulus)
+                      for x in self.ints[i * self.cols:(i + 1) * self.cols]])
 
     def column(self, j: int) -> tuple[FieldScalar, ...]:
         return tuple(self.entry(i, j) for i in range(self.rows))
@@ -374,19 +359,47 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, {self.to_string_rows()})"
 
 
+# Only the three functions below build, reduce and read the canonical form
+# of the module docstring, which ExactMatrix shares with bwgroup's
+# parameters and triples.
+
 def _integer_form(values: list, modulus: int | None) -> tuple[list[int], int]:
-    """Ints, Fractions or scalars of the given kind as ints over one common
-    denominator: over Q the least one, over GF(p) 1.  Int values pass
-    through unchanged.  Over Q, a value of type int or Fraction (not a
-    bool, not a subclass) gives its numerator and denominator as it is;
+    """Ints, Fractions or scalars of the given kind in the canonical form.
+    Over Q the denominator is the least common one, which leaves the ints
+    in lowest terms: a prime power exactly dividing it divides one value's
+    reduced denominator and so not that value's int.  Over Q, a value of
+    type int or Fraction (not a bool, not a subclass) gives its numerator
+    and denominator as it is, and all-int values pass through unchanged;
     every other value is lifted to a Fraction first."""
+    if modulus is not None:
+        return [x % modulus if type(x) is int else _lift(x, modulus) for x in values], 1
     if all(type(x) is int for x in values):
         return values, 1
-    if modulus is not None:
-        return [_lift(x, modulus) for x in values], 1
     lifted = [x if type(x) is int or type(x) is Fraction else _lift(x, None) for x in values]
     den = lcm(*(x.denominator for x in lifted))
     return [x.numerator * (den // x.denominator) for x in lifted], den
+
+
+def _reduced(ints: Sequence[int], den: int, modulus: int | None) -> tuple[Sequence[int], int]:
+    """The values ints[k] / den in the canonical form, den a unit of the
+    kind: nonzero over Q, prime to p over GF(p).  A denominator of 1 takes
+    no gcd over Q and no inverse over GF(p)."""
+    if modulus is not None:
+        if den == 1:
+            return [x % modulus for x in ints], 1
+        u = pow(den, -1, modulus)
+        return [x * u % modulus for x in ints], 1
+    if den != 1:
+        # Dividing by -gcd when den < 0 also makes den positive.
+        g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
+        if g != 1:
+            return [x // g for x in ints], den // g
+    return ints, den
+
+
+def _read(x: int, den: int, modulus: int | None) -> FieldScalar:
+    """The scalar x / den: a Fraction over Q, the residue x over GF(p)."""
+    return _scalar(Fraction(x, den) if modulus is None else x, modulus)
 
 
 # (size in bytes, native signed format) of the machine words, smallest first.
@@ -448,9 +461,8 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     else:
         ints = [int.from_bytes(blob[s:s + width], order, signed=True)
                 for s in range(0, len(blob), width)]
-    if p is None:
-        return ExactMatrix._from_ints(n, m, None, ints, a.den * b.den)
-    return ExactMatrix._trusted(n, m, p, tuple([x % p for x in ints]))
+    ints, den = _reduced(ints, a.den * b.den, p)
+    return ExactMatrix._trusted(n, m, p, tuple(ints), den)
 
 
 def _eliminate(m: list[list[int]]) -> int:
@@ -558,7 +570,7 @@ def det_exact(a: ExactMatrix) -> FieldScalar:
     n, p = a.rows, a.modulus
     rows = [a.ints[i * n:(i + 1) * n] for i in range(n)]
     if p is None:
-        return _scalar(Fraction(det_int(rows), a.den ** n), None)
+        return _read(det_int(rows), a.den ** n, None)
     m = _differenced(rows)
     for row in m[:-1]:
         row[:] = [x % p for x in row]

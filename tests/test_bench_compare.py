@@ -8,6 +8,8 @@ rule.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,10 +56,35 @@ def test_existing_claim_survives_a_call_that_adds_workloads():
 
 
 @pytest.mark.parametrize("workload, seed", [("sturmian-detvec", 17), ("pc-enum-sign", 23)])
-def test_claim_on_a_new_workload_or_seed_replaces_the_old(workload, seed):
+def test_claim_on_a_new_workload_or_seed_is_refused(workload, seed):
     claim = bench_compare.merged_claim(None, "pc-enum-sign", 17, 10)
-    new = bench_compare.merged_claim(claim, workload, seed, 3)
-    assert (new["workload"], new["seed"], new["pairs"]) == (workload, seed, 3)
+    with pytest.raises(ValueError, match="claims pc-enum-sign at seed 17"):
+        bench_compare.merged_claim(claim, workload, seed, 3)
+    assert claim["pairs"] == 10
+
+
+def test_second_claim_exits_2_and_leaves_the_file(tmp_path):
+    """The refusal comes before any checkout or run: the file keeps its
+    bytes and no worktree is added."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    claim = bench_compare.merged_claim(None, "sturmian-detvec", 17, 1)
+    path = tmp_path / "BENCH_00_smoke.json"
+    path.write_text(json.dumps({"name": "BENCH_00_smoke", "parent_commit": head,
+                                "claim": claim, "runs": []}))
+    before = path.read_bytes()
+    worktrees = subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True,
+                               text=True, check=True).stdout
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_compare.py"),
+                           "--base", "HEAD", "--number", "0", "--tag", "smoke",
+                           "--workload", "sturmian-detvec", "--pairs", "1", "--seconds", "1",
+                           "--seed", "5",
+                           "--claim", "sturmian-detvec", "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "claims sturmian-detvec at seed 17" in done.stderr
+    assert path.read_bytes() == before
+    assert subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout == worktrees
 
 
 def test_traced_per_call_is_the_median_over_traced_pairs():

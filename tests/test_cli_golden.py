@@ -43,6 +43,8 @@ CORPUS = {
                                "--b", "4", "--r", "2"],
     "matrix-christoffel-division-by-zero": ["matrix", "christoffel", "--n", "3", "--a", "1/0",
                                             "--b", "1", "--r", "1"],
+    "matrix-christoffel-second-separator": ["matrix", "christoffel", "--n", "3",
+                                            "--a", "1 mod 2 mod 3", "--b", "1", "--r", "1"],
     "sign-zolotareff": ["sign", "zolotareff", "5", "13"],
     "sign-zolotareff-not-coprime": ["sign", "zolotareff", "2", "8"],
     "sign-jacobi": ["sign", "jacobi", "3", "5"],
@@ -361,6 +363,14 @@ EXPECTED = {
                   ': "1/2", "b": "-4", "n": 3, "r": 1}, "result": {"matrix": [["-4", "1/2"'
                   ', "1/2"], ["1/2", "-4", "1/2"], ["1/2", "1/2", "-4"]]}}\n'),
                  ''],
+    },
+    'matrix-christoffel-second-separator': {
+        'text': [2,
+                 '',
+                 "error [usage]: argument --a: invalid literal for int() with base 10: '2 mod 3'\n"],
+        'json': [2,
+                 '',
+                 "error [usage]: argument --a: invalid literal for int() with base 10: '2 mod 3'\n"],
     },
     'matrix-christoffel-gf': {
         'text': [0,

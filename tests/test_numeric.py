@@ -4,7 +4,7 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import christoffel.numeric as numeric
 from christoffel import (
@@ -128,6 +128,11 @@ class TestFieldScalar:
         for text in ("5/6", "2", "-7/3", "3 mod 7"):
             assert str(FieldScalar.parse(text)) == text
         assert FieldScalar.parse("3%7") == FieldScalar.residue(3, 7)
+
+    @pytest.mark.parametrize("text, part", [("1 mod 2 mod 3", "2 mod 3"), ("1%2%3", "2%3")])
+    def test_parse_names_the_part_after_the_first_separator(self, text, part):
+        with pytest.raises(ValueError, match=f"'{part}'"):
+            FieldScalar.parse(text)
 
     def test_power(self):
         assert FieldScalar.rational(2, 3) ** 3 == Fraction(8, 27)
@@ -266,7 +271,7 @@ def matrix(rows, cols, modulus=None):
     without rows, which from_rows cannot express."""
     if rows:
         return ExactMatrix.from_rows(rows, modulus)
-    return ExactMatrix._from_ints(0, cols, modulus, [])
+    return ExactMatrix._trusted(0, cols, modulus, ())
 
 
 def assert_equals_per_entry_product(a, b):
@@ -838,3 +843,31 @@ class TestChristoffelMatrixForm:
         rebuilt = ExactMatrix.from_rows([m.row(i) for i in range(n)], modulus)
         assert m == rebuilt and hash(m) == hash(rebuilt)
         assert (m.ints, m.den) == (rebuilt.ints, rebuilt.den)
+
+
+class TestReduced:
+    """numeric._reduced brings ints over any unit denominator to the
+    canonical form: positive denominator, lowest terms over Q; residues
+    in [0, p) over 1 over GF(p)."""
+
+    ints = st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=6)
+
+    @settings(max_examples=200)
+    @given(ints=ints, den=st.integers(-10 ** 12, 10 ** 12).filter(bool))
+    @example(ints=[6, -4], den=-2)
+    @example(ints=[-3, 5], den=-1)
+    @example(ints=[-3, 5], den=1)
+    def test_rational(self, ints, den):
+        out, out_den = numeric._reduced(ints, den, None)
+        assert out_den > 0 and gcd(out_den, *out) == 1
+        assert [Fraction(x, out_den) for x in out] == [Fraction(x, den) for x in ints]
+
+    @settings(max_examples=200)
+    @given(p=primes, ints=ints, den=st.integers(-10 ** 20, 10 ** 20))
+    @example(p=7, ints=[-3, 12], den=-5)
+    @example(p=7, ints=[-3, 12], den=1)
+    def test_residues(self, p, ints, den):
+        assume(den % p)
+        out, out_den = numeric._reduced(ints, den, p)
+        assert out_den == 1 and all(0 <= x < p for x in out)
+        assert [x * den % p for x in out] == [x % p for x in ints]

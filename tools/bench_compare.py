@@ -19,7 +19,9 @@ median over the traced pairs of its calls and self time per call.  Runs
 on a seed other than the claimed one are summarized under
 ``"<workload> (seed <S>)"``.
 If the file exists, the new runs are added to it (same base commit) and
-the summary is computed again from all runs.
+the summary is computed again from all runs.  A file holds one claim:
+``--claim`` on another workload or seed than the file's exits with
+status 2 and leaves the file as it is.
 """
 
 from __future__ import annotations
@@ -219,13 +221,17 @@ def merged_claim(claim: dict | None, workload: str | None, seed: int, pairs: int
     """The claim record after a call with ``--claim workload``.  An
     existing claim on the same workload and seed is kept as it is, so a
     later call that adds other workloads with fewer pairs does not lower
-    its pair count; a new workload or seed starts a new claim."""
+    its pair count.  A file holds one claim: a claim on another workload
+    or seed raises ValueError."""
     if not workload:
         return claim
-    if claim is not None and (claim["workload"], claim["seed"]) == (workload, seed):
-        return claim
-    return {"workload": workload, "metric": "tasks_per_s", "seed": seed, "pairs": pairs,
-            "rule": RULE}
+    if claim is None:
+        return {"workload": workload, "metric": "tasks_per_s", "seed": seed, "pairs": pairs,
+                "rule": RULE}
+    if (claim["workload"], claim["seed"]) != (workload, seed):
+        raise ValueError(f"the file claims {claim['workload']} at seed {claim['seed']}, "
+                         f"not {workload} at seed {seed}")
+    return claim
 
 
 def save(data: dict, path: str, change: str, claim_seed: int) -> None:
@@ -274,7 +280,10 @@ def main() -> int:
             parser.error(f"{path} compares against {data['parent_commit']}, not {base_commit}")
     if args.description:
         data["change"] = args.description
-    data["claim"] = merged_claim(data["claim"], args.claim, args.seed, args.pairs)
+    try:
+        data["claim"] = merged_claim(data["claim"], args.claim, args.seed, args.pairs)
+    except ValueError as exc:
+        parser.error(f"{path}: {exc}")
     change = args.change or "the working tree"
     claim_seed = data["claim"]["seed"] if data["claim"] else args.seed
 
