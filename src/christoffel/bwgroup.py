@@ -44,7 +44,8 @@ def _check_characteristic(n: int, modulus: int | None) -> None:
             f"characteristic {modulus} must exceed the order {n}")
 
 
-def _check_order(n: int, r: int) -> None:
+def _check_order(n: int, r: int = 1) -> None:
+    """n >= 2 and r in [1, n-1] prime to n; without r, the order alone."""
     if n < 2:
         raise OutOfRangeError(f"order must be >= 2, got {n}")
     if not 1 <= r <= n - 1:
@@ -143,6 +144,7 @@ class GroupTriple(Frozen):
             raise NonInvertibleRowSumError("row sum c must be nonzero")
         if d.is_zero():
             raise NonInvertibleRowSumError("difference d must be nonzero")
+        _check_order(n)
         if gcd(r % n, n) != 1:
             raise NotCoprimeError(f"gcd({r}, {n}) != 1")
         if c.modulus != d.modulus:

@@ -35,13 +35,11 @@ def fib(m: int) -> int:
 
 
 def lucas(m: int) -> int:
-    """Lucas number with L_0 = 2, L_1 = 1."""
+    """Lucas number L_m = 2 F_{m-1} + F_m, so L_0 = 2 and L_1 = 1."""
     if m < 0:
         raise OutOfRangeError(f"L_{m} not supported")
-    a, b = 2, 1
-    for _ in range(m):
-        a, b = b, a + b
-    return a
+    a, b = _fib_pair(m)
+    return 2 * a + b
 
 
 def fib_word_chain(count: int) -> list[Word]:

@@ -16,7 +16,8 @@ enumeration and the closed-form vectors encode plain parts without
 building a ``Composition`` or a ``Permutation``.  A restriction chain is
 encoded once and then spliced: each step turns one factor "ac" into "b"
 in place, so a chain of gamma steps costs one walk plus gamma C-level
-copies instead of gamma + 1 walks.
+copies instead of gamma + 1 walks.  One floor identity gives its merge
+rows, listed by ``merge_positions`` and summed by ``merge_position_sum``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     SizeLimitError,
 )
 from .permsign import Permutation
-from .words import Letter, Word
+from .words import Letter, Word, _ordered
 
 
 class Composition(Frozen):
@@ -205,23 +206,17 @@ def restriction_word_chain(gamma: int, rho: int,
 
 def merge_positions(n: int, step: int, count: int) -> list[int]:
     """h_j = (j*step mod n) - d_j for j = 1..count, where d_j counts the
-    earlier marks i*step mod n (i < j) below the current one; a Fenwick
-    tree over the marks seen so far counts each d_j in O(log n).  Needs
-    gcd(step, n) = 1 and 0 <= count < n."""
+    earlier marks i*step mod n (i < j) below the current one.  Needs
+    gcd(step, n) = 1 and 0 <= count < n.  With F(x) = floor(x step / n),
+    the mark of a < b lies above that of b exactly when
+    F(b) - F(a) - F(b - a) = 1, so d_j = (j-1)(1 - F(j)) + 2 s with the
+    running sum s = F(1) + ... + F(j-1): O(1) per row."""
     _check_marks(n, step, count)
-    tree = [0] * (n + 1)  # mark x is stored at index x + 1
-    out = []
+    step, s, out = step % n, 0, []
     for j in range(1, count + 1):
-        mark = j * step % n
-        d, x = 0, mark
-        while x:
-            d += tree[x]
-            x &= x - 1
-        out.append(mark - d)
-        x = mark + 1
-        while x <= n:
-            tree[x] += 1
-            x += x & -x
+        f, mark = divmod(j * step, n)
+        out.append(mark - (j - 1) * (1 - f) - 2 * s)
+        s += f
     return out
 
 
@@ -261,11 +256,10 @@ def _check_marks(n: int, step: int, count: int) -> None:
 def merge_position_sum(n: int, step: int, count: int) -> int:
     """sum(merge_positions(n, step, count)) in O(log n), for gcd(step, n) = 1.
 
-    With F(x) = floor(x step / n), the marks sum to step*i(i+1)/2 - n*S0
-    for i = count, S0 = sum F(x) and S1 = sum x F(x) over x <= i.  For
-    a < b the mark of a lies above the mark of b exactly when
-    F(b) - F(a) - F(b - a) = 1, so the inversions number 3 S1 - (2i+1) S0
-    and the d_j sum to i(i-1)/2 minus that.
+    The identity of merge_positions summed in closed form: with i = count,
+    S0 = sum F(x) and S1 = sum x F(x) over x <= i, the marks sum to
+    step*i(i+1)/2 - n*S0, the inversions F(b) - F(a) - F(b - a) over all
+    a < b number 3 S1 - (2i+1) S0, and the d_j sum to i(i-1)/2 minus that.
     """
     _check_marks(n, step, count)
     step, i = step % n, count
@@ -281,7 +275,8 @@ def enumerate_pc_words(length: int, num_letters: int,
     composition of the length into ``num_letters`` parts (zeros allowed)
     whose exchange is a single cycle (Ferenczi-Zamboni).  The gcd
     criterion of the alphabet size picks those compositions; a wrong pick
-    would fail in the cycle walk with NotCircularError.
+    would fail in the cycle walk with NotCircularError.  The letters of
+    the alphabet must increase strictly, as for ``lower_christoffel``.
     """
     if num_letters not in (2, 3):
         raise SizeLimitError(f"alphabet size {num_letters} not supported")
@@ -292,6 +287,7 @@ def enumerate_pc_words(length: int, num_letters: int,
     if len(alphabet) != num_letters:
         raise AlphabetSizeMismatchError(
             f"{len(alphabet)} letters for alphabet size {num_letters}")
+    _ordered(alphabet)
     circular = two_interval_circular if num_letters == 2 else pak_redlich_circular
     words = sorted(tuple(_encode(parts, _images(parts), alphabet))
                    for parts in _compositions(length, num_letters) if circular(*parts))

@@ -102,7 +102,7 @@ class Word:
         return self.letters[i]
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word(self.letters + other.letters) if isinstance(other, Word) else NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Word):
@@ -110,10 +110,10 @@ class Word:
         return self.letters == other.letters
 
     def __lt__(self, other: "Word"):
-        return self.letters < other.letters
+        return self.letters < other.letters if isinstance(other, Word) else NotImplemented
 
     def __le__(self, other: "Word"):
-        return self.letters <= other.letters
+        return self.letters <= other.letters if isinstance(other, Word) else NotImplemented
 
     def __hash__(self):
         return hash(self.letters)
@@ -269,8 +269,8 @@ def _christoffel_bw_prefixes(slope: SlopeRatio, rows: Iterable[int], width: int,
     return [doubled[s:s + width] for s in (i * step % n for i in rows)]
 
 
-def _ordered(alphabet: tuple[Letter, Letter]) -> tuple[Letter, Letter]:
-    if not alphabet[0] < alphabet[1]:
+def _ordered(alphabet: Sequence[Letter]) -> Sequence[Letter]:
+    if not all(a < b for a, b in zip(alphabet, alphabet[1:])):
         raise InvalidSlopeError(f"alphabet {alphabet} is not strictly ordered")
     return alphabet
 

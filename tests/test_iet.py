@@ -27,6 +27,7 @@ from christoffel import (
 from christoffel.errors import (
     AlphabetSizeMismatchError,
     EmptyCompositionError,
+    InvalidSlopeError,
     MergeMismatchError,
     NotCircularError,
     NotCoprimeError,
@@ -335,14 +336,19 @@ class TestRestrictionWordChain:
 
 
 @st.composite
-def coprime_steps(draw, max_n=150):
+def coprime_steps(draw, max_n=150, wrapped=False):
+    """(n, step, count) with gcd(step, n) = 1 and 0 <= count < n.  The step
+    lies in [1, n], or in [0, 3n] when ``wrapped``, so that a rule which
+    assumes 0 < step < n (say, one that wraps each mark by a single
+    subtraction of n) goes wrong."""
     n = draw(st.integers(1, max_n))
-    step = draw(st.integers(1, n).filter(lambda s: gcd(s, n) == 1))
+    low, high = (0, 3 * n) if wrapped else (1, n)
+    step = draw(st.integers(low, high).filter(lambda s: gcd(s, n) == 1))
     return n, step, draw(st.integers(0, n - 1))
 
 
 class TestMergePositions:
-    @given(case=coprime_steps())
+    @given(case=coprime_steps(400, wrapped=True))
     def test_equals_quadratic_count(self, case):
         assert merge_positions(*case) == merge_positions_by_scan(*case)
 
@@ -407,6 +413,20 @@ class TestEnumeration:
             for w in enumerate_pc_words(n, 2):
                 if len(w.alphabet()) == 2:
                     assert is_christoffel(w) == "lower"
+
+    @pytest.mark.parametrize("num_letters, alphabet", [
+        (3, (0, 0, 1)), (3, (0, 1, 1)), (3, (2, 1, 0)), (3, (0, 2, 1)), (2, (1, 0)),
+        (2, ("b", "a")), (2, (1, 1))])
+    def test_alphabet_must_increase(self, num_letters, alphabet):
+        """(0, 0, 1) used to give duplicate words and (1, 0) words that
+        are not Lyndon; the error is the one of lower_christoffel."""
+        with pytest.raises(InvalidSlopeError, match="not strictly ordered"):
+            enumerate_pc_words(6, num_letters, alphabet)
+
+    def test_increasing_alphabets_give_lyndon_words(self):
+        for alphabet in ((-1, 5, 7), ("a", "b", "c")):
+            words = enumerate_pc_words(8, 3, alphabet)
+            assert len(set(words)) == len(words) and all(map(is_lyndon, words))
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):

@@ -554,7 +554,7 @@ class TestSpecialFactor:
            quotients=st.lists(st.integers(1, 4), min_size=2, max_size=14))
     def test_is_component_at_last_merge_row(self, data, quotients):
         """The component of the closed-form V_n at row h_i - 1, with h_i the
-        last Fenwick merge row of the covering chain word."""
+        last merge row of the covering chain word."""
         slope = SturmianSlope.from_quotients([0] + quotients)
         top = christoffel_length(slope.cf)
         assume(top >= 3)

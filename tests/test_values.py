@@ -137,12 +137,22 @@ def test_constructors_coerce():
     (lambda: ChristoffelParams(6, 0, 1, 2), NotCoprimeError),
     (lambda: GroupTriple(7, FieldScalar(0), ONE, 2), NonInvertibleRowSumError),
     (lambda: GroupTriple(7, ONE, FieldScalar(0), 2), NonInvertibleRowSumError),
+    (lambda: GroupTriple(1, 1, 2, 0), OutOfRangeError),
+    (lambda: GroupTriple(-7, 1, 2, 1), OutOfRangeError),
+    (lambda: GroupTriple(0, 1, 2, 0), OutOfRangeError),
 ], ids=["slope-not-lowest", "slope-negative", "slope-0/0", "cf-empty", "cf-zero-quotient",
         "composition-empty", "composition-zero-sum", "params-order", "params-coprime",
-        "triple-c", "triple-d"])
+        "triple-c", "triple-d", "triple-order-1", "triple-order-negative", "triple-order-0"])
 def test_constructors_validate(make, error):
     with pytest.raises(error):
         make()
+
+
+@pytest.mark.parametrize("n", [1, 0, -7])
+def test_triple_order_message_is_the_params_one(n):
+    for make in (ChristoffelParams, GroupTriple):
+        with pytest.raises(OutOfRangeError, match=rf"^order must be >= 2, got {n}$"):
+            make(n, 1, 2, 1)
 
 
 def test_determinantal_vector_stays_a_dataclass():

@@ -192,6 +192,17 @@ class TestBasicPredicates:
         assert not is_palindrome(W("ac"))
         assert is_palindrome(Word(()))
 
+    @pytest.mark.parametrize("other", [5, (2,), [2], "2", None])
+    def test_operators_refuse_other_types(self, other):
+        """Ordering and concatenation take words only; Python raises
+        TypeError once both sides return NotImplemented."""
+        w = Word((1,))
+        for op in (lambda: w < other, lambda: w <= other, lambda: w > other,
+                   lambda: w >= other, lambda: w + other, lambda: other < w):
+            with pytest.raises(TypeError):
+                op()
+        assert w != other
+
 
 class TestCircularFactors:
     def test_example_00101(self):
