@@ -31,11 +31,11 @@ from .errors import ChristoffelError, NotChristoffelError, SizeLimitError
 
 # Caps on sizes whose cost grows without bound, checked before any work.
 # The costs quoted are single runs on 2 vCPUs at the cap.
-# A matrix command builds n^2 entries (`det` then eliminates the
-# differenced table with about n row updates, 0.14 s of wall time as a
-# median of 5), and so does the exact-minor oracle of `sturmian detvec`,
-# which then reads the minors off the n row differences of G_n with no
-# elimination (0.10 s, likewise).
+# A matrix command builds n^2 entries (`det` then reads the determinant
+# off the n - 1 row differences of the table with no elimination, 0.08 s
+# of wall time as a median of 11), and so does the exact-minor oracle of
+# `sturmian detvec`, which reads the minors off the n row differences of
+# G_n the same way (0.10 s as a median of 5).
 MAX_MATRIX_ORDER = 256
 # `fib chain` words grow about 1.6x per word (5.7 MB of output).
 MAX_FIB_CHAIN_COUNT = 30
@@ -242,7 +242,7 @@ def _cmd_matrix_det(args):
     exact = det_exact(christoffel_matrix(p))
     return (_params_json(p),
             {"det": str(closed), "det_exact": str(exact), "match": closed == exact},
-            [f"det = {closed} (exact elimination agrees: {closed == exact})"])
+            [f"det = {closed} (exact determinant agrees: {closed == exact})"])
 
 
 def _cmd_sign_zolotareff(args):

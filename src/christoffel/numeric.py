@@ -13,9 +13,8 @@ T G, T upper bidiagonal with 1 on the diagonal and -1 above it.  As
 det T = 1, det D = det G.  Consecutive rows of a Christoffel
 (Burrows-Wheeler) table differ by one adjacent exchange of the two
 letters (Borel and Reutenauer, "On Christoffel classes", 2006); there
-D, each row divided by its content, has at most two entries +-1 in
-every row but the last.  The results are exact for every input; the
-structure only makes them cheap.
+every row of D but the last is d e_j - d e_{j+1} for one column j.  The
+results are exact for every input; the structure only makes them cheap.
 
 The product a b is one integer product: b's rows are packed one per
 big integer, and row i of the product, P_i = P_{i+1} + (a_i - a_{i+1}) b,
@@ -24,11 +23,18 @@ rows of a, read back as machine words when a product entry fits in
 8 bytes.  A Christoffel left factor thus costs about 2n + k packed
 multiply-adds instead of n k.
 
-The eliminations do about one row update per column there instead of
-one per row below the pivot.  The determinant over Q is the
-fraction-free (Bareiss) one of the differenced stored ints; over GF(p)
-it is Gaussian elimination of the differences with every entry reduced
-mod p.
+The determinant of an n x n matrix M runs no elimination when D has that
+shape: rows i < n - 1 equal to d_i (e_{j_i} - e_{j_i + 1}), with no j_i
+repeated.  Let U be the prefix-sum matrix (1 on and above the diagonal,
+det U = 1), so that x U = (x_0, x_0 + x_1, ...).  Then row i < n - 1 of
+T M U is d_i e_{j_i}, and the last row ends in the sum S of g_{n-1}.
+The j_i are the columns 0..n-2 in some order pi, so column n - 1 of
+T M U is S e_{n-1} and det M = sign(pi) * prod d_i * S: one lazy scan
+per row pair, one cycle walk and one sum (see ``_path_det``).  Over
+GF(p) the same reading runs on the stored residues, taken as ints, and
+is reduced mod p.  Every other matrix falls through to an elimination
+of D (``_det_by_elimination``): fraction-free (Bareiss) over Q,
+Gaussian with every entry reduced mod p over GF(p).
 """
 
 from __future__ import annotations
@@ -37,12 +43,13 @@ import struct
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 from math import gcd, lcm
-from operator import mul, sub
+from operator import mul, ne, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import ChristoffelError, DimensionMismatchError, KindMismatchError, SizeLimitError
+from .permsign import _cycle_sign
 
 ScalarLike = Union[int, Fraction, "FieldScalar"]
 
@@ -508,23 +515,46 @@ def _differenced(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(map(sub, g, h)) for g, h in zip(rows, rows[1:])] + [list(g) for g in rows[-1:]]
 
 
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix M, by one Bareiss
-    elimination of its differenced rows.
+def _path_det(rows: Sequence[Sequence[int]]) -> int | None:
+    """det M of the n x n integer matrix M (n >= 1) read off the path of
+    its row differences, or None when they do not form one.
 
-    det M = det(T M) = det D, since det T = 1 (see ``_differenced``).
-    Each nonzero row of D is divided by its content and the contents
-    are multiplied back in.  Consecutive rows of a Christoffel table
-    differ by one adjacent exchange of its two letters, so there D has
-    rows with two entries +-1 apart from its last, and the elimination
-    does about one row update per column.
+    Each pair g_i, g_{i+1} must differ in exactly the columns j_i and
+    j_i + 1, by d_i and -d_i, and no j_i may repeat; then det M =
+    sign(pi) * prod d_i * sum(g_{n-1}) with pi(i) = j_i (see the module
+    docstring).  The scan of a pair runs in C and stops at its first
+    differing column, the rest of the pair is one slice comparison, and
+    the scan of the matrix stops at the first pair that does not fit.  The
+    rows must be tuples, so that their tails compare by value.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("matrix is not square")
-    if not n:
-        return 1
+    edges: list[int] = []  # edges[i] = pi(i)
+    used = bytearray(n)
+    scale = 1
+    for g, h in zip(rows, rows[1:]):
+        j = next(compress(count(), map(ne, g, h)), n)
+        if j >= n - 1 or used[j]:
+            return None
+        d = g[j] - h[j]
+        if h[j + 1] - g[j + 1] != d or g[j + 2:] != h[j + 2:]:
+            return None
+        used[j] = 1
+        edges.append(j)
+        scale *= d
+    return _cycle_sign(edges) * scale * sum(rows[-1])
+
+
+def _det_by_elimination(rows: Sequence[Sequence[int]], modulus: int | None = None) -> int:
+    """det M of the n x n integer matrix M (n >= 1) by elimination of its
+    differenced rows D (det T = 1, see ``_differenced``): over Q by one
+    Bareiss elimination, each nonzero row of D first divided by its
+    content and the contents multiplied back in; over GF(p), the residue
+    in [0, p), by Gaussian elimination of D reduced mod p."""
     m = _differenced(rows)
+    if modulus is not None:
+        for row in m:
+            row[:] = [x % modulus for x in row]
+        return _det_mod(m, modulus)
     content = 1
     for i, row in enumerate(m):
         g = gcd(*row)
@@ -532,6 +562,24 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
             m[i] = [x // g for x in row]
             content *= g
     return content * _eliminate(m) * m[-1][-1]
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix M.
+
+    When consecutive rows differ by scaled adjacent exchanges along a path,
+    as in every Christoffel table, det M = sign(pi) * prod d_i * sum of the
+    last row, with no elimination (``_path_det``; T M U in the module
+    docstring).  Any other M falls through to one Bareiss elimination of
+    its differenced rows, det M = det(T M) (``_det_by_elimination``).
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatchError("matrix is not square")
+    if not n:
+        return 1
+    det = _path_det([*map(tuple, rows)])
+    return _det_by_elimination(rows) if det is None else det
 
 
 def _det_mod(m: list[list[int]], p: int) -> int:
@@ -561,9 +609,11 @@ def det_exact(a: ExactMatrix) -> FieldScalar:
     """Exact determinant of a square matrix.
 
     Over Q, the stored ints form an integer matrix; its determinant by
-    ``det_int`` divided by den^n is the answer.  Over GF(p), Gaussian
-    elimination of the differenced rows (see ``_differenced``, det T = 1)
-    taken mod p, reduced mod p at every step.
+    ``det_int`` divided by den^n is the answer.  Over GF(p), the stored
+    residues are read as an integer matrix the same way: off the path of
+    their row differences when they form one, reduced mod p
+    (``_path_det``), and otherwise by Gaussian elimination of the
+    differenced rows reduced mod p at every step (``_det_by_elimination``).
     """
     if a.rows != a.cols:
         raise DimensionMismatchError(f"determinant of {a.rows}x{a.cols} matrix")
@@ -571,7 +621,5 @@ def det_exact(a: ExactMatrix) -> FieldScalar:
     rows = [a.ints[i * n:(i + 1) * n] for i in range(n)]
     if p is None:
         return _read(det_int(rows), a.den ** n, None)
-    m = _differenced(rows)
-    for row in m[:-1]:
-        row[:] = [x % p for x in row]
-    return _scalar(_det_mod(m, p), p)
+    det = _path_det(rows) if n else 1
+    return _scalar(_det_by_elimination(rows, p) if det is None else det % p, p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EvenModulusError, NotBijectiveError, NotCoprimeError, OutOfRangeError
 
@@ -71,6 +71,20 @@ class Permutation:
 
     def cycle_string(self) -> str:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles())
+
+
+def _cycle_sign(images: Sequence[int]) -> int:
+    """Sign of the permutation i -> images[i] of [n], by one walk of its
+    cycles: each step inside a cycle flips it.  images must be a bijection
+    of [n]; it is not checked."""
+    seen = bytearray(len(images))
+    sign = 1
+    for start, j in enumerate(images):
+        if not seen[start]:
+            # A later start is larger, so start itself needs no mark.
+            while j != start:
+                seen[j], j, sign = 1, images[j], -sign
+    return sign
 
 
 def cycle_type_string(cycle_type: dict[int, int]) -> str:

@@ -43,7 +43,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .iet import _encode, _images, merge_position_sum, merge_positions
-from .permsign import zolotareff
+from .permsign import _cycle_sign, zolotareff
 from .words import (
     SlopeRatio,
     Word,
@@ -214,7 +214,7 @@ def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if k < 0 or any(len(r) != k for r in rows):
         raise DimensionMismatchError("need a (k+1) x k matrix")
     edges: list[int] = []  # edges[i] = pi(i)
-    pair_of = [-1] * k  # pair_of[j] = pi^(-1)(j), later the cycle walk's unvisited marks
+    pair_of = [-1] * k  # pair_of[j] = pi^(-1)(j)
     for i, (a, b) in enumerate(zip(rows, rows[1:])):
         j = next(compress(count(), map(ne, a, b)), k)
         if (j == k or a[j] - b[j] != 1
@@ -228,12 +228,7 @@ def determinantal_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 f"{pair_of[j]} and {pair_of[j] + 1}; not a factor matrix G_{k}")
         pair_of[j] = i
         edges.append(j)
-    sign = 1
-    for start, j in enumerate(edges):
-        if pair_of[start] >= 0:
-            pair_of[start] = -1
-            while j != start:
-                pair_of[j], j, sign = -1, edges[j], -sign
+    sign = _cycle_sign(edges)
     prefix = [*accumulate(rows[k])]
     u = [-sign * prefix[j] for j in edges]
     u.append(sign)

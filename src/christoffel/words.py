@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from ._frozen import Frozen
 from .errors import (
+    AlphabetSizeMismatchError,
     AmbiguousSplitError,
     IndexOutOfRangeError,
     InvalidSlopeError,
@@ -245,12 +246,17 @@ def christoffel_bw_row(slope: SlopeRatio, i: int,
 
     With q = |w|_0, r = |w|_1 and n = q + r, position j carries the high
     letter exactly when (i + qj) mod n < r.  Row n-1 is the lower and
-    row 0 the upper Christoffel word.
+    row 0 the upper Christoffel word.  An alphabet of other than two
+    letters raises AlphabetSizeMismatchError.
     """
     q, r = slope.zeros, slope.ones
     n = q + r
     if not 0 <= i < n:
         raise IndexOutOfRangeError(f"row {i} outside [0, {n - 1}]")
+    if len(alphabet) != 2:
+        raise AlphabetSizeMismatchError(
+            f"a Christoffel word has two letters; alphabet {tuple(alphabet)} has "
+            f"{len(alphabet)}")
     a, b = alphabet
     return Word([b if (i + q * j) % n < r else a for j in range(n)])
 

@@ -6,6 +6,7 @@ assertions carry the actual check.
 
 import json
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -42,6 +43,7 @@ from christoffel import (
     vector_merge_step,
     zolotareff,
 )
+import christoffel.numeric as numeric
 from christoffel.cli import main as cli_main
 from christoffel.fibonacci import fib_sign, gcd_lemma_check
 from christoffel.fixtures import (
@@ -120,7 +122,14 @@ def test_criterion_02_group_example():
     report(2, "group square/cube example")
 
 
+def _int_rows(m):
+    """The stored ints of a square matrix, row by row."""
+    return [m.ints[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+
+
 def test_criterion_03_determinant_closed_form():
+    """Closed form = fraction-free elimination (the fallback of det_exact,
+    called directly, so that it runs) = det_exact, over Q."""
     count = 0
     for n in range(2, 31):
         for r in range(1, n):
@@ -128,7 +137,11 @@ def test_criterion_03_determinant_closed_form():
                 continue
             for a, b in ((0, 1), (1, 2), (-1, 3)):
                 p = params(n, a, b, r)
-                assert det_closed(p) == det_exact(christoffel_matrix(p)), (n, a, b, r)
+                m = christoffel_matrix(p)
+                closed = det_closed(p)
+                assert closed == Fraction(numeric._det_by_elimination(_int_rows(m)),
+                                          m.den ** n), (n, a, b, r)
+                assert closed == det_exact(m), (n, a, b, r)
                 count += 1
     assert count == 831
     report(3, f"determinant closed form on {count} matrices")
@@ -138,17 +151,20 @@ def test_criterion_03_determinant_closed_form():
 @given(data=st.data(), n=st.integers(2, 64),
        p=st.sampled_from((67, 65537, 1_000_000_007, 2 ** 61 - 1)))
 def test_criterion_03_determinant_closed_form_residue_drawn(data, n, p):
-    """Closed form = elimination mod p on drawn orders up to 64 over GF(p)."""
+    """Closed form = elimination mod p (called directly) = det_exact on
+    drawn orders up to 64 over GF(p)."""
     r = data.draw(st.integers(1, n - 1).filter(lambda r: gcd(r, n) == 1))
     a = data.draw(st.integers(0, p - 1))
     b = data.draw(st.integers(0, p - 1).filter(lambda b: b != a))
     m = params(n, a, b, r, p)
-    assert det_closed(m) == det_exact(christoffel_matrix(m)), (n, a, b, r, p)
+    table = christoffel_matrix(m)
+    closed = det_closed(m)
+    assert closed == numeric._det_by_elimination(_int_rows(table), p), (n, a, b, r, p)
+    assert closed == det_exact(table), (n, a, b, r, p)
 
 
 def test_criterion_04_group_inverses():
     rng = random.Random(104)
-    from fractions import Fraction
     checked = 0
     while checked < 200:
         n = rng.randint(2, 25)

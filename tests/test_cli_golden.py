@@ -401,7 +401,7 @@ EXPECTED = {
     },
     'matrix-det': {
         'text': [0,
-                 'det = 2 (exact elimination agrees: True)\n',
+                 'det = 2 (exact determinant agrees: True)\n',
                  ''],
         'json': [0,
                  ('{"command": "matrix det", "format_version": "1", "inputs": {"a": "0", "'
@@ -411,7 +411,7 @@ EXPECTED = {
     },
     'matrix-det-gf': {
         'text': [0,
-                 'det = 23 mod 65537 (exact elimination agrees: True)\n',
+                 'det = 23 mod 65537 (exact determinant agrees: True)\n',
                  ''],
         'json': [0,
                  ('{"command": "matrix det", "format_version": "1", "inputs": {"a": "3 mod'

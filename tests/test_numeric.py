@@ -13,6 +13,7 @@ from christoffel import (
     SturmianSlope,
     christoffel_chain,
     christoffel_matrix,
+    det_closed,
     det_exact,
     det_int,
     determinantal_vector,
@@ -578,20 +579,22 @@ def table_rows(m):
 
 
 class TestDifferencedElimination:
-    """The kernels difference consecutive rows before eliminating; their
-    results stay exact for every input, structured or not."""
+    """The kernels difference consecutive rows before reading or
+    eliminating them; their results stay exact for every input,
+    structured or not."""
 
     @settings(max_examples=150, deadline=None)
     @given(table=christoffel_tables(), data=st.data())
     def test_christoffel_tables(self, table, data):
-        """det_int and det_exact over GF(p) of a (possibly damaged) table
-        against cofactor expansion."""
+        """det_int, det_exact over GF(p) and the elimination they fall back
+        to, of a (possibly damaged) table, against cofactor expansion."""
         rows = _damaged(data.draw, [[int(x) for x in row]
                                     for row in table_rows(christoffel_matrix(params(*table)))])
         det = cofactor_det(rows)
-        assert det_int(rows) == det
+        assert det_int(rows) == numeric._det_by_elimination(rows) == det
         for p in GF_PRIMES:
             assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
+            assert numeric._det_by_elimination(rows, p) == det % p
 
     @settings(max_examples=40, deadline=None)
     @given(table=christoffel_tables(), dens=st.tuples(st.integers(1, 40), st.integers(1, 40)))
@@ -623,6 +626,140 @@ class TestDifferencedElimination:
         except NotChristoffelError:
             return
         assert v == expected
+
+
+def stacked(last, steps):
+    """The rows g_0..g_k from the bottom up: g_k = last and g_i = g_{i+1}
+    + steps[i], each step a {column: value} dict."""
+    rows = [list(last)]
+    for step in reversed(steps):
+        g = list(rows[-1])
+        for c, v in step.items():
+            g[c] += v
+        rows.append(g)
+    return rows[::-1]
+
+
+@st.composite
+def path_matrices(draw, max_n):
+    """n x n integer matrices whose row differences are the edges of the
+    path 0-1-...-(n-1) in a random order pi, scaled: g_i - g_{i+1} =
+    d_i (e_pi(i) - e_pi(i)+1), d_i of either sign up to 10^6."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n - 1)))
+    scales = draw(st.lists(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                           min_size=n - 1, max_size=n - 1))
+    last = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n))
+    return stacked(last, [{j: d, j + 1: -d} for j, d in zip(order, scales)])
+
+
+@st.composite
+def residue_path_matrices(draw, p):
+    """n x n matrices of distinct residues mod p, n <= min(40, p), each row
+    the one above with two adjacent entries exchanged, every column pair
+    once: a path matrix whose stored residues are its ints."""
+    n = draw(st.integers(1, min(40, p)))
+    row = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True))
+    rows = [row]
+    for j in draw(st.permutations(range(n - 1))):
+        row = list(row)
+        row[j], row[j + 1] = row[j + 1], row[j]
+        rows.append(row)
+    return rows
+
+
+def tuples(rows):
+    return [tuple(r) for r in rows]
+
+
+# A path matrix of order 5, pi = (2, 0, 3, 1), and near misses that
+# change its second step.
+NEAR_LAST = (3, -1, 4, 1, -5)
+NEAR_STEPS = [{2: 2, 3: -2}, {0: -3, 1: 3}, {3: 5, 4: -5}, {1: 7, 2: -7}]
+NEAR_MISSES = {
+    "repeated edge": {2: -3, 3: 3},
+    "last column only": {4: 6},
+    "unequal scales": {0: -3, 1: 4},
+    "third column": {0: -3, 1: 3, 3: 1},
+    "equal rows": {},
+}
+
+
+class TestPathDeterminant:
+    """A square matrix whose row differences are scaled edges of a path has
+    det = sign(pi) prod d_i sum(last row), read with no elimination; every
+    other matrix falls through to the elimination."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=path_matrices(7))
+    def test_small_against_cofactor_expansion(self, rows):
+        det = cofactor_det(rows)
+        assert numeric._path_det(tuples(rows)) == det_int(rows) == det
+        assert det_exact(ExactMatrix.from_rows(rows)) == det
+        for p in GF_PRIMES:
+            assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=path_matrices(40))
+    def test_against_elimination(self, rows):
+        """Against the elimination fallback, called directly, up to n = 40."""
+        det = numeric._det_by_elimination(rows)
+        assert numeric._path_det(tuples(rows)) == det_int(rows) == det
+        for p in GF_PRIMES:
+            assert numeric._det_by_elimination(rows, p) == det % p
+            assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(GF_PRIMES))
+    def test_residues(self, data, p):
+        """The reading runs on the stored residues over GF(p)."""
+        rows = data.draw(residue_path_matrices(p))
+        m = ExactMatrix.from_rows(rows, p)
+        assert numeric._path_det(tuples(rows)) is not None
+        assert list(m.ints) == [x for row in rows for x in row]
+        det = numeric._det_by_elimination(rows, p)
+        assert det_exact(m) == FieldScalar.residue(det, p)
+        if len(rows) <= 7:
+            assert det == cofactor_det(rows) % p
+
+    def test_path_of_the_near_misses(self):
+        rows = stacked(NEAR_LAST, NEAR_STEPS)
+        assert numeric._path_det(tuples(rows)) == cofactor_det(rows) != 0
+
+    @pytest.mark.parametrize("step", list(NEAR_MISSES.values()), ids=list(NEAR_MISSES))
+    def test_near_misses_fall_through(self, step):
+        """A pair that is not one scaled adjacent exchange, or repeats one,
+        stops the reading; the elimination still gives the exact value."""
+        rows = stacked(NEAR_LAST, [NEAR_STEPS[0], step, *NEAR_STEPS[2:]])
+        det = cofactor_det(rows)
+        assert numeric._path_det(tuples(rows)) is None
+        assert det_int(rows) == det_exact(ExactMatrix.from_rows(rows)) == det
+        for p in GF_PRIMES:
+            assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
+
+    def test_list_and_tuple_rows(self):
+        """det_int reads rows of mixed sequence types as one kind."""
+        rows = stacked(NEAR_LAST, NEAR_STEPS)
+        mixed = [tuple(r) if i % 2 else r for i, r in enumerate(rows)]
+        assert det_int(mixed) == det_int(tuples(rows)) == cofactor_det(rows)
+
+    def test_christoffel_tables_run_no_elimination(self, monkeypatch):
+        """det_exact of every Christoffel table up to n = 64, over Q (integer
+        and rational letters) and over GF(p), runs neither elimination."""
+        cases = [params(n, a, b, r, p)
+                 for n in range(2, 65) for r in {1, n - 1, (n // 2) | 1}
+                 if gcd(r, n) == 1
+                 for a, b, p in ((0, 1, None), (-3, 7, None), (Fraction(1, 3), Fraction(-2, 5),
+                                                               None),
+                                 (2, 5, 65537), (3, 1, 2 ** 61 - 1))]
+        expected = [det_closed(c) for c in cases]
+
+        def forbidden(*args):
+            raise AssertionError("det_exact ran an elimination")
+
+        monkeypatch.setattr(numeric, "_eliminate", forbidden)
+        monkeypatch.setattr(numeric, "_det_mod", forbidden)
+        assert [det_exact(christoffel_matrix(c)) for c in cases] == expected
 
 
 class TestKindStoredOnce:

@@ -32,6 +32,7 @@ from christoffel import (
     upper_christoffel,
 )
 from christoffel.errors import (
+    AlphabetSizeMismatchError,
     AmbiguousSplitError,
     ChristoffelError,
     IndexOutOfRangeError,
@@ -88,6 +89,15 @@ class TestChristoffelGeneration:
             SlopeRatio(0, 0)
         with pytest.raises(InvalidSlopeError):
             lower_christoffel(SlopeRatio(1, 2), (1, 1))
+
+    @pytest.mark.parametrize("alphabet", [(0, 1, 2), (0,), ()], ids=["three", "one", "none"])
+    def test_alphabet_of_other_than_two_letters(self, alphabet):
+        """A named ChristoffelError, not the ValueError of tuple unpacking."""
+        for make in (lower_christoffel, upper_christoffel):
+            with pytest.raises(AlphabetSizeMismatchError, match="two letters"):
+                make(SlopeRatio(1, 2), alphabet)
+        with pytest.raises(AlphabetSizeMismatchError, match="two letters"):
+            christoffel_bw_row(SlopeRatio(1, 2), 0, alphabet)
 
     def test_lower_upper_are_reversals_and_conjugates(self):
         for slope in all_slopes(50):
