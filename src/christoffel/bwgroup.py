@@ -203,13 +203,13 @@ def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
     The table of the two stored ints over the stored denominator is the
     matrix, in canonical form since both letters occur.  Row 0 comes from
     the residue rule; row i is row 0 rotated left by i * q^(-1) mod n, one
-    slice of the doubled row.  The largest |entry| is max(|a'|, |b'|) for
-    the stored ints a', b'.
+    slice of the doubled row, so q^(-1) is the table's rotation step.  The
+    largest |entry| is max(|a'|, |b'|) for the stored ints a', b'.
     """
     n, a, b = p.n, p._a, p._b
     rows = _christoffel_bw_prefixes(SlopeRatio(p.r, p.q), range(n), n, (a, b))
     return ExactMatrix._trusted(n, n, p.modulus, tuple(list(chain.from_iterable(rows))),
-                                p._den, max(abs(a), abs(b)))
+                                p._den, max(abs(a), abs(b)), step=pow(p.q, -1, n))
 
 
 def _row_sum(p: ChristoffelParams) -> int:

@@ -16,12 +16,16 @@ letters (Borel and Reutenauer, "On Christoffel classes", 2006); there
 every row of D but the last is d e_j - d e_{j+1} for one column j.  The
 results are exact for every input; the structure only makes them cheap.
 
-The product a b is one integer product: b's rows are packed one per
-big integer, and row i of the product, P_i = P_{i+1} + (a_i - a_{i+1}) b,
-is built from the bottom up from the nonzero entries of the differenced
+Christoffel tables are closed under products, and each is one row
+rotated by a fixed step, so the product of two is one row rotated: one
+cyclic correlation of the factors' first rows, computed as one product
+of two packed integers (Kronecker substitution), with only n values
+reduced (``mat_mul``).  Any other product packs b's rows one per big
+integer, and row i of the product, P_i = P_{i+1} + (a_i - a_{i+1}) b, is
+built from the bottom up from the nonzero entries of the differenced
 rows of a, read back as machine words when a product entry fits in
-8 bytes.  A Christoffel left factor thus costs about 2n + k packed
-multiply-adds instead of n k.
+8 bytes.  A left factor whose rows differ by adjacent exchanges thus
+costs about 2n + k packed multiply-adds instead of n k.
 
 The determinant of an n x n matrix M runs no elimination when D has that
 shape: rows i < n - 1 equal to d_i (e_{j_i} - e_{j_i + 1}), with no j_i
@@ -266,13 +270,18 @@ class ExactMatrix:
     [0, p).  The form is canonical, so equal matrices compare and hash
     equal.  ``values``, ``entries``, ``entry``, ``row`` and ``column`` are
     read-only views: raw values (Fractions over Q, ints over GF(p)), or
-    FieldScalars of the matrix's kind.  The largest |stored int|, which
-    sizes the slots of ``mat_mul`` over Q, is derived data: set by the
-    constructors that know it and found once otherwise; equality, hashing
-    and printing ignore it.
+    FieldScalars of the matrix's kind.  Two slots are derived data, and
+    equality, hashing and printing ignore them.  ``_max``, the largest
+    |stored int|, sizes the slots of ``mat_mul`` over Q; it is set by the
+    constructors that know it and found once otherwise.  ``_step`` is s
+    when the matrix is an n x n rotation table, n >= 1, whose row i is
+    row 0 rotated left by i s (s a unit mod n), and None otherwise; it is
+    set only by the constructors that build such a table (``identity``,
+    ``bwgroup.christoffel_matrix`` and the rotation route of ``mat_mul``)
+    and is never looked for.
     """
 
-    __slots__ = ("rows", "cols", "modulus", "ints", "den", "_max")
+    __slots__ = ("rows", "cols", "modulus", "ints", "den", "_max", "_step")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[FieldScalar]):
         if len(entries) != rows * cols:
@@ -286,18 +295,20 @@ class ExactMatrix:
             raise KindMismatchError(f"mixed scalar kinds in matrix: {moduli}")
         modulus = moduli.pop() if moduli else None
         ints, den = _integer_form([e.value for e in entries], modulus)
-        self.rows, self.cols, self.modulus, self.ints, self.den, self._max = \
-            rows, cols, modulus, tuple(ints), den, None
+        self.rows, self.cols, self.modulus, self.ints, self.den, self._max, self._step = \
+            rows, cols, modulus, tuple(ints), den, None, None
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, modulus: int | None, ints: tuple[int, ...],
-                 den: int = 1, max_abs: int | None = None) -> "ExactMatrix":
+                 den: int = 1, max_abs: int | None = None, *,
+                 step: int | None = None) -> "ExactMatrix":
         """Wrap an int tuple that is in the canonical form by construction
         (see ``_integer_form`` and ``_reduced``), without checking it;
-        max_abs, when given, is the largest |x| over the ints."""
+        max_abs, when given, is the largest |x| over the ints, and step,
+        when given, the rotation step of the table (see the class)."""
         out = object.__new__(cls)
-        out.rows, out.cols, out.modulus, out.ints, out.den, out._max = \
-            rows, cols, modulus, ints, den, max_abs
+        out.rows, out.cols, out.modulus, out.ints, out.den, out._max, out._step = \
+            rows, cols, modulus, ints, den, max_abs, step
         return out
 
     @classmethod
@@ -314,8 +325,9 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int, modulus: int | None = None) -> "ExactMatrix":
         _check_modulus(modulus)
-        ints = tuple([int(i == j) for i in range(n) for j in range(n)])
-        return cls._trusted(n, n, modulus, ints, 1, min(n, 1))
+        # Row i is e_i, row 0 rotated left by -i: a 1 at every (n + 1)-th int.
+        ints = tuple(([1] + [0] * n) * n)[:n * n]
+        return cls._trusted(n, n, modulus, ints, 1, min(n, 1), step=n - 1 if n else None)
 
     def _max_abs(self) -> int:
         """The largest |x| over the stored ints, found once."""
@@ -411,48 +423,138 @@ def _read(x: int, den: int, modulus: int | None) -> FieldScalar:
 
 # (size in bytes, native signed format) of the machine words, smallest first.
 _WORDS = tuple((struct.calcsize(f), f) for f in "bhiq")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _slots(bound: int) -> tuple[int, str | None]:
+    """(width, fmt): slots of ``width`` bytes hold every int of |x| <= bound
+    and a spare top bit for the sign.  A width of at most 8 bytes is
+    rounded up to 1, 2, 4 or 8, the machine word of ``array`` format fmt;
+    a wider slot has fmt None and is written and read one
+    ``int.to_bytes``/``int.from_bytes`` at a time."""
+    width = bound.bit_length() // 8 + 1
+    return next(((w, f) for w, f in _WORDS if w >= width), (width, None))
+
+
+def _half_slots(count: int, width: int) -> int:
+    """Half a slot, 2^(8 width - 1), in each of count slots."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")
+
+
+def _pack(ints: Sequence[int], width: int, fmt: str | None) -> bytes:
+    """The ints in slots of width bytes, slot 0 first, each in two's
+    complement and little-endian."""
+    if fmt is None:
+        return b"".join(x.to_bytes(width, "little", signed=True) for x in ints)
+    words = array(fmt, ints)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tobytes()
+
+
+def _unpack(blob: bytes, width: int, fmt: str | None) -> list[int]:
+    """The ints of the slots of blob, the inverse of ``_pack``."""
+    if fmt is None:
+        return [int.from_bytes(blob[s:s + width], "little", signed=True)
+                for s in range(0, len(blob), width)]
+    words = array(fmt, blob)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
+
+
+def _bound(a: "ExactMatrix", b: "ExactMatrix") -> int:
+    """A bound on |x| for every entry of a and of b and every sum of a.cols
+    products of one entry of each: over Q from each factor's stored
+    largest |int| (see ``ExactMatrix``), over GF(p) from residues in
+    [0, p)."""
+    k, p = a.cols, a.modulus
+    if p is None:
+        return max(k * a._max_abs(), 1) * max(b._max_abs(), 1)
+    return max(k, 1) * (p - 1) ** 2
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product: one integer product over the denominators' product.
+    """Exact matrix product over the product of the denominators.
 
-    Row t of b is packed into one integer, its entries in slots of
-    ``width`` bytes; a slot holds any entry of b and of the product.  Over
-    Q a product entry is at most k * max|a| * max|b| in size, each factor's
-    max|x| read from its stored bound (see ``ExactMatrix``); over GF(p)
-    both factors hold residues in [0, p), so it is at most k * (p-1)^2.
-    A spare top bit holds the sign.  Row i of the product is P_i = sum_t
-    a_it * packed_t, built from the bottom up through the differenced rows
-    of a (see ``_differenced``): P_{n-1} is the last row of a times the
-    packed rows, and P_i = P_{i+1} + sum_t d_it * packed_t with d_i = a_i -
-    a_{i+1}, summed over the nonzero d_it only.  Consecutive rows of a Christoffel table differ by one adjacent
-    exchange, so there each row costs two big-int products instead of k.
-    Adding half a slot to every slot makes each slot nonnegative, so no
-    borrow crosses a slot; flipping each slot's top bit back leaves its
-    entry in two's complement.  Slots are laid out in native byte order.
-    A width of at most 8 bytes is rounded up to 1, 2, 4 or 8, so b's rows
-    are packed from an ``array`` of machine words and every slot of the
-    product is read back as one; wider slots are written and read one
-    ``int.to_bytes``/``int.from_bytes`` at a time.
+    M is a rotation table with step s when M_ij = f[(j + i s) mod n] for
+    its row 0 f (indices mod n); the step is recorded by the constructors
+    that know it (see ``ExactMatrix``).  For two such n x n tables,
+    j' = j + i s1 gives
+
+        (M1 M2)_il = sum_j f1[j + i s1] f2[l + j s2] = g[(l - i s1 s2) mod n],
+        g[t] = sum_j f1[j] f2[t + j s2],
+
+    so the product is the rotation table of g with step -s1 s2.  Every
+    recorded step is a unit mod n, so with h[u] = f2[s2 u], g[t] =
+    c[s2^(-1) t] for the cyclic correlation c[t] = sum_j f1[j] h[t + j] of
+    f1 with h.  ``_rotation_product`` permutes the other factor instead:
+    with j = s2^(-1) v, g[t] = sum_v k[v] f2[t + v] for k[v] = f1[s2^(-1) v],
+    so g is itself a correlation, one integer product (Kronecker
+    substitution) of k reversed in n slots with f2 twice over in 2n
+    slots, g[t] in slot n - 1 + t.  Only the n values of g are brought to
+    the canonical form, and the table's rows are n slices of g twice over.
+    The route reads the factors' entries and steps only.
+
+    Any other pair takes ``_packed_product``: row t of b packed into one
+    integer, and row i of the product P_i = sum_t a_it * packed_t built
+    from the bottom up through the differenced rows of a (see
+    ``_differenced``): P_{n-1} is the last row of a times the packed rows,
+    and P_i = P_{i+1} + sum_t d_it * packed_t with d_i = a_i - a_{i+1},
+    summed over the nonzero d_it only.  A left factor whose consecutive
+    rows differ by one adjacent exchange, as a Christoffel table given
+    entry by entry does, then costs two big-int products per row instead
+    of k.
+
+    On both routes a slot holds any entry of either factor and any sum of
+    k products of their entries: over Q at most k * max|a| * max|b| in
+    size, over GF(p) at most k * (p-1)^2 (``_bound``), with a spare top
+    bit for the sign.  Adding half a slot to every slot makes each slot
+    nonnegative, so no borrow crosses a slot; flipping each slot's top bit
+    back leaves its entry in two's complement (``_slots``, ``_pack``).
     """
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.modulus != b.modulus:
         raise KindMismatchError("mixed scalar kinds in product")
+    if a._step is None or b._step is None:
+        return _packed_product(a, b)
+    return _rotation_product(a, b)
+
+
+def _rotation_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a b for two n x n rotation tables with recorded steps, by the one
+    correlation of ``mat_mul``."""
+    n, p, s2 = a.rows, a.modulus, b._step
+    width, fmt = _slots(_bound(a, b))
+    f1, inverse = a.ints[:n], pow(s2, -1, n)
+    half = _half_slots(n, width)
+    twice = half | half << (8 * width * n)
+    left = _pack([f1[inverse * v % n] for v in range(n - 1, -1, -1)], width, fmt)
+    left = (int.from_bytes(left, "little") ^ half) - half
+    right = (int.from_bytes(_pack(b.ints[:n], width, fmt) * 2, "little") ^ twice) - twice
+    # Half a slot added to the slots below 2n makes them nonnegative, so
+    # slots n - 1 .. 2n - 2 are read off one shift and one mask.
+    g = ((left * right + twice) >> 8 * width * (n - 1)) & ((1 << 8 * width * n) - 1)
+    g, den = _reduced(_unpack((g ^ half).to_bytes(width * n, "little"), width, fmt),
+                      a.den * b.den, p)
+    step = -a._step * s2 % n
+    g2, ints = g * 2, []
+    for i in range(n):
+        j = i * step % n
+        ints += g2[j:j + n]
+    return ExactMatrix._trusted(n, n, p, tuple(ints), den, max(max(g), -min(g)), step=step)
+
+
+def _packed_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a b by one packed integer per row of b and the differenced rows of
+    a (see ``mat_mul``); the factors' shapes and kinds must agree."""
     n, k, m, p = a.rows, a.cols, b.cols, a.modulus
-    if p is None:
-        bound = max(k * a._max_abs(), 1) * b._max_abs()
-    else:
-        bound = max(k, 1) * (p - 1) ** 2
-    width = bound.bit_length() // 8 + 1
-    width, fmt = next(((w, f) for w, f in _WORDS if w >= width), (width, None))
-    size, order = width * m, sys.byteorder
-    offset = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, order) * m, order)
-    if fmt:
-        raw = array(fmt, b.ints).tobytes()
-    else:
-        raw = b"".join(x.to_bytes(width, order, signed=True) for x in b.ints)
-    packed = [(int.from_bytes(raw[t * size:(t + 1) * size], order) ^ offset) - offset
+    width, fmt = _slots(_bound(a, b))
+    size = width * m
+    offset = _half_slots(m, width)
+    raw = _pack(b.ints, width, fmt)
+    packed = [(int.from_bytes(raw[t * size:(t + 1) * size], "little") ^ offset) - offset
               for t in range(k)]
     # d holds the rows d_0..d_{n-2}, one after the other.
     d = list(map(sub, a.ints, a.ints[k:]))
@@ -462,13 +564,8 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         row = d[i * k:(i + 1) * k]
         total += sum(map(mul, compress(row, row), compress(packed, row)))
         sums.append(total)
-    blob = b"".join(((x + offset) ^ offset).to_bytes(size, order) for x in reversed(sums))
-    if fmt:
-        ints = memoryview(blob).cast(fmt).tolist()
-    else:
-        ints = [int.from_bytes(blob[s:s + width], order, signed=True)
-                for s in range(0, len(blob), width)]
-    ints, den = _reduced(ints, a.den * b.den, p)
+    blob = b"".join(((x + offset) ^ offset).to_bytes(size, "little") for x in reversed(sums))
+    ints, den = _reduced(_unpack(blob, width, fmt), a.den * b.den, p)
     return ExactMatrix._trusted(n, m, p, tuple(ints), den)
 
 

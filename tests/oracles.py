@@ -78,6 +78,16 @@ def mat_mul_per_entry(a, b):
         for i in range(a.rows) for j in range(b.cols)])
 
 
+def carries_its_rotation_step(m):
+    """A matrix that carries a rotation step s (``ExactMatrix._step``) is
+    square, s is a unit mod n, and row i is row 0 rotated left by i s."""
+    n, s = m.rows, m._step
+    row = m.ints[:n]
+    return m.cols == n >= 1 and gcd(s, n) == 1 and all(
+        m.ints[i * n:(i + 1) * n] == tuple(row[(j + i * s) % n] for j in range(n))
+        for i in range(n))
+
+
 def christoffel_matrix_by_rows(p):
     """M(n, a, b, r) row by row: each row a Word of the scalars a and b
     from the residue rule at its own index, with no rotation."""

@@ -164,6 +164,8 @@ def test_criterion_03_determinant_closed_form_residue_drawn(data, n, p):
 
 
 def test_criterion_04_group_inverses():
+    """M M^-1 = I by mat_mul (one cyclic correlation of the two tables)
+    and by the packed product, called directly so that it runs."""
     rng = random.Random(104)
     checked = 0
     while checked < 200:
@@ -176,11 +178,33 @@ def test_criterion_04_group_inverses():
         if a == b or (n - r) * a + r * b == 0:
             continue
         p = params(n, a, b, r)
-        inverse = group_inverse(p)
-        assert mat_mul(christoffel_matrix(p), christoffel_matrix(inverse)) \
-            == ExactMatrix.identity(n)
+        m, inverse = christoffel_matrix(p), christoffel_matrix(group_inverse(p))
+        assert mat_mul(m, inverse) == ExactMatrix.identity(n)
+        assert numeric._packed_product(m, inverse) == ExactMatrix.identity(n)
         checked += 1
     report(4, "group inverses on 200 random parameter sets")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 256),
+       p=st.sampled_from((None, 257, 65537, 1_000_000_007, 2 ** 61 - 1)))
+def test_criterion_04_group_inverses_drawn(data, n, p):
+    """M M^-1 = I by mat_mul and by the packed product (called directly)
+    on drawn orders up to the CLI cap, over Q and GF(p)."""
+    r = data.draw(st.integers(1, n - 1).filter(lambda r: gcd(r, n) == 1))
+    if p is None:
+        letters = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)
+        a = data.draw(letters)
+        b = data.draw(letters.filter(lambda b: b != a and (n - r) * a + r * b != 0))
+    else:
+        a = data.draw(st.integers(0, p - 1))
+        b = data.draw(st.integers(0, p - 1).filter(
+            lambda b: b != a and ((n - r) * a + r * b) % p != 0))
+    m = params(n, a, b, r, p)
+    table, inverse = christoffel_matrix(m), christoffel_matrix(group_inverse(m))
+    one = ExactMatrix.identity(n, p)
+    assert mat_mul(table, inverse) == one, (n, a, b, r, p)
+    assert numeric._packed_product(table, inverse) == one, (n, a, b, r, p)
 
 
 def test_criterion_05_isomorphism():

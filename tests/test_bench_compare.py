@@ -24,7 +24,8 @@ _spec.loader.exec_module(bench_compare)
 @pytest.mark.parametrize("name", ["BENCH_10_minors.json", "BENCH_12_floorsum.json",
                                   "BENCH_13_coldstart.json", "BENCH_14_splice.json",
                                   "BENCH_17_rowdiff.json", "BENCH_18_diffprod.json",
-                                  "BENCH_20_pathminors.json", "BENCH_25_pathdet.json"])
+                                  "BENCH_20_pathminors.json", "BENCH_25_pathdet.json",
+                                  "BENCH_26_rotprod.json"])
 def test_summary_recomputed_from_runs(name):
     data = json.loads((ROOT / name).read_text())
     summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])

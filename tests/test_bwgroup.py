@@ -39,6 +39,7 @@ from christoffel.errors import (
     OrderMismatchError,
 )
 from oracles import (
+    carries_its_rotation_step,
     christoffel_matrix_by_rows,
     column_shift_check,
     det_closed_by_scalars,
@@ -583,3 +584,44 @@ class TestRawRoute:
         m = bw_matrix(w)
         assert m == ExactMatrix.from_rows([row.letters for row in rows])
         assert m._max == max(map(abs, m.ints)) and gcd(m.den, *m.ints) == 1
+
+    def test_bw_matrix_carries_no_step(self):
+        m = bw_matrix(lower_christoffel(SlopeRatio(2, 5)))
+        assert m._step is None
+
+
+class TestRotationProduct:
+    """Products of Christoffel tables by one cyclic correlation, against
+    the packed product called directly."""
+
+    @pytest.mark.parametrize("modulus", [None, 65537, 1_000_000_007])
+    def test_every_order_up_to_64(self, modulus):
+        rng = random.Random(26)
+        for n in range(2, 65):
+            for _ in range(2):
+                p1, p2, p3 = (params(n, p.a.value, p.b.value, p.r, modulus)
+                              for p in (_random_params_of_order(rng, n) for _ in range(3)))
+                m1, m2, m3 = map(christoffel_matrix, (p1, p2, p3))
+                assert m1._step == pow(n - p1.r, -1, n)
+                product = mat_mul(m1, m2)
+                assert product == numeric._packed_product(m1, m2)
+                assert product == christoffel_matrix(group_mul(p1, p2))
+                chained = mat_mul(product, m3)
+                assert chained == numeric._packed_product(product, m3)
+                for m in (m1, product, chained):
+                    assert carries_its_rotation_step(m)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n=st.integers(65, 256),
+           modulus=st.sampled_from((None, 257, 2 ** 61 - 1)))
+    def test_drawn_orders_up_to_256(self, data, n, modulus):
+        units = st.integers(1, n - 1).filter(lambda r: gcd(r, n) == 1)
+        letters = LETTERS if modulus is None else st.integers(0, modulus - 1)
+        tables = []
+        for _ in range(2):
+            a = data.draw(letters)
+            b = data.draw(letters.filter(lambda b: b != a))
+            tables.append(christoffel_matrix(params(n, a, b, data.draw(units), modulus)))
+        product = mat_mul(*tables)
+        assert carries_its_rotation_step(product)
+        assert product == numeric._packed_product(*tables)

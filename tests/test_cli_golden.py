@@ -429,77 +429,79 @@ EXPECTED = {
     },
     'matrix-inv': {
         'text': [0,
-                 'inverse: n=7 a=-1/2 b=1/2 r=4\n',
+                 'inverse: n=7 a=-1/2 b=1/2 r=4 (dense product agrees: True)\n',
                  ''],
         'json': [0,
                  ('{"command": "matrix inv", "format_version": "1", "inputs": {"a": "0", "'
-                  'b": "1", "n": 7, "r": 2}, "result": {"matrix": [["1/2", "1/2", "-1/2", '
-                  '"1/2", "-1/2", "1/2", "-1/2"], ["1/2", "-1/2", "1/2", "1/2", "-1/2", "1'
-                  '/2", "-1/2"], ["1/2", "-1/2", "1/2", "-1/2", "1/2", "1/2", "-1/2"], ["1'
-                  '/2", "-1/2", "1/2", "-1/2", "1/2", "-1/2", "1/2"], ["-1/2", "1/2", "1/2'
-                  '", "-1/2", "1/2", "-1/2", "1/2"], ["-1/2", "1/2", "-1/2", "1/2", "1/2",'
-                  ' "-1/2", "1/2"], ["-1/2", "1/2", "-1/2", "1/2", "-1/2", "1/2", "1/2"]],'
-                  ' "params": {"a": "-1/2", "b": "1/2", "n": 7, "r": 4}}}\n'),
+                  'b": "1", "n": 7, "r": 2}, "result": {"match": true, "matrix": [["1/2", '
+                  '"1/2", "-1/2", "1/2", "-1/2", "1/2", "-1/2"], ["1/2", "-1/2", "1/2", "1'
+                  '/2", "-1/2", "1/2", "-1/2"], ["1/2", "-1/2", "1/2", "-1/2", "1/2", "1/2'
+                  '", "-1/2"], ["1/2", "-1/2", "1/2", "-1/2", "1/2", "-1/2", "1/2"], ["-1/'
+                  '2", "1/2", "1/2", "-1/2", "1/2", "-1/2", "1/2"], ["-1/2", "1/2", "-1/2"'
+                  ', "1/2", "1/2", "-1/2", "1/2"], ["-1/2", "1/2", "-1/2", "1/2", "-1/2", '
+                  '"1/2", "1/2"]], "params": {"a": "-1/2", "b": "1/2", "n": 7, "r": 4}}}\n'),
                  ''],
     },
     'matrix-inv-gf': {
         'text': [0,
-                 'inverse: n=7 a=62687 mod 65537 b=62688 mod 65537 r=4\n',
+                 ('inverse: n=7 a=62687 mod 65537 b=62688 mod 65537 r=4 (dense product agr'
+                  'ees: True)\n'),
                  ''],
         'json': [0,
                  ('{"command": "matrix inv", "format_version": "1", "inputs": {"a": "3 mod'
-                  ' 65537", "b": "4 mod 65537", "n": 7, "r": 2}, "result": {"matrix": [["6'
-                  '2688 mod 65537", "62688 mod 65537", "62687 mod 65537", "62688 mod 65537'
-                  '", "62687 mod 65537", "62688 mod 65537", "62687 mod 65537"], ["62688 mo'
-                  'd 65537", "62687 mod 65537", "62688 mod 65537", "62688 mod 65537", "626'
-                  '87 mod 65537", "62688 mod 65537", "62687 mod 65537"], ["62688 mod 65537'
-                  '", "62687 mod 65537", "62688 mod 65537", "62687 mod 65537", "62688 mod '
-                  '65537", "62688 mod 65537", "62687 mod 65537"], ["62688 mod 65537", "626'
-                  '87 mod 65537", "62688 mod 65537", "62687 mod 65537", "62688 mod 65537",'
-                  ' "62687 mod 65537", "62688 mod 65537"], ["62687 mod 65537", "62688 mod '
-                  '65537", "62688 mod 65537", "62687 mod 65537", "62688 mod 65537", "62687'
-                  ' mod 65537", "62688 mod 65537"], ["62687 mod 65537", "62688 mod 65537",'
-                  ' "62687 mod 65537", "62688 mod 65537", "62688 mod 65537", "62687 mod 65'
-                  '537", "62688 mod 65537"], ["62687 mod 65537", "62688 mod 65537", "62687'
-                  ' mod 65537", "62688 mod 65537", "62687 mod 65537", "62688 mod 65537", "'
-                  '62688 mod 65537"]], "params": {"a": "62687 mod 65537", "b": "62688 mod '
-                  '65537", "n": 7, "r": 4}}}\n'),
+                  ' 65537", "b": "4 mod 65537", "n": 7, "r": 2}, "result": {"match": true,'
+                  ' "matrix": [["62688 mod 65537", "62688 mod 65537", "62687 mod 65537", "'
+                  '62688 mod 65537", "62687 mod 65537", "62688 mod 65537", "62687 mod 6553'
+                  '7"], ["62688 mod 65537", "62687 mod 65537", "62688 mod 65537", "62688 m'
+                  'od 65537", "62687 mod 65537", "62688 mod 65537", "62687 mod 65537"], ["'
+                  '62688 mod 65537", "62687 mod 65537", "62688 mod 65537", "62687 mod 6553'
+                  '7", "62688 mod 65537", "62688 mod 65537", "62687 mod 65537"], ["62688 m'
+                  'od 65537", "62687 mod 65537", "62688 mod 65537", "62687 mod 65537", "62'
+                  '688 mod 65537", "62687 mod 65537", "62688 mod 65537"], ["62687 mod 6553'
+                  '7", "62688 mod 65537", "62688 mod 65537", "62687 mod 65537", "62688 mod'
+                  ' 65537", "62687 mod 65537", "62688 mod 65537"], ["62687 mod 65537", "62'
+                  '688 mod 65537", "62687 mod 65537", "62688 mod 65537", "62688 mod 65537"'
+                  ', "62687 mod 65537", "62688 mod 65537"], ["62687 mod 65537", "62688 mod'
+                  ' 65537", "62687 mod 65537", "62688 mod 65537", "62687 mod 65537", "6268'
+                  '8 mod 65537", "62688 mod 65537"]], "params": {"a": "62687 mod 65537", "'
+                  'b": "62688 mod 65537", "n": 7, "r": 4}}}\n'),
                  ''],
     },
     'matrix-mul': {
         'text': [0,
-                 'product: n=7 a=1 b=2 r=1\n',
+                 'product: n=7 a=1 b=2 r=1 (dense product agrees: True)\n',
                  ''],
         'json': [0,
                  ('{"command": "matrix mul", "format_version": "1", "inputs": {"a": "0", "'
                   'a2": "0", "b": "1", "b2": "1", "n": 7, "r": 2, "r2": 4}, "result": {"ma'
-                  'trix": [["2", "1", "1", "1", "1", "1", "1"], ["1", "2", "1", "1", "1", '
-                  '"1", "1"], ["1", "1", "2", "1", "1", "1", "1"], ["1", "1", "1", "2", "1'
-                  '", "1", "1"], ["1", "1", "1", "1", "2", "1", "1"], ["1", "1", "1", "1",'
-                  ' "1", "2", "1"], ["1", "1", "1", "1", "1", "1", "2"]], "params": {"a": '
-                  '"1", "b": "2", "n": 7, "r": 1}}}\n'),
+                  'tch": true, "matrix": [["2", "1", "1", "1", "1", "1", "1"], ["1", "2", '
+                  '"1", "1", "1", "1", "1"], ["1", "1", "2", "1", "1", "1", "1"], ["1", "1'
+                  '", "1", "2", "1", "1", "1"], ["1", "1", "1", "1", "2", "1", "1"], ["1",'
+                  ' "1", "1", "1", "1", "2", "1"], ["1", "1", "1", "1", "1", "1", "2"]], "'
+                  'params": {"a": "1", "b": "2", "n": 7, "r": 1}}}\n'),
                  ''],
     },
     'matrix-mul-gf': {
         'text': [0,
-                 'product: n=7 a=59 mod 65537 b=63 mod 65537 r=6\n',
+                 'product: n=7 a=59 mod 65537 b=63 mod 65537 r=6 (dense product agrees: True)\n',
                  ''],
         'json': [0,
                  ('{"command": "matrix mul", "format_version": "1", "inputs": {"a": "3 mod'
                   ' 65537", "a2": "1 mod 65537", "b": "4 mod 65537", "b2": "5 mod 65537", '
-                  '"n": 7, "r": 2, "r2": 3}, "result": {"matrix": [["63 mod 65537", "63 mo'
-                  'd 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537'
-                  '", "59 mod 65537"], ["63 mod 65537", "63 mod 65537", "63 mod 65537", "6'
-                  '3 mod 65537", "63 mod 65537", "59 mod 65537", "63 mod 65537"], ["63 mod'
-                  ' 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537", "59 mod 65537"'
-                  ', "63 mod 65537", "63 mod 65537"], ["63 mod 65537", "63 mod 65537", "63'
-                  ' mod 65537", "59 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65'
-                  '537"], ["63 mod 65537", "63 mod 65537", "59 mod 65537", "63 mod 65537",'
-                  ' "63 mod 65537", "63 mod 65537", "63 mod 65537"], ["63 mod 65537", "59 '
-                  'mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 655'
-                  '37", "63 mod 65537"], ["59 mod 65537", "63 mod 65537", "63 mod 65537", '
-                  '"63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537"]], "para'
-                  'ms": {"a": "59 mod 65537", "b": "63 mod 65537", "n": 7, "r": 6}}}\n'),
+                  '"n": 7, "r": 2, "r2": 3}, "result": {"match": true, "matrix": [["63 mod'
+                  ' 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537"'
+                  ', "63 mod 65537", "59 mod 65537"], ["63 mod 65537", "63 mod 65537", "63'
+                  ' mod 65537", "63 mod 65537", "63 mod 65537", "59 mod 65537", "63 mod 65'
+                  '537"], ["63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537",'
+                  ' "59 mod 65537", "63 mod 65537", "63 mod 65537"], ["63 mod 65537", "63 '
+                  'mod 65537", "63 mod 65537", "59 mod 65537", "63 mod 65537", "63 mod 655'
+                  '37", "63 mod 65537"], ["63 mod 65537", "63 mod 65537", "59 mod 65537", '
+                  '"63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537"], ["63 m'
+                  'od 65537", "59 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 6553'
+                  '7", "63 mod 65537", "63 mod 65537"], ["59 mod 65537", "63 mod 65537", "'
+                  '63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod 65537", "63 mod '
+                  '65537"]], "params": {"a": "59 mod 65537", "b": "63 mod 65537", "n": 7, '
+                  '"r": 6}}}\n'),
                  ''],
     },
     'reproduce': {

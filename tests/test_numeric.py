@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -30,6 +32,7 @@ from christoffel.errors import (
     SizeLimitError,
 )
 from oracles import (
+    carries_its_rotation_step,
     cofactor_det,
     determinantal_vector_by_identity_block,
     determinantal_vector_by_minors,
@@ -348,6 +351,150 @@ class TestPackedProduct:
             for side in (mat_mul(m, ExactMatrix.identity(n)),
                          mat_mul(ExactMatrix.identity(n), m)):
                 assert side == m and hash(side) == hash(m)
+
+
+def rotation_table(row, step, modulus=None):
+    """The n x n table whose row i is row rotated left by i * step, built
+    in the canonical form and carrying its step."""
+    n = len(row)
+    ints, den = numeric._integer_form(list(row), modulus)
+    table = [ints[(j + i * step) % n] for i in range(n) for j in range(n)]
+    return ExactMatrix._trusted(n, n, modulus, tuple(table), den, step=step)
+
+
+@st.composite
+def rotation_tables(draw, modulus, n):
+    """A rotation table of order n over the kind with any unit step and a
+    row of ints, small, 80-bit or rational."""
+    letters = st.integers(-3, 3) | st.integers(-2 ** 80, 2 ** 80) | rationals
+    if modulus is not None:
+        letters = letters.filter(lambda x: Fraction(x).denominator % modulus)
+    step = draw(st.integers(0, n - 1).filter(lambda s: gcd(s, n) == 1))
+    return rotation_table(draw(st.lists(letters, min_size=n, max_size=n)), step, modulus)
+
+
+class TestRotationProduct:
+    """Products of two tables that carry a rotation step: one cyclic
+    correlation (mat_mul), against the per-entry product."""
+
+    kinds = st.sampled_from((None,) + GF_PRIMES)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), modulus=kinds, n=st.integers(1, 16))
+    def test_equals_per_entry_product(self, data, modulus, n):
+        a = data.draw(rotation_tables(modulus, n))
+        b = data.draw(rotation_tables(modulus, n))
+        product = mat_mul(a, b)
+        assert product._step == -a._step * b._step % n
+        assert carries_its_rotation_step(product)
+        assert_equals_per_entry_product(a, b)
+        # A product of products, and products with the identity.
+        c = data.draw(rotation_tables(modulus, n))
+        chained = mat_mul(product, c)
+        assert carries_its_rotation_step(chained)
+        assert chained == numeric._packed_product(product, c) == mat_mul(a, mat_mul(b, c))
+        one = ExactMatrix.identity(n, modulus)
+        assert mat_mul(one, a) == mat_mul(a, one) == a
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), modulus=kinds, n=st.integers(17, 64))
+    def test_large_orders_equal_the_packed_product(self, data, modulus, n):
+        a = data.draw(rotation_tables(modulus, n))
+        b = data.draw(rotation_tables(modulus, n))
+        assert mat_mul(a, b) == numeric._packed_product(a, b)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    @pytest.mark.parametrize("past", [0, 1, 2], ids=["fits", "sign-bit", "one-past"])
+    def test_slot_width_boundaries(self, width, past):
+        """The bound n * max|a| * max|b| at +-(2^(8w-1) - 1), the most a
+        w-byte signed slot holds, then at +-2^(8w-1) and one step past,
+        which need the next width (past 8 bytes: the int.from_bytes
+        route); then mixed signs over three columns."""
+        top = 2 ** (8 * width - 1) - 1 + past
+        for e in (top, -top):
+            for b in (1, -1):
+                assert_equals_per_entry_product(rotation_table([e], 0), rotation_table([b], 0))
+            a = rotation_table([e, -e, 0], 1)
+            b = rotation_table([1, 0, -1], 2)
+            assert_equals_per_entry_product(a, b)
+
+    def test_zero_factor_beside_wide_entries(self):
+        """A zero factor makes the product 0, yet the other factor's row,
+        which the correlation packs too, still fits its slots."""
+        zero = rotation_table([0, 0, 0], 1)
+        wide = rotation_table([2 ** 100, -2 ** 70, -(2 ** 63)], 2)
+        for a, b in ((zero, wide), (wide, zero)):
+            assert_equals_per_entry_product(a, b)
+
+    def test_near_misses_fall_through_and_agree(self, monkeypatch):
+        """A factor without a step (a from_rows copy of a stepped table),
+        a non-square factor and factors without rows take the packed
+        product, with the same result."""
+        rng = random.Random(26)
+        cases = []
+        for modulus in (None, 65537):
+            for n in (1, 2, 7, 16):
+                row = ([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                       if modulus is None else [rng.randrange(modulus) for _ in range(n)])
+                a = rotation_table(row, 1, modulus)
+                b = rotation_table(row[::-1], n - 1, modulus)
+                copy_a = ExactMatrix.from_rows([a.row(i) for i in range(n)], modulus)
+                wide = matrix([[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)],
+                              n + 1, modulus)
+                cases += [(copy_a, b), (b, copy_a), (a, wide), (matrix([], n, modulus), a)]
+            cases.append((ExactMatrix.identity(0, modulus), ExactMatrix.identity(0, modulus)))
+        expected = [mat_mul_per_entry(a, b) for a, b in cases]
+
+        def forbidden(a, b):
+            raise AssertionError("the rotation route ran")
+        monkeypatch.setattr(numeric, "_rotation_product", forbidden)
+        for (a, b), product in zip(cases, expected):
+            assert a._step is None or b._step is None
+            got = mat_mul(a, b)
+            assert got.entries == product.entries and got._step is None
+
+    def test_rational_tables_take_the_route(self):
+        """A denominator other than 1 on either side is not a near miss:
+        the route divides by the product of the two, as the packed
+        product does, and brings g to lowest terms."""
+        rng = random.Random(27)
+        for n in (2, 5, 16):
+            for dens in ((3, 1), (1, 7), (6, 10)):
+                rows = [[Fraction(rng.randint(-20, 20), d) for _ in range(n)] for d in dens]
+                a, b = (rotation_table(row, rng.choice([s for s in range(n) if gcd(s, n) == 1]))
+                        for row in rows)
+                product = mat_mul(a, b)
+                assert product._step is not None and gcd(product.den, *product.ints) == 1
+                assert product == numeric._packed_product(a, b) == mat_mul_per_entry(a, b)
+
+    def test_steps_of_the_constructors(self):
+        for n in range(1, 12):
+            for modulus in (None, 13):
+                one = ExactMatrix.identity(n, modulus)
+                assert one._step == n - 1
+                assert carries_its_rotation_step(one)
+        assert ExactMatrix.identity(0)._step is None
+        for m in (ExactMatrix.from_rows([[1, 2], [2, 1]]),
+                  ExactMatrix(2, 2, [FieldScalar(x) for x in (1, 2, 2, 1)]),
+                  mat_mul(ExactMatrix.from_rows([[1, 2], [2, 1]]), ExactMatrix.identity(2))):
+            assert m._step is None
+
+    @pytest.mark.parametrize("modulus", [None, 65537])
+    def test_copies_compare_and_hash_equal(self, modulus):
+        """The step is derived data: a from_rows copy without it compares
+        and hashes equal, and pickle, copy and deepcopy keep the table."""
+        for n, r in ((7, 2), (31, 12)):
+            m = christoffel_matrix(params(n, Fraction(1, 3), 5, r, modulus))
+            for table in (m, mat_mul(m, m)):
+                bare = ExactMatrix.from_rows([table.row(i) for i in range(n)], modulus)
+                assert bare._step is None and table._step is not None
+                assert bare == table and hash(bare) == hash(table)
+                assert repr(bare) == repr(table) and bare.to_json() == table.to_json()
+                for clone in (pickle.loads(pickle.dumps(table)), copy.copy(table),
+                              copy.deepcopy(table)):
+                    assert clone == table and hash(clone) == hash(table)
+                    assert clone._step == table._step
+                    assert mat_mul(clone, clone) == mat_mul(bare, bare)
 
 
 @st.composite
