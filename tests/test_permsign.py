@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from christoffel import Permutation, cycle_type_string, jacobi, zolotareff
 from christoffel.errors import EvenModulusError, NotBijectiveError, NotCoprimeError
@@ -110,6 +110,10 @@ class TestZolotareff:
             assert sorted(table) == [r for r in range(n) if gcd(r, n) == 1]
             assert all(table[r] == zolotareff_by_walk(r, n) for r in table), n
 
+    # An example walks one permutation of at most 2000 points, 1-2 ms; the
+    # limit of 2 s per example leaves room for a full garbage collection of
+    # the whole test session's heap, which the default 200 ms does not.
+    @settings(deadline=2000)
     @given(st.integers(1, 500), st.sampled_from((0, 2)), st.integers(-4000, 4000))
     def test_even_modulus_against_walk(self, k, residue, r):
         """n = 0 and n = 2 mod 4, up to 2000, against the literal walk."""
