@@ -18,7 +18,6 @@ through properties.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 
 from ._frozen import Frozen
@@ -33,9 +32,9 @@ from .errors import (
     OutOfRangeError,
 )
 from .numeric import (ExactMatrix, FieldScalar, ScalarLike, _check_modulus, _integer_form,
-                      _read, _reduced)
+                      _read, _reduced, _rotations)
 from .permsign import zolotareff
-from .words import SlopeRatio, Word, _christoffel_bw_prefixes, bw_rows
+from .words import Word, _bw_starts, _christoffel_row
 
 
 def _check_characteristic(n: int, modulus: int | None) -> None:
@@ -183,33 +182,39 @@ def _one_kind(m1: int | None, m2: int | None) -> int | None:
 def bw_matrix(w: Word) -> ExactMatrix:
     """Burrows-Wheeler table of a primitive word as an exact matrix.
 
-    The word's distinct letters are brought to the canonical form over Q
-    once each, and each sorted rotation is mapped through that table.  The
+    The rotation starts are sorted once (``words._bw_starts``, shared with
+    ``bw_rows``), the word's distinct letters are brought to the canonical
+    form over Q once each, and row k is the coded word rotated left by
+    the k-th start, one slice of it doubled (``numeric._rotations``).  The
     form is also the matrix's, as in ``christoffel_matrix``: every letter
     occurs in every row.
     """
-    rows = bw_rows(w)
+    starts = _bw_starts(w)
     letters = list(set(w.letters))
     ints, den = _integer_form(letters, None)
     code = dict(zip(letters, ints))
-    ints = list(map(code.__getitem__, chain.from_iterable([row.letters for row in rows])))
-    return ExactMatrix._trusted(len(rows), len(rows), None, tuple(ints), den,
-                                max(map(abs, code.values())))
+    n = len(starts)
+    return ExactMatrix._trusted(n, n, None,
+                                tuple(_rotations(list(map(code.__getitem__, w.letters)), starts)),
+                                den, max(map(abs, ints)))
 
 
 def christoffel_matrix(p: ChristoffelParams) -> ExactMatrix:
     """The Burrows-Wheeler table of slope r/q over {a, b}, row by row.
 
     The table of the two stored ints over the stored denominator is the
-    matrix, in canonical form since both letters occur.  Row 0 comes from
-    the residue rule; row i is row 0 rotated left by i * q^(-1) mod n, one
-    slice of the doubled row, so q^(-1) is the table's rotation step.  The
-    largest |entry| is max(|a'|, |b'|) for the stored ints a', b'.
+    matrix, in canonical form since both letters occur.  Row 0 is b
+    scattered into [a] * n at the r columns k q^(-1) mod n, k < r (the
+    residue rule, ``words._christoffel_row``); row i is row 0 rotated left
+    by i q^(-1) mod n, one slice of the doubled row (``numeric._rotations``),
+    so q^(-1) is the table's rotation step.  The largest |entry| is
+    max(|a'|, |b'|) for the stored ints a', b'.
     """
     n, a, b = p.n, p._a, p._b
-    rows = _christoffel_bw_prefixes(SlopeRatio(p.r, p.q), range(n), n, (a, b))
-    return ExactMatrix._trusted(n, n, p.modulus, tuple(list(chain.from_iterable(rows))),
-                                p._den, max(abs(a), abs(b)), step=pow(p.q, -1, n))
+    step = pow(p.q, -1, n)
+    ints = _rotations(_christoffel_row(n, p.r, step, a, b), range(0, n * step, step))
+    return ExactMatrix._trusted(n, n, p.modulus, tuple(ints), p._den, max(abs(a), abs(b)),
+                                step=step)
 
 
 def _row_sum(p: ChristoffelParams) -> int:

@@ -195,9 +195,14 @@ def _cmd_word_pc_check(args):
 
 
 def _matrix_lines(m: ExactMatrix) -> list[str]:
-    """One text line per row; over GF(p) the values, then the modulus once."""
-    values = [str(v) for v in m.values]
-    rows = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+    """One text line per row; over GF(p) the values, then the modulus once.
+    Over Q these are the strings of ``to_string_rows``, over GF(p) those of
+    the stored residues, so no scalar is built per entry."""
+    if m.modulus is None:
+        rows = m.to_string_rows()
+    else:
+        values = list(map(str, m.ints))
+        rows = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
     lines = ["".join(r) if all(len(x) == 1 for x in r) else " ".join(r) for r in rows]
     return lines if m.modulus is None else lines + [f"mod {m.modulus}"]
 

@@ -36,9 +36,15 @@ The j_i are the columns 0..n-2 in some order pi, so column n - 1 of
 T M U is S e_{n-1} and det M = sign(pi) * prod d_i * S: one lazy scan
 per row pair, one cycle walk and one sum (see ``_path_det``).  Over
 GF(p) the same reading runs on the stored residues, taken as ints, and
-is reduced mod p.  Every other matrix falls through to an elimination
-of D (``_det_by_elimination``): fraction-free (Bareiss) over Q,
-Gaussian with every entry reduced mod p over GF(p).
+is reduced mod p.  A table that carries a rotation step s (see
+``ExactMatrix``), row i being its row 0 f rotated left by i s, is read
+off f alone: every row pair differs by delta = f - (f rotated left by
+s), itself rotated, so D has that shape exactly when delta is d at
+c = (-1 - s) mod n and -d at c + 1 and 0 elsewhere, and then det M =
+sign(pi) d^(n-1) sum(f) with pi(i) = (c - i s) mod n (``_rotation_det``):
+O(n) steps, no row scanned.  Every other matrix falls through to an
+elimination of D (``_det_by_elimination``): fraction-free (Bareiss)
+over Q, Gaussian with every entry reduced mod p over GF(p).
 """
 
 from __future__ import annotations
@@ -358,7 +364,12 @@ class ExactMatrix:
         return tuple(self.entry(i, j) for i in range(self.rows))
 
     def to_string_rows(self) -> list[list[str]]:
-        return [[str(x) for x in self.row(i)] for i in range(self.rows)]
+        """The entries as ``str`` of their scalars, row by row; each
+        distinct stored int is formatted once."""
+        den, modulus, cols = self.den, self.modulus, self.cols
+        text = {x: str(_read(x, den, modulus)) for x in set(self.ints)}
+        strings = list(map(text.__getitem__, self.ints))
+        return [strings[i * cols:(i + 1) * cols] for i in range(self.rows)]
 
     def to_json(self) -> str:
         """Canonical serialization: JSON rows of scalar strings."""
@@ -539,11 +550,23 @@ def _rotation_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     g, den = _reduced(_unpack((g ^ half).to_bytes(width * n, "little"), width, fmt),
                       a.den * b.den, p)
     step = -a._step * s2 % n
-    g2, ints = g * 2, []
-    for i in range(n):
-        j = i * step % n
-        ints += g2[j:j + n]
+    # A unit step is 0 only at n = 1, whose one row is at offset 0.
+    ints = _rotations(g, range(0, n * step, step) if step else (0,))
     return ExactMatrix._trusted(n, n, p, tuple(ints), den, max(max(g), -min(g)), step=step)
+
+
+def _rotations(f: list, offsets: Iterable[int]) -> list:
+    """The entries, row by row, of the table whose row k is the list f
+    rotated left by offsets[k] mod n (n = len(f) >= 1): one slice of f
+    doubled per row, each appended to one list.  Every table whose rows
+    are rotations of one row is emitted here: Christoffel tables, their
+    products and Burrows-Wheeler tables."""
+    n = len(f)
+    doubled, out = f * 2, []
+    for k in offsets:
+        k %= n
+        out += doubled[k:k + n]
+    return out
 
 
 def _packed_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -705,18 +728,52 @@ def _det_mod(m: list[list[int]], p: int) -> int:
 def det_exact(a: ExactMatrix) -> FieldScalar:
     """Exact determinant of a square matrix.
 
-    Over Q, the stored ints form an integer matrix; its determinant by
-    ``det_int`` divided by den^n is the answer.  Over GF(p), the stored
-    residues are read as an integer matrix the same way: off the path of
-    their row differences when they form one, reduced mod p
-    (``_path_det``), and otherwise by Gaussian elimination of the
-    differenced rows reduced mod p at every step (``_det_by_elimination``).
+    The stored ints form an integer matrix, whose determinant divided by
+    den^n is the answer over Q and reduced mod p is the answer over GF(p).
+    A matrix that carries a rotation step is read off its row 0 when its
+    row differences form a path (``_rotation_det``).  Otherwise, over Q,
+    the determinant is ``det_int``'s; over GF(p), the stored residues are
+    read the same way, off the path of their row differences when they
+    form one (``_path_det``), and otherwise by Gaussian elimination of
+    the differenced rows reduced mod p at every step
+    (``_det_by_elimination``).
     """
     if a.rows != a.cols:
         raise DimensionMismatchError(f"determinant of {a.rows}x{a.cols} matrix")
     n, p = a.rows, a.modulus
-    rows = [a.ints[i * n:(i + 1) * n] for i in range(n)]
-    if p is None:
-        return _read(det_int(rows), a.den ** n, None)
-    det = _path_det(rows) if n else 1
-    return _scalar(_det_by_elimination(rows, p) if det is None else det % p, p)
+    det = None if a._step is None else _rotation_det(a.ints[:n], a._step)
+    if det is None:
+        rows = [a.ints[i * n:(i + 1) * n] for i in range(n)]
+        if p is None:
+            det = det_int(rows)
+        else:
+            det = _path_det(rows) if n else 1
+            if det is None:
+                return _scalar(_det_by_elimination(rows, p), p)
+    return _read(det, a.den ** n, None) if p is None else _scalar(det % p, p)
+
+
+def _rotation_det(f: Sequence[int], s: int) -> int | None:
+    """det M of the n x n rotation table M with row 0 f and step s (row i
+    is f rotated left by i s, s a unit mod n), read off f, or None when
+    n = 1 or ``_path_det`` would not read M.
+
+    Row i - row (i + 1) is delta = f - (f rotated left by s), rotated left
+    by i s.  When delta's only nonzeros are d at c = (-1 - s) mod n and -d
+    at c + 1, pair i is the edge at column j_i = (c - i s) mod n, and the
+    j_i for i < n - 1 are the columns 0..n-2, each once (j_{n-1} would be
+    n - 1).  For n >= 2 these are exactly the tables whose every row pair
+    ``_path_det`` accepts: an edge at any other column reaches column
+    n - 1 at some pair i < n - 1, where it wraps.  Then det M = sign(pi)
+    d^(n-1) sum(f) with pi(i) = j_i, pi(n - 1) = n - 1.  Any other delta
+    gives None.
+    """
+    n = len(f)
+    c = (-1 - s) % n
+    delta = list(map(sub, f, f[s:] + f[:s]))
+    d = delta[c]
+    if not d or delta[c + 1] != -d or delta.count(0) != n - 2:
+        return None
+    edges = list(map(n.__rmod__, range(c, c - (n - 1) * s, -s)))
+    edges.append(n - 1)
+    return _cycle_sign(edges) * d ** (n - 1) * sum(f)

@@ -7,8 +7,11 @@ slope r/q (n = q+r) one residue rule gives every row of the table: in
 row i, position j carries the high letter exactly when (i + qj) mod n < r.
 The lower Christoffel word is row n-1 and the upper one row 0.
 
-Only ``bw_rows`` sorts rotations: the perfectly clustering test walks
-an interval exchange and the palindromic split is one substring search.
+Only ``_bw_starts`` sorts rotations, once per table, for ``bw_rows`` and
+``bwgroup.bw_matrix``: the perfectly clustering test walks an interval
+exchange and the palindromic split is one substring search.  Only
+``_christoffel_row`` applies the residue rule, for every Christoffel
+row and table.
 """
 
 from __future__ import annotations
@@ -188,11 +191,25 @@ def conjugates(w: Word) -> list[Word]:
 
 def bw_rows(w: Word) -> list[Word]:
     """Rows of the Burrows-Wheeler table: rotations sorted decreasingly."""
-    if not is_primitive(w):
-        raise NotPrimitiveError(f"word {w} is not primitive")
     t = w.letters
-    rotations = sorted((t[i:] + t[:i] for i in range(len(t))), reverse=True)
-    return [Word(r) for r in rotations]
+    n, doubled = len(t), t * 2
+    return [Word(doubled[i:i + n]) for i in _bw_starts(w)]
+
+
+def _bw_starts(w: Word) -> list[int]:
+    """The starts i of the rotations w[i:] + w[:i] of the primitive word w
+    in the order of its Burrows-Wheeler table, decreasing.  The rotations
+    are compared as slices of the text of w doubled (``_as_text``), whose
+    code points keep the order of the letters; a word that is not
+    primitive raises NotPrimitiveError."""
+    t = w.letters
+    n = len(t)
+    s = _as_text(t, w.alphabet())
+    doubled = s + s
+    if not n or doubled.find(s, 1) != n:
+        raise NotPrimitiveError(f"word {w} is not primitive")
+    keys = list(map(doubled.__getitem__, map(slice, range(n), range(n, 2 * n))))
+    return sorted(range(n), key=keys.__getitem__, reverse=True)
 
 
 def _as_text(t: Sequence[Letter], letters: Sequence[Letter]) -> str:
@@ -258,7 +275,21 @@ def christoffel_bw_row(slope: SlopeRatio, i: int,
             f"a Christoffel word has two letters; alphabet {tuple(alphabet)} has "
             f"{len(alphabet)}")
     a, b = alphabet
-    return Word([b if (i + q * j) % n < r else a for j in range(n)])
+    return Word(_christoffel_row(n, r, pow(q, -1, n), a, b, i))
+
+
+def _christoffel_row(n: int, r: int, step: int, a, b, i: int = 0) -> list:
+    """Row i of the Burrows-Wheeler table of slope r/(n - r) over the
+    letters a (low) and b (high), as a list; step is q^(-1) mod n.
+
+    Position j carries b exactly when (i + qj) mod n < r, that is, when
+    j = (k - i) q^(-1) mod n for one k < r: b is scattered into [a] * n at
+    those r positions.
+    """
+    row = [a] * n
+    for k in range(r):
+        row[(k - i) * step % n] = b
+    return row
 
 
 def _christoffel_bw_prefixes(slope: SlopeRatio, rows: Iterable[int], width: int,
@@ -270,8 +301,8 @@ def _christoffel_bw_prefixes(slope: SlopeRatio, rows: Iterable[int], width: int,
     i + qj = q(j + i * q^(-1)) (mod n); the rows are not range-checked.
     """
     n = slope.length
-    doubled = christoffel_bw_row(slope, 0, alphabet).letters * 2
     step = pow(slope.zeros, -1, n)
+    doubled = tuple(_christoffel_row(n, slope.ones, step, *alphabet) * 2)
     return [doubled[s:s + width] for s in (i * step % n for i in rows)]
 
 

@@ -17,7 +17,6 @@ from christoffel import (
     FactorMatrix,
     FieldScalar,
     Permutation,
-    SlopeRatio,
     Word,
     build_sigma,
     bw_rows,
@@ -89,11 +88,24 @@ def carries_its_rotation_step(m):
 
 
 def christoffel_matrix_by_rows(p):
-    """M(n, a, b, r) row by row: each row a Word of the scalars a and b
-    from the residue rule at its own index, with no rotation."""
-    slope = SlopeRatio(p.r, p.q)
+    """M(n, a, b, r) entry by entry from the residue rule as stated, with no
+    rotation and no scatter: (i, j) is b exactly when (i + qj) mod n < r."""
+    n, q, r, a, b = p.n, p.q, p.r, p.a, p.b
     return ExactMatrix.from_rows(
-        [christoffel_bw_row(slope, i, (p.a, p.b)).letters for i in range(p.n)], p.modulus)
+        [[b if (i + q * j) % n < r else a for j in range(n)] for i in range(n)], p.modulus)
+
+
+def bw_rows_by_tuple_sort(w):
+    """The Burrows-Wheeler rows of a primitive word: its rotations as
+    letter tuples, sorted decreasingly by tuple comparison."""
+    t = w.letters
+    return [Word(x) for x in sorted((t[i:] + t[:i] for i in range(len(t))), reverse=True)]
+
+
+def bw_matrix_by_tuple_sort(w):
+    """The Burrows-Wheeler table of a primitive word from
+    ``bw_rows_by_tuple_sort``, one entry per letter."""
+    return ExactMatrix.from_rows([row.letters for row in bw_rows_by_tuple_sort(w)])
 
 
 # --- The Christoffel group on FieldScalars -----------------------------------

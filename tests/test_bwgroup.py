@@ -585,6 +585,21 @@ class TestRawRoute:
         assert m == ExactMatrix.from_rows([row.letters for row in rows])
         assert m._max == max(map(abs, m.ints)) and gcd(m.den, *m.ints) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4))
+    def test_bw_matrix_equals_the_tuple_sort(self, data, k):
+        """On words of 1 to 4 int or Fraction letters, the table sorted once
+        by its rotation starts equals the table of the rotations sorted as
+        letter tuples; a word that is not primitive raises."""
+        letter = st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=50)
+        alphabet = data.draw(st.lists(letter, min_size=k, max_size=k, unique=True))
+        w = Word(data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=16)))
+        if oracles.is_primitive_by_divisors(w):
+            assert bw_matrix(w) == oracles.bw_matrix_by_tuple_sort(w)
+        else:
+            with pytest.raises(NotPrimitiveError):
+                bw_matrix(w)
+
     def test_bw_matrix_carries_no_step(self):
         m = bw_matrix(lower_christoffel(SlopeRatio(2, 5)))
         assert m._step is None

@@ -317,7 +317,9 @@ class TestRestrictionWordChain:
                     assert restriction_word_chain(gamma, n - gamma) == \
                         restriction_chain_by_encodings(gamma, n - gamma), (gamma, n)
 
-    @settings(max_examples=50)
+    # An example takes up to 4 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 600 ms is 5 x (4 + 115) ms, rounded up.
+    @settings(max_examples=50, deadline=600)
     @given(case=st.integers(2, 60).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(1, n // 2).filter(
                    lambda g: gcd(g, n) == 1))),

@@ -292,7 +292,9 @@ class TestPackedProduct:
 
     shapes = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 
-    @settings(max_examples=60)
+    # An example takes up to 74 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 1000 ms is 5 x (74 + 115) ms, rounded up.
+    @settings(max_examples=60, deadline=1000)
     @given(data=st.data(), shape=shapes)
     def test_rational_equals_per_entry_product(self, data, shape):
         n, k, m = shape
@@ -302,7 +304,9 @@ class TestPackedProduct:
         b = matrix(data.draw(shaped(entries, k, m)), m)
         assert_equals_per_entry_product(a, b)
 
-    @settings(max_examples=60)
+    # An example takes up to 26 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 800 ms is 5 x (26 + 115) ms, rounded up.
+    @settings(max_examples=60, deadline=800)
     @given(data=st.data(), p=primes, shape=shapes)
     def test_residue_equals_per_entry_product(self, data, p, shape):
         n, k, m = shape
@@ -578,7 +582,9 @@ class TestDeterminant:
         with pytest.raises(DimensionMismatchError):
             det_exact(ExactMatrix.from_rows([[1, 2]]))
 
-    @settings(max_examples=200)
+    # An example takes up to 35 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 800 ms is 5 x (35 + 115) ms, rounded up.
+    @settings(max_examples=200, deadline=800)
     @given(rows=square_matrices(), p=st.sampled_from((2, 3, 5, 7, 65537, 2 ** 61 - 1)))
     def test_residue_equals_integer_bareiss_mod_p(self, rows, p):
         """Elimination mod p against the integer (Bareiss) determinant
@@ -653,7 +659,9 @@ class TestDeterminantalVector:
     integer matrix, an elimination of [G | I] and cofactor expansion,
     agree; the library's kernel reads only factor matrices G_n."""
 
-    @settings(max_examples=40)
+    # An example takes up to 5 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 600 ms is 5 x (5 + 115) ms, rounded up.
+    @settings(max_examples=40, deadline=600)
     @given(rows=tall_matrices())
     def test_equals_per_minor_cofactor_expansion(self, rows):
         assert determinantal_vector_by_identity_block(rows) \
@@ -909,6 +917,141 @@ class TestPathDeterminant:
         assert [det_exact(christoffel_matrix(c)) for c in cases] == expected
 
 
+def walked_row(n, step, first, delta):
+    """The row f of order n with f[0] = first and f[t] - f[t + step] =
+    delta[t] (indices mod n), walked along the cycle of the unit step;
+    sum(delta) = 0 closes the cycle."""
+    f = [first] * n
+    for k in range(n - 1):
+        t = k * step % n
+        f[(t + step) % n] = f[t] - delta[t]
+    return f
+
+
+def edge(n, column, d):
+    """delta of one scaled edge: d at column, -d at column + 1 (mod n)."""
+    delta = [0] * n
+    delta[column % n] += d
+    delta[(column + 1) % n] -= d
+    return delta
+
+
+@st.composite
+def path_rotation_tables(draw, modulus, n):
+    """A rotation table of order n, any unit step s, whose row pairs all
+    differ by one scaled adjacent exchange: row 0 minus row 0 rotated left
+    by s is d at c = (-1 - s) mod n, -d at c + 1 and 0 elsewhere, with the
+    first entry and d small, 80-bit or rational (d nonzero in the kind)."""
+    letters = st.integers(-3, 3) | st.integers(-2 ** 80, 2 ** 80) | rationals
+    if modulus is not None:
+        letters = letters.filter(lambda x: Fraction(x).denominator % modulus)
+    nonzero = bool if modulus is None else (lambda x: Fraction(x).numerator % modulus)
+    d = draw(letters.filter(nonzero))
+    step = draw(st.integers(0, n - 1).filter(lambda s: gcd(s, n) == 1))
+    return rotation_table(walked_row(n, step, draw(letters), edge(n, -1 - step, d)),
+                          step, modulus)
+
+
+def rotation_rows(m):
+    n = m.rows
+    return [m.ints[i * n:(i + 1) * n] for i in range(n)]
+
+
+def assert_rotation_det(m):
+    """det_exact of the stepped table m equals the elimination of its
+    stored ints, called directly, and cofactor expansion up to n = 7; the
+    reading off row 0 runs exactly when _path_det reads the rows, from
+    n = 2 on (one row has no pair to read).  Returns whether it ran."""
+    n, p = m.rows, m.modulus
+    rows = rotation_rows(m)
+    read = numeric._rotation_det(m.ints[:n], m._step)
+    assert read == (numeric._path_det(rows) if n >= 2 else None)
+    det = numeric._det_by_elimination(rows)
+    if n <= 7:
+        assert det == cofactor_det(rows)
+    if p is None:
+        assert det_exact(m) == Fraction(det, m.den ** n)
+    else:
+        assert numeric._det_by_elimination(rows, p) == det % p
+        assert det_exact(m) == FieldScalar.residue(det, p)
+    return read is not None
+
+
+class TestRotationDeterminant:
+    """A table that carries a rotation step s is read off its row 0 when
+    row 0 minus row 0 rotated by s is one scaled edge at (-1 - s) mod n;
+    every other stepped table falls through and agrees."""
+
+    kinds = st.sampled_from((None,) + GF_PRIMES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), modulus=kinds, n=st.integers(1, 7), path=st.booleans())
+    def test_small_against_cofactor_expansion(self, data, modulus, n, path):
+        m = data.draw(path_rotation_tables(modulus, n) if path else rotation_tables(modulus, n))
+        assert carries_its_rotation_step(m)
+        read = assert_rotation_det(m)
+        if path:
+            assert read == (n >= 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), modulus=kinds, n=st.integers(8, 40))
+    def test_against_elimination(self, data, modulus, n):
+        assert assert_rotation_det(data.draw(path_rotation_tables(modulus, n)))
+
+    # (n, step, delta): the column c = (-1 - step) mod n is 3, 2, 0, 3 in
+    # the first four.
+    NEAR_MISSES = {
+        "two edges": (7, 3, [x + y for x, y in zip(edge(7, 3, 2), edge(7, 0, 1))]),
+        "edge at the wrong column": (7, 3, edge(7, 4, 5)),
+        "edge across the ends": (5, 2, edge(5, 4, 1)),
+        "unequal scales": (6, 5, [3, -2, -1, 0, 0, 0]),
+        "constant row": (6, 1, [0] * 6),
+        "n = 1": (1, 0, [0]),
+        "n = 2, constant row": (2, 1, [0, 0]),
+    }
+
+    @pytest.mark.parametrize("n, step, delta", list(NEAR_MISSES.values()), ids=list(NEAR_MISSES))
+    def test_near_misses_fall_through_and_agree(self, n, step, delta):
+        for first in (4, Fraction(-7, 3)):
+            row = walked_row(n, step, first, delta)
+            assert [x - row[(t + step) % n] for t, x in enumerate(row)] == delta
+            for modulus in (None,) + GF_PRIMES:
+                assert not assert_rotation_det(rotation_table(row, step, modulus))
+
+    def test_order_two(self):
+        """n = 2, step 1: det [[x, y], [y, x]] = (x - y)(x + y)."""
+        for x, y in ((3, -1), (Fraction(1, 2), 5), (0, 1)):
+            m = rotation_table([x, y], 1)
+            assert numeric._rotation_det(m.ints[:2], 1) is not None
+            assert det_exact(m) == (x - y) * (x + y)
+
+    def test_christoffel_tables_products_and_identities(self, monkeypatch):
+        """Every Christoffel table up to n = 64, the products of two and the
+        identity, over Q (integer and rational letters) and GF(p), are
+        read off row 0: neither the row scan nor an elimination runs."""
+        rng = random.Random(27)
+        cases = []
+        for n in range(2, 65):
+            units = [r for r in range(1, n) if gcd(r, n) == 1]
+            for a, b, p in ((0, 1, None), (-3, 7, None), (Fraction(1, 3), Fraction(-2, 5), None),
+                            (2, 5, 65537), (3, 1, 2 ** 61 - 1)):
+                p1, p2 = (params(n, a, b, rng.choice(units), p) for _ in range(2))
+                cases.append((christoffel_matrix(p1), det_closed(p1)))
+                product = mat_mul(christoffel_matrix(p1), christoffel_matrix(p2))
+                cases.append((product, det_closed(p1) * det_closed(p2)))
+            for p in (None, 65537):
+                cases.append((ExactMatrix.identity(n, p), FieldScalar.coerce(1, p)))
+
+        def forbidden(*args):
+            raise AssertionError("det_exact scanned the rows")
+
+        for name in ("_path_det", "_det_by_elimination"):
+            monkeypatch.setattr(numeric, name, forbidden)
+        for m, expected in cases:
+            assert m._step is not None
+            assert det_exact(m) == expected
+
+
 class TestKindStoredOnce:
     """A matrix holds its modulus once and raw values, not FieldScalars."""
 
@@ -1136,7 +1279,9 @@ class TestReduced:
 
     ints = st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=6)
 
-    @settings(max_examples=200)
+    # An example takes up to 2 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 600 ms is 5 x (2 + 115) ms, rounded up.
+    @settings(max_examples=200, deadline=600)
     @given(ints=ints, den=st.integers(-10 ** 12, 10 ** 12).filter(bool))
     @example(ints=[6, -4], den=-2)
     @example(ints=[-3, 5], den=-1)
@@ -1146,7 +1291,9 @@ class TestReduced:
         assert out_den > 0 and gcd(out_den, *out) == 1
         assert [Fraction(x, out_den) for x in out] == [Fraction(x, den) for x in ints]
 
-    @settings(max_examples=200)
+    # An example takes up to 2 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 600 ms is 5 x (2 + 115) ms, rounded up.
+    @settings(max_examples=200, deadline=600)
     @given(p=primes, ints=ints, den=st.integers(-10 ** 20, 10 ** 20))
     @example(p=7, ints=[-3, 12], den=-5)
     @example(p=7, ints=[-3, 12], den=1)

@@ -68,6 +68,9 @@ class TestPermutation:
         with pytest.raises(NotBijectiveError):
             compose(p, identity_permutation(6))
 
+    # An example takes up to 1 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 600 ms is 5 x (1 + 115) ms, rounded up.
+    @settings(deadline=600)
     @given(st.permutations(list(range(9))))
     def test_sign_matches_inversion_count(self, images):
         p = Permutation(images)
@@ -121,6 +124,9 @@ class TestZolotareff:
         assume(gcd(r, n) == 1)
         assert zolotareff(r, n) == zolotareff_by_walk(r, n)
 
+    # An example takes up to 1 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 600 ms is 5 x (1 + 115) ms, rounded up.
+    @settings(deadline=600)
     @given(st.integers(1, 10 ** 30), st.integers(-10 ** 30, 10 ** 30),
            st.integers(-10 ** 30, 10 ** 30))
     def test_multiplicative_in_r(self, n, r, s):

@@ -79,7 +79,9 @@ class TestCovering:
     """The covering chain item by one ceiling division per quotient, against
     the walk over every semiconvergent."""
 
-    @settings(max_examples=400)
+    # An example takes up to 2 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 600 ms is 5 x (2 + 115) ms, rounded up.
+    @settings(max_examples=400, deadline=600)
     @given(n0=st.integers(0, 6), rest=st.lists(st.integers(1, 9), max_size=8),
            n=st.integers(0, 400))
     def test_equals_walk(self, n0, rest, n):
@@ -229,7 +231,9 @@ class TestOracle:
                             assert determinantal_vector_oracle(m).components == expected \
                                 == determinantal_vector_closed(slope, n).components, (r, big_n, n)
 
-    @settings(max_examples=40)
+    # An example takes up to 36 ms, and a full garbage collection of the
+    # session's heap 80-115 ms: 800 ms is 5 x (36 + 115) ms, rounded up.
+    @settings(max_examples=40, deadline=800)
     @given(data=st.data())
     def test_equals_identity_block_up_to_length_80(self, data):
         big_n = data.draw(st.integers(2, 80))

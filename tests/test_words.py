@@ -43,9 +43,10 @@ from christoffel.errors import (
     NotPrimitiveError,
     SizeLimitError,
 )
-from christoffel.words import _as_text
+from christoffel.words import _as_text, _christoffel_bw_prefixes
 from oracles import (
     bw_christoffel_kind,
+    bw_rows_by_tuple_sort,
     is_lyndon_by_rotations,
     is_primitive_by_divisors,
     palindromic_factorization_by_scan,
@@ -122,6 +123,21 @@ class TestBwRow:
             assert rows == bw_rows(lower_christoffel(slope))
             assert rows[-1] == lower_christoffel(slope) and rows[0] == upper_christoffel(slope)
 
+    def test_one_residue_rule(self):
+        """Every row, and every prefix of the rotated rows, carries the high
+        letter exactly where (i + qj) mod n < r, for every slope with
+        N <= 40 and letters in either order."""
+        for slope in all_slopes(40):
+            n, q, r = slope.length, slope.zeros, slope.ones
+            for a, b in ((0, 1), (Fraction(7, 2), -4)):
+                rule = [tuple(b if (i + q * j) % n < r else a for j in range(n))
+                        for i in range(n)]
+                assert [christoffel_bw_row(slope, i, (a, b)).letters
+                        for i in range(n)] == rule
+                for width in {0, n // 2, n}:
+                    assert _christoffel_bw_prefixes(slope, range(n), width, (a, b)) \
+                        == [row[:width] for row in rule]
+
     def test_any_two_letters(self):
         """The letters need no order; bwgroup passes field values as they are."""
         assert christoffel_bw_row(SlopeRatio(2, 5), 0, (3, -1)).letters \
@@ -170,6 +186,21 @@ class TestBasicPredicates:
     def test_conjugates_requires_primitive(self):
         with pytest.raises(NotPrimitiveError):
             conjugates(W("0101"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4))
+    def test_bw_rows_equal_the_tuple_sort(self, data, k):
+        """On words of 1 to 4 int or Fraction letters, the rotations sorted
+        once by their starts on the word's text equal the rotations sorted
+        as letter tuples; a word that is not primitive raises."""
+        letter = st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=50)
+        alphabet = data.draw(st.lists(letter, min_size=k, max_size=k, unique=True))
+        w = Word(data.draw(st.lists(st.sampled_from(alphabet), max_size=16)))
+        if is_primitive_by_divisors(w):
+            assert bw_rows(w) == bw_rows_by_tuple_sort(w)
+        else:
+            with pytest.raises(NotPrimitiveError):
+                bw_rows(w)
 
     def test_conjugates_sorted_are_table_rows(self):
         word = W("0001001")
