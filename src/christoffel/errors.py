@@ -27,7 +27,8 @@ class NotPrimitiveError(ChristoffelError):
 
 
 class LengthOutOfRangeError(ChristoffelError):
-    """Requested factor length outside [0, |w|]."""
+    """Requested word or factor length outside its domain, such as a
+    factor length outside [0, |w|] or a word length below 1."""
 
 
 class NotChristoffelError(ChristoffelError):

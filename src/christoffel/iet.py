@@ -8,12 +8,16 @@ off the cycle form that starts at 0 and replacing each element of I_j by
 the j-th alphabet letter yields the standard encoding, a perfectly
 clustering Lyndon word; conversely every such word arises this way.
 
-Every word comes from one encoder: ``_images`` lays the exchange out in
-range blocks and ``_encode`` walks the cycle of 0 once, reading letters
-from a table that holds letter j at every element of I_j.  The public
-functions walk the images of the exchange they are given; the
-enumeration and the closed-form vectors encode plain parts without
-building a ``Composition`` or a ``Permutation``.  A restriction chain is
+Every word comes from one cycle walk, ``_walk``, which follows the cycle
+of 0 once and reads letters from a table that holds letter j at every
+element of I_j.  ``_encode`` calls it on the images of one composition
+(``_images`` lays the exchange out in range blocks) and checks the
+length; the public functions encode the exchange they are given, and the
+closed-form vectors encode plain parts without building a
+``Composition`` or a ``Permutation``.  The enumeration calls the walk
+too, from one flat loop over the gcd-admissible compositions of 2 or 3
+parts that builds each letter table and image list in one expression:
+one Python-level call, the walk, per word.  A restriction chain is
 encoded once and then spliced: each step turns one factor "ac" into "b"
 in place, so a chain of gamma steps costs one walk plus gamma C-level
 copies instead of gamma + 1 walks.  One floor identity gives its merge
@@ -22,6 +26,7 @@ rows, listed by ``merge_positions`` and summed by ``merge_position_sum``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from typing import Sequence
 
@@ -29,6 +34,7 @@ from ._frozen import Frozen
 from .errors import (
     AlphabetSizeMismatchError,
     EmptyCompositionError,
+    LengthOutOfRangeError,
     MergeMismatchError,
     NotCircularError,
     NotCoprimeError,
@@ -47,7 +53,10 @@ class Composition(Frozen):
 
     def __init__(self, parts: Sequence[int]):
         parts = tuple(parts)
-        if not parts or any(p < 0 for p in parts) or sum(parts) < 1:
+        # Ints only (bools are ints, as for Permutation), tested first so
+        # that min never compares a string and sum never adds a float.
+        if not (parts and all(map(isinstance, parts, repeat(int)))
+                and min(parts) >= 0 and sum(parts) >= 1):
             raise EmptyCompositionError(f"invalid composition {list(parts)}")
         object.__setattr__(self, "parts", parts)
 
@@ -103,13 +112,20 @@ def _encode(parts: Sequence[int], images: Sequence[int],
         table = []
         for letter, c in zip(alphabet, parts):
             table += [letter] * c
+    out = _walk(table, images)
+    if len(out) != len(images):
+        raise NotCircularError(f"exchange of {tuple(parts)} is not circular")
+    return out
+
+
+def _walk(table: Sequence, images: Sequence[int]) -> list:
+    """table[x] for x along the cycle of 0; shorter than the images when
+    the exchange is not a single cycle."""
     out = [table[0]]
     x = images[0]
     while x:
         out.append(table[x])
         x = images[x]
-    if len(out) != len(images):
-        raise NotCircularError(f"exchange of {tuple(parts)} is not circular")
     return out
 
 
@@ -273,14 +289,23 @@ def enumerate_pc_words(length: int, num_letters: int,
 
     Each is the standard encoding of a circular exchange, one for every
     composition of the length into ``num_letters`` parts (zeros allowed)
-    whose exchange is a single cycle (Ferenczi-Zamboni).  The gcd
-    criterion of the alphabet size picks those compositions; a wrong pick
-    would fail in the cycle walk with NotCircularError.  The letters of
-    the alphabet must increase strictly, as for ``lower_christoffel``.
+    whose exchange is a single cycle (Ferenczi-Zamboni).  One flat loop
+    runs over the compositions, c1 for two letters and (c1, c2) for
+    three, and keeps those that pass the gcd criterion of
+    ``two_interval_circular`` or ``pak_redlich_circular``.  Each kept
+    one gets its letter table and image list in one expression each and
+    one walk of the cycle of 0; a walk shorter than the length raises
+    NotCircularError, so a wrong pick is an error, never a wrong word.
+    The letters of the alphabet must increase strictly, as for
+    ``lower_christoffel``.  A length below 1 raises
+    LengthOutOfRangeError; more than 3 letters or a length above 18
+    raise SizeLimitError.
     """
     if num_letters not in (2, 3):
         raise SizeLimitError(f"alphabet size {num_letters} not supported")
-    if not 1 <= length <= 18:
+    if length < 1:
+        raise LengthOutOfRangeError(f"length {length} below 1")
+    if length > 18:
         raise SizeLimitError(f"length {length} outside [1, 18]")
     if alphabet is None:
         alphabet = tuple(range(num_letters))
@@ -288,16 +313,29 @@ def enumerate_pc_words(length: int, num_letters: int,
         raise AlphabetSizeMismatchError(
             f"{len(alphabet)} letters for alphabet size {num_letters}")
     _ordered(alphabet)
-    circular = two_interval_circular if num_letters == 2 else pak_redlich_circular
-    words = sorted(tuple(_encode(parts, _images(parts), alphabet))
-                   for parts in _compositions(length, num_letters) if circular(*parts))
+    n = length
+    words = []
+    if num_letters == 2:
+        a, b = alphabet
+        for c1 in range(n + 1):
+            c2 = n - c1
+            if gcd(c1, c2) == 1:
+                out = _walk([a] * c1 + [b] * c2, [*range(c2, n), *range(c2)])
+                if len(out) != n:
+                    raise NotCircularError(f"exchange of {(c1, c2)} is not circular")
+                words.append(tuple(out))
+    else:
+        a, b, c = alphabet
+        for c1 in range(n + 1):
+            # The letters and images of I_1 do not depend on c2.
+            head, top = [a] * c1, range(n - c1, n)
+            for c2 in range(n - c1 + 1):
+                c3 = n - c1 - c2
+                if gcd(c1 + c2, c2 + c3) == 1:
+                    out = _walk(head + [b] * c2 + [c] * c3,
+                                [*top, *range(c3, c3 + c2), *range(c3)])
+                    if len(out) != n:
+                        raise NotCircularError(f"exchange of {(c1, c2, c3)} is not circular")
+                    words.append(tuple(out))
+    words.sort()
     return list(map(Word, words))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail

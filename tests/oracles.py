@@ -44,6 +44,7 @@ from christoffel.errors import (
     NonInvertibleRowSumError,
     NoPalindromicSplitError,
     NotBijectiveError,
+    NotCircularError,
     NotCoprimeError,
     NotPrimitiveError,
     OrderMismatchError,
@@ -476,6 +477,30 @@ def pc_words_by_lyndon_filter(length, num_letters):
     Burrows-Wheeler last column."""
     return sorted(w for w in lyndon_words(length, tuple(range(num_letters)))
                   if pc_by_bw_table(w))
+
+
+def compositions(total, parts):
+    """Every composition of total into parts parts, zeros allowed, in
+    lexicographic order, generated recursively."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def pc_words_by_every_composition(length, k, alphabet):
+    """Perfectly clustering Lyndon words: the standard encodings of every
+    composition of the length into k parts (no gcd criterion) whose
+    exchange is a single cycle."""
+    words = []
+    for parts in compositions(length, k):
+        try:
+            words.append(standard_encoding(build_sigma(Composition(parts)), alphabet))
+        except NotCircularError:
+            pass
+    return sorted(words)
 
 
 def interval_index(composition, x):

@@ -25,7 +25,8 @@ _spec.loader.exec_module(bench_compare)
                                   "BENCH_13_coldstart.json", "BENCH_14_splice.json",
                                   "BENCH_17_rowdiff.json", "BENCH_18_diffprod.json",
                                   "BENCH_20_pathminors.json", "BENCH_25_pathdet.json",
-                                  "BENCH_26_rotprod.json", "BENCH_27_rowzero.json"])
+                                  "BENCH_26_rotprod.json", "BENCH_27_rowzero.json",
+                                  "BENCH_28_flatenum.json"])
 def test_summary_recomputed_from_runs(name):
     data = json.loads((ROOT / name).read_text())
     summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -28,6 +29,7 @@ from christoffel.errors import (
     AlphabetSizeMismatchError,
     EmptyCompositionError,
     InvalidSlopeError,
+    LengthOutOfRangeError,
     MergeMismatchError,
     NotCircularError,
     NotCoprimeError,
@@ -37,22 +39,15 @@ from christoffel.errors import (
 )
 from christoffel.iet import merge_position_sum, merge_positions
 from oracles import (
+    compositions,
     encoding_by_interval_index,
     merge_positions_by_scan,
+    pc_words_by_every_composition,
     restriction_by_cycle_deletion,
     restriction_chain_by_encodings,
 )
 
 W = Word.parse
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 class TestBuildSigma:
@@ -435,6 +430,43 @@ class TestEnumeration:
             enumerate_pc_words(25, 2)
         with pytest.raises(SizeLimitError):
             enumerate_pc_words(4, 4)
+
+    @pytest.mark.parametrize("num_letters", [2, 3])
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_is_a_domain_error(self, length, num_letters):
+        """Not a size limit: no word has such a length, whatever the cap."""
+        with pytest.raises(LengthOutOfRangeError, match=rf"length {length} below 1"):
+            enumerate_pc_words(length, num_letters)
+
+    @pytest.mark.parametrize("alphabet", [
+        None, (-1, 5, 7), ("a", "b", "c"), (Fraction(-3, 2), Fraction(1, 3), Fraction(7, 2))])
+    def test_equals_every_composition_walked(self, alphabet):
+        """The flat gcd-filtered loops equal walking every composition and
+        keeping the circular ones, for 2 and 3 letters at every length up
+        to the cap of 18 (10-20 ms per alphabet)."""
+        for k in (2, 3):
+            given = None if alphabet is None else alphabet[:k]
+            letters = tuple(range(k)) if given is None else given
+            for length in range(1, 19):
+                assert enumerate_pc_words(length, k, given) == \
+                    pc_words_by_every_composition(length, k, letters), (k, length)
+
+    @pytest.mark.parametrize("num_letters, first", [(2, (0, 4)), (3, (0, 0, 4))])
+    def test_a_wrong_prefilter_is_an_error_not_a_word(self, monkeypatch, num_letters, first):
+        """With the gcd criterion patched to admit every composition, the
+        first non-circular one fails its walk's length check."""
+        import christoffel.iet as iet
+        monkeypatch.setattr(iet, "gcd", lambda x, y: 1)
+        with pytest.raises(NotCircularError, match=re.escape(f"exchange of {first}")):
+            enumerate_pc_words(4, num_letters)
+
+    def test_one_wrongly_admitted_composition_is_named(self, monkeypatch):
+        """At length 4, gcd(c1 + c2, c2 + c3) = gcd(2, 2) only for (2, 0, 2),
+        whose exchange has two cycles."""
+        import christoffel.iet as iet
+        monkeypatch.setattr(iet, "gcd", lambda x, y: 1 if (x, y) == (2, 2) else gcd(x, y))
+        with pytest.raises(NotCircularError, match=re.escape("exchange of (2, 0, 2)")):
+            enumerate_pc_words(4, 3)
 
     def test_unique_palindromic_split_of_pc_lyndon_words(self):
         """Exactly one proper palindromic split, exhaustively.

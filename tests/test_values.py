@@ -4,6 +4,7 @@ immutability, pickling and constructor checks."""
 import copy
 import dataclasses
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,9 @@ def test_constructors_coerce():
     (lambda: ContinuedFraction((1, 0)), InvalidCFError),
     (lambda: Composition(()), EmptyCompositionError),
     (lambda: Composition((0, 0)), EmptyCompositionError),
+    (lambda: Composition((1.5, 2)), EmptyCompositionError),
+    (lambda: Composition(("a",)), EmptyCompositionError),
+    (lambda: Composition((Fraction(3), 1)), EmptyCompositionError),
     (lambda: ChristoffelParams(1, 0, 1, 1), OutOfRangeError),
     (lambda: ChristoffelParams(6, 0, 1, 2), NotCoprimeError),
     (lambda: GroupTriple(7, FieldScalar(0), ONE, 2), NonInvertibleRowSumError),
@@ -141,11 +145,21 @@ def test_constructors_coerce():
     (lambda: GroupTriple(-7, 1, 2, 1), OutOfRangeError),
     (lambda: GroupTriple(0, 1, 2, 0), OutOfRangeError),
 ], ids=["slope-not-lowest", "slope-negative", "slope-0/0", "cf-empty", "cf-zero-quotient",
-        "composition-empty", "composition-zero-sum", "params-order", "params-coprime",
+        "composition-empty", "composition-zero-sum", "composition-float",
+        "composition-string", "composition-fraction", "params-order", "params-coprime",
         "triple-c", "triple-d", "triple-order-1", "triple-order-negative", "triple-order-0"])
 def test_constructors_validate(make, error):
     with pytest.raises(error):
         make()
+
+
+def test_composition_parts_are_ints():
+    """A float part fails in the constructor, with the message of a
+    negative part, not later in ``build_sigma``; bools are ints, as for
+    ``Permutation``."""
+    with pytest.raises(EmptyCompositionError, match=r"^invalid composition \[1\.5, 2\]$"):
+        Composition((1.5, 2))
+    assert Composition((True, 2)).parts == (True, 2)
 
 
 @pytest.mark.parametrize("n", [1, 0, -7])
