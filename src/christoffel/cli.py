@@ -43,10 +43,11 @@ MAX_MATRIX_ORDER = 256
 MAX_FIB_CHAIN_COUNT = 30
 # Work and output linear in the size: `word christoffel` letters, `iet`
 # composition totals (each under 0.25 s), closed-form `sturmian detvec`
-# and `fib detvec` lengths (0.28 s and 0.27 s of wall time on the
-# all-ones prefix, interpreter start included), and the word of
-# `word factorize` and `word pc-check` (0.36 s and 0.29 s on the
-# Christoffel word of slope 33333/66667).
+# and `fib detvec` lengths (0.24 s and 0.25 s of wall time on the
+# all-ones prefix, interpreter start included, medians of 9; the vector
+# is induced from three lengths, not walked letter by letter), and the
+# word of `word factorize` and `word pc-check` (0.36 s and 0.24 s on the
+# Christoffel word of slope 33333/66667; pc-check induces its encoding).
 MAX_LINEAR_SIZE = 100_000
 # `fib sign` prints F_m-sized counts, about 0.21 m digits (2,090 here,
 # under Python's 4,300-digit limit for printing an int).

@@ -8,7 +8,7 @@ row i, position j carries the high letter exactly when (i + qj) mod n < r.
 The lower Christoffel word is row n-1 and the upper one row 0.
 
 Only ``_bw_starts`` sorts rotations, once per table, for ``bw_rows`` and
-``bwgroup.bw_matrix``: the perfectly clustering test walks an interval
+``bwgroup.bw_matrix``: the perfectly clustering test encodes an interval
 exchange and the palindromic split is one substring search.  Only
 ``_christoffel_row`` applies the residue rule, for every Christoffel
 row and table.
@@ -227,11 +227,13 @@ def is_perfectly_clustering(w: Word) -> bool:
 
     By Ferenczi and Zamboni, a primitive word is perfectly clustering
     exactly when the symmetric exchange of its letter counts is one
-    cycle and w is a conjugate of that exchange's standard encoding.  So
-    one walk of the cycle and one search of w in the doubled encoding
-    decide it in O(n), with no rotation sort.
+    cycle and w is a conjugate of that exchange's standard encoding.  The
+    encoding comes from the counts alone (``iet._encode_parts``: a walk
+    of the cycle for short words, Rauzy induction on the counts for long
+    ones), and one search of w in the doubled encoding decides it in
+    O(n), with no rotation sort.
     """
-    from .iet import _encode, _images  # iet imports this module
+    from .iet import _encode_parts  # iet imports this module
     if not is_primitive(w):
         raise NotPrimitiveError(f"word {w} is not primitive")
     t = w.letters
@@ -239,7 +241,7 @@ def is_perfectly_clustering(w: Word) -> bool:
     letters = sorted(counts)
     parts = [counts[x] for x in letters]
     try:
-        encoding = _encode(parts, _images(parts), letters)
+        encoding = _encode_parts(parts, letters)
     except NotCircularError:
         return False
     return _as_text(t, letters) in _as_text(encoding, letters) * 2

@@ -8,6 +8,7 @@ or checks a lemma of the paper on a matrix the library built.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import le
 from typing import NamedTuple
 
 from christoffel import (
@@ -472,11 +473,32 @@ def palindromic_factorization_by_scan(w):
     return Word(t[:cuts[0]]), Word(t[cuts[0]:])
 
 
+def pc_lyndon_by_bw_table(w):
+    """Perfectly clustering for a Lyndon word over letters 0..255, by the
+    definition of ``pc_by_bw_table``: the last letters of the rotations,
+    sorted decreasingly, are nondecreasing from top to bottom.
+
+    A Lyndon word is primitive, so no divisor test runs.  It is also
+    strictly smaller than its other rotations, so it is the bottom row of
+    the table and its last letter ends the last column.  That column holds
+    every letter of w once per occurrence, so when it is nondecreasing it
+    ends with the largest letter: a word that does not end with its
+    largest letter is rejected before any sort.  Otherwise the n rotations
+    sort as n slices of one doubled ``bytes`` string."""
+    t = w.letters
+    if t[-1] != max(t):
+        return False
+    n = len(t)
+    s = bytes(t) * 2
+    last = bytes(row[-1] for row in sorted((s[i:i + n] for i in range(n)), reverse=True))
+    return all(map(le, last, last[1:]))
+
+
 def pc_words_by_lyndon_filter(length, num_letters):
     """Perfectly clustering Lyndon words: Lyndon words with a nondecreasing
     Burrows-Wheeler last column."""
     return sorted(w for w in lyndon_words(length, tuple(range(num_letters)))
-                  if pc_by_bw_table(w))
+                  if pc_lyndon_by_bw_table(w))
 
 
 def compositions(total, parts):

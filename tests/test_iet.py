@@ -37,11 +37,21 @@ from christoffel.errors import (
     RestrictionOutOfRangeError,
     SizeLimitError,
 )
-from christoffel.iet import merge_position_sum, merge_positions
+from christoffel import iet
+from christoffel.iet import (
+    _INDUCTION_CUTOFF,
+    _encode,
+    _encode_parts,
+    _images,
+    _induce,
+    merge_position_sum,
+    merge_positions,
+)
 from oracles import (
     compositions,
     encoding_by_interval_index,
     merge_positions_by_scan,
+    pc_by_bw_table,
     pc_words_by_every_composition,
     restriction_by_cycle_deletion,
     restriction_chain_by_encodings,
@@ -200,6 +210,145 @@ class TestStandardEncoding:
                 word = standard_encoding(exchange, (0, 1, 2))
                 assert is_lyndon(word)
                 assert is_perfectly_clustering(word)
+
+
+def walked(parts, alphabet):
+    """The walk of the cycle of 0, or the error it raises as (type, message)."""
+    try:
+        return _encode(parts, _images(parts), alphabet)
+    except (NotCircularError, AlphabetSizeMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+def induced(parts, alphabet, encoder=_induce):
+    try:
+        return encoder(parts, alphabet)
+    except (NotCircularError, AlphabetSizeMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+LETTER_SETS = [
+    tuple(range(-7, 0)),
+    tuple(Fraction(-5, j) for j in range(1, 8)),
+    tuple("abcdefg"),
+]
+
+
+class TestInduction:
+    """Rauzy induction on the lengths against the walk of the cycle of 0."""
+
+    def test_equals_the_walk_on_every_small_composition(self):
+        """Every composition into 1 to 5 parts of totals below 40, 120, 60,
+        26 and 16 (zeros included): the same word or the same error."""
+        checked = 0
+        for k, bound in ((1, 40), (2, 120), (3, 60), (4, 26), (5, 16)):
+            for total in range(1, bound):
+                for parts in compositions(total, k):
+                    alphabet = LETTER_SETS[checked % 3][:k]
+                    assert induced(parts, alphabet) == walked(parts, alphabet), parts
+                    checked += 1
+        assert checked > 80_000
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.lists(st.integers(0, 10 ** 4), min_size=1, max_size=7).filter(any),
+           letters=st.sampled_from(LETTER_SETS))
+    def test_equals_the_walk_on_random_compositions(self, parts, letters):
+        alphabet = letters[:len(parts)]
+        assert induced(parts, alphabet) == walked(parts, alphabet)
+
+    @pytest.mark.parametrize("parts", [(1, 1, 99998), (99998, 1, 1), (3, 2, 99995),
+                                       (1, 1, 1, 1, 1, 99995)])
+    def test_adversarial_lengths(self, monkeypatch, parts):
+        """One long interval against short ones: each full turn of the
+        short letters is applied at once, so the induction takes a few
+        dozen steps (one sum of the turn's lengths each), not one per
+        letter."""
+        alphabet = LETTER_SETS[2][:len(parts)]
+        expected = walked(parts, alphabet)
+        steps = []
+
+        def counted_sum(values):
+            steps.append(1)
+            return sum(values)
+
+        monkeypatch.setattr(iet, "sum", counted_sum, raising=False)
+        assert induced(parts, alphabet) == expected
+        assert len(steps) < 50
+
+    def test_one_long_interval_is_a_power_of_its_letter(self):
+        word = _induce((1, 1, 99998), "abc")
+        assert word == ["a"] + ["c"] * 49999 + ["b"] + ["c"] * 49999
+
+    @pytest.mark.parametrize("total", [_INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF])
+    def test_both_sides_of_the_cutoff(self, total):
+        """A grid of 3-part compositions of the total, circular or not, and
+        one with 5 parts encode or fail as the walk does, by both routes."""
+        cases = [(c1, c2, total - c1 - c2) for c1 in range(0, total + 1, 7)
+                 for c2 in range(0, total - c1 + 1, 5)]
+        cases.append((1, 2, 3, 4, total - 10))
+        for parts in cases:
+            alphabet = LETTER_SETS[0][:len(parts)]
+            expected = walked(parts, alphabet)
+            assert induced(parts, alphabet, _encode_parts) == expected, parts
+            assert induced(parts, alphabet) == expected, parts
+
+    @pytest.mark.parametrize("total", [7, _INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF, 10 ** 5])
+    def test_the_same_errors_on_both_routes(self, total):
+        """Non-circular parts and a wrong alphabet size raise the walk's
+        errors with its messages, below and above the cutoff."""
+        for parts in [(total,), (0, total), (2, total - 4, 2), (2, 0, total - 4, 0, 2)]:
+            alphabet = LETTER_SETS[1][:len(parts)]
+            error = walked(parts, alphabet)
+            assert error[0] is NotCircularError, parts
+            assert induced(parts, alphabet) == error
+            assert induced(parts, alphabet, _encode_parts) == error
+        parts = (1, total - 1)
+        for alphabet in ("a", "abc"):
+            error = walked(parts, alphabet)
+            assert error == (AlphabetSizeMismatchError, f"{len(alphabet)} letters for 2 parts")
+            assert induced(parts, alphabet) == error
+            assert induced(parts, alphabet, _encode_parts) == error
+
+    @pytest.mark.parametrize("long", [False, True])
+    def test_route_by_length(self, monkeypatch, long):
+        """From the cutoff on, the parts-only entry builds no image list and
+        walks no cycle; below it, it walks."""
+        total = _INDUCTION_CUTOFF + 1 if long else _INDUCTION_CUTOFF - 1
+        c2 = next(c2 for c2 in range(1, total) if gcd(2 + c2, total - 2) == 1)
+        parts = (2, c2, total - 2 - c2)
+        expected = walked(parts, "abc")
+        assert len(expected) == total
+        walks = []
+
+        def forbidden(*args):
+            raise AssertionError("the induction walked or built an image list")
+
+        def spy(table, images):
+            walks.append(len(images))
+            return walk(table, images)
+
+        walk = iet._walk
+        if long:
+            monkeypatch.setattr(iet, "_walk", forbidden)
+            monkeypatch.setattr(iet, "_images", forbidden)
+        else:
+            monkeypatch.setattr(iet, "_walk", spy)
+        assert _encode_parts(parts, "abc") == expected
+        assert walks == ([] if long else [total])
+
+    def test_long_callers_agree_with_the_walk(self):
+        """The first word of a long restriction chain and the perfectly
+        clustering test of long words go through the induction."""
+        gamma, rho = 101, 400
+        first = restriction_word_chain(gamma, rho)[0][0]
+        assert list(first.letters) == walked((gamma, 0, rho), (0, 1, 2))
+        letters = walked((5, 17, 300), (0, 1, 2))
+        swapped = letters[:]
+        j = next(j for j in range(1, len(letters)) if letters[j - 1] != letters[j])
+        swapped[j - 1], swapped[j] = swapped[j], swapped[j - 1]
+        for word in (Word(letters), Word(letters).rotation(123), Word(swapped)):
+            assert is_perfectly_clustering(word) == pc_by_bw_table(word)
+        assert is_perfectly_clustering(Word(letters)) and not is_perfectly_clustering(Word(swapped))
 
 
 class TestCyclicRestriction:

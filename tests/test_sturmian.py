@@ -35,8 +35,8 @@ from christoffel.errors import (
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
-from christoffel.iet import merge_positions
-from christoffel import numeric, sturmian
+from christoffel.iet import _INDUCTION_CUTOFF, _encode, _images, merge_positions
+from christoffel import iet, numeric, sturmian
 from christoffel.sturmian import FactorMatrix, _covering, _factor_matrix, _standard_split
 from oracles import (
     covering_by_walk,
@@ -422,6 +422,67 @@ class TestClosedForm:
                     assert v.components.count(sign * letter) == part
 
 
+class TestClosedFormRoute:
+    """V_n has n + 1 components: below the cutoff they are walked, from it
+    on induced from the lengths."""
+
+    @staticmethod
+    def long_slope(quotients, n):
+        """The prefix made of ``quotients`` repeated until it covers n."""
+        q = list(quotients)
+        while christoffel_length(ContinuedFraction(tuple(q))) <= n:
+            q += quotients[1:]
+        return SturmianSlope.from_quotients(q)
+
+    def test_equals_oracle_across_the_cutoff(self):
+        for quotients in ((0, 1), (2, 1, 2), (0, 2, 2), (1, 3, 1, 4)):
+            for n in (_INDUCTION_CUTOFF - 2, _INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF, 300):
+                slope = self.long_slope(quotients, n)
+                closed = determinantal_vector_closed(slope, n)
+                oracle = determinantal_vector_oracle(factor_matrix(slope, n))
+                assert closed.components == oracle.components, (quotients, n)
+
+    def test_long_vectors_walk_no_cycle(self, monkeypatch):
+        """From n + 1 = cutoff on, neither the walk nor the image list runs."""
+        cases = [(self.long_slope(q, n), n) for q in ((0, 1), (2, 1, 2), (0, 5, 1, 3))
+                 for n in (_INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF + 7, 2048)]
+        expected = [determinantal_vector_closed(slope, n) for slope, n in cases]
+
+        def forbidden(*args):
+            raise AssertionError("determinantal_vector_closed walked the cycle")
+
+        monkeypatch.setattr(iet, "_walk", forbidden)
+        monkeypatch.setattr(iet, "_images", forbidden)
+        assert [determinantal_vector_closed(slope, n) for slope, n in cases] == expected
+
+    def test_short_vectors_walk_once(self, monkeypatch):
+        walks = []
+        walk = iet._walk
+
+        def spy(table, images):
+            walks.append(len(images))
+            return walk(table, images)
+
+        monkeypatch.setattr(iet, "_walk", spy)
+        ns = (0, 1, 5, 40, _INDUCTION_CUTOFF - 2)
+        for n in ns:
+            determinantal_vector_closed(self.long_slope((0, 1), n), n)
+        assert walks == [n + 1 for n in ns]
+
+    @pytest.mark.parametrize("quotients", [(0, 1), (0, 2, 1, 3), (3, 4, 1)])
+    def test_length_100000_equals_the_walk(self, quotients):
+        n = 100_000
+        v = determinantal_vector_closed(self.long_slope(quotients, n), n)
+        sign = v.context.epsilon * (1 if v.context.t % 2 == 0 else -1)
+        parts = v.context.composition
+        if len(parts) == 2:  # i = 0: the empty middle interval is left out
+            parts = (parts[0], 0, parts[1])
+        lo, hi = v.context.alphabet[0], v.context.alphabet[-1]
+        alphabet = (sign * lo, sign * (lo + hi), sign * hi)
+        assert v.components == tuple(_encode(parts, _images(parts), alphabet))
+        assert len(v) == n + 1
+
+
 class TestGChain:
     def test_order11_chain(self):
         steps = g_chain(ORDER11, 4)
@@ -580,7 +641,7 @@ class TestSpecialFactor:
         def forbidden(*args):
             raise AssertionError("special_factor_determinant built a vector or merge row")
 
-        for name in ("_encode", "determinantal_vector_closed", "merge_positions"):
+        for name in ("_encode_parts", "determinantal_vector_closed", "merge_positions"):
             monkeypatch.setattr(sturmian, name, forbidden)
         assert [special_factor_determinant(slope, n) for slope, n in cases] == expected
 

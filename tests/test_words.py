@@ -51,6 +51,7 @@ from oracles import (
     is_primitive_by_divisors,
     palindromic_factorization_by_scan,
     pc_by_bw_table,
+    pc_lyndon_by_bw_table,
     standard_factorization_by_scan,
 )
 
@@ -413,6 +414,16 @@ def assert_matches_oracles(w):
     assert outcome(is_perfectly_clustering, w) == outcome(pc_by_bw_table, w), w
     assert outcome(palindromic_factorization, w) == \
         outcome(palindromic_factorization_by_scan, w), w
+
+
+def test_lyndon_oracle_equals_the_bw_table_oracle():
+    """The Lyndon-only oracle of criterion 10, with its early reject,
+    agrees with the full table on every Lyndon word of length <= 12 over
+    2 letters, <= 8 over 3 and <= 7 over 4."""
+    for num_letters, max_length in ((2, 12), (3, 8), (4, 7)):
+        for length in range(1, max_length + 1):
+            for w in lyndon_words(length, tuple(range(num_letters))):
+                assert pc_lyndon_by_bw_table(w) == pc_by_bw_table(w), w
 
 
 LETTERS = st.integers(-20, 20) | st.fractions(-3, 3, max_denominator=5)
