@@ -11,22 +11,30 @@ clustering Lyndon word; conversely every such word arises this way.
 Words come from two routes.  The cycle walk, ``_walk``, follows the
 cycle of 0 once and reads letters from a table that holds letter j at
 every element of I_j; ``_encode`` calls it on the images of one
-composition (``_images`` lays the exchange out in range blocks) and
-checks the length.  The public functions walk the exchange they are
-given.  Callers that hold only the parts (the closed-form vectors, the
-perfectly clustering test and the first word of a restriction chain)
-go through ``_encode_parts``: below ``_INDUCTION_CUTOFF`` letters it
-walks, from it on ``_induce`` runs right Rauzy induction with Zorich's
-acceleration on the lengths and concatenates return words of the
+composition and checks the length.  ``_images`` is the one producer of
+image lists, for ``build_sigma`` and for the walk: it concatenates
+slices of one shared tuple of naturals, so an exchange creates no int
+objects.  The encoders that take an exchange (``standard_encoding``,
+``cycle_encodings``, ``standard_cycle``) walk it.  Callers that hold
+only the parts (the closed-form vectors, the perfectly clustering test
+and the first word of a restriction chain) go through
+``_encode_parts``: below ``_INDUCTION_CUTOFF`` letters it walks, from it
+on ``_induce`` runs right Rauzy induction with Zorich's acceleration
+(``_rauzy``) on the lengths and concatenates return words of the
 alphabet's own letters, with no image list and no Python-level step per
-letter.  Both raise the same errors.  The enumeration calls the walk
-too, from one flat loop over the gcd-admissible compositions of 2 or 3
-parts that builds each letter table and image list in one expression:
-one Python-level call, the walk, per word.  A restriction chain is
-encoded once and then spliced: each step turns one factor "ac" into "b"
-in place, so a chain of gamma steps costs one walk plus gamma C-level
-copies instead of gamma + 1 walks.  One floor identity gives its merge
-rows, listed by ``merge_positions`` and summed by ``merge_position_sum``.
+letter.  Both raise the same errors.  ``is_circular`` runs the same
+induction on return-word lengths (ints) for an exchange that
+``build_sigma`` made, of at least ``_INDUCTION_CUTOFF`` points: it is
+circular exactly when the return word of 0 is as long as the total.
+Any other exchange, and every smaller one, walks.  The enumeration
+calls the walk too, from one flat loop over the gcd-admissible
+compositions of 2 or 3 parts that builds each letter table and image
+list in one expression: one Python-level call, the walk, per word.  A
+restriction chain is encoded once and then spliced: each step turns one
+factor "ac" into "b" in place, so a chain of gamma steps costs one walk
+plus gamma C-level copies instead of gamma + 1 walks.  One floor
+identity gives its merge rows, listed by ``merge_positions`` and summed
+by ``merge_position_sum``.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from typing import Sequence
 from ._frozen import Frozen
 from .errors import (
     AlphabetSizeMismatchError,
+    DimensionMismatchError,
     EmptyCompositionError,
     LengthOutOfRangeError,
     MergeMismatchError,
@@ -71,33 +80,75 @@ class Composition(Frozen):
 
 
 class IetPermutation(Frozen):
-    """A symmetric discrete interval exchange with its composition."""
+    """A symmetric discrete interval exchange with its composition.
 
-    __slots__ = ("sigma", "composition")
+    ``_parts`` is derived, not a field: the parts of the composition when
+    ``sigma`` is their exchange by construction (``build_sigma`` sets it
+    through ``_trusted``), else None.  Equality, hashing, repr and pickling
+    follow the two fields alone.
+    """
+
+    __slots__ = ("sigma", "composition", "_parts")
+    _field_names = ("sigma", "composition")
 
     def __init__(self, sigma: Permutation, composition: Composition):
+        if len(sigma) != composition.total:
+            raise DimensionMismatchError(
+                f"permutation of [{len(sigma)}] for a composition of {composition.total}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "_parts", None)
+
+    @classmethod
+    def _trusted(cls, sigma: Permutation, composition: Composition) -> "IetPermutation":
+        """Wrap the exchange of the composition's parts, without the check
+        of the constructor, and record that it is their exchange."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "sigma", sigma)
+        object.__setattr__(p, "composition", composition)
+        object.__setattr__(p, "_parts", composition.parts)
+        return p
 
 
 def build_sigma(composition: Composition) -> IetPermutation:
     """The exchange permutation: I_h maps increasingly onto J_{l+1-h}.
 
     J_{l+1-h} holds c_h elements and follows the c_{h+1} + ... + c_l
-    elements of the intervals after I_h.
+    elements of the intervals after I_h.  The images are slices of the
+    shared naturals (``_images``), and the exchange records that it was
+    built from its parts, so ``is_circular`` may decide it from them.
     """
     images = _images(composition.parts)
-    return IetPermutation(Permutation._trusted(tuple(images)), composition)
+    return IetPermutation._trusted(Permutation._trusted(tuple(images)), composition)
+
+
+# ``_images`` slices its blocks out of one shared tuple of the naturals, so
+# an exchange of N points creates no int objects.  The tuple grows to the
+# largest total asked for, up to this cap: 2**17 ints of 32 bytes each
+# plus 8 bytes per tuple slot, 5 MiB held for the life of the process,
+# which covers the CLI's 100,000-point cap.  Larger totals take fresh ints.
+# Every length of the tuple is a valid prefix of the naturals and each call
+# slices the tuple it read, so two calls that grow it at once need no lock.
+_NATURALS_CAP = 1 << 17
+_naturals: tuple[int, ...] = ()
 
 
 def _images(parts: Sequence[int]) -> list[int]:
-    """Image list of the exchange of these parts, one range block per
-    interval; a bijection of [n] by construction."""
-    images: list[int] = []
+    """Image list of the exchange of these parts, one block of naturals per
+    interval; a bijection of [n] by construction.  The blocks are slices
+    of ``_naturals`` up to ``_NATURALS_CAP`` points, of a range above it."""
+    global _naturals
     start = sum(parts)
+    naturals: Sequence[int] = _naturals
+    if start > len(naturals):
+        if start > _NATURALS_CAP:
+            naturals = range(start)
+        else:
+            naturals = _naturals = _naturals + tuple(range(len(_naturals), start))
+    images: list[int] = []
     for c in parts:
         start -= c
-        images += range(start, start + c)
+        images += naturals[start:start + c]
     return images
 
 
@@ -138,7 +189,10 @@ def _walk(table: Sequence, images: Sequence[int]) -> list:
 # compositions of ``determinantal_vector_closed`` (2 vCPUs, CPython 3.11,
 # min of 21 interleaved passes over 40 seeded slopes per length) the two
 # routes tie at about 210-240 letters; the induction is 1.1x faster at
-# 264, 1.3x at 324, 1.6x at 513 and 2.7x at 2,049.
+# 264, 1.3x at 324, 1.6x at 513 and 2.7x at 2,049.  ``is_circular`` uses
+# the same cutoff; there the induction on lengths costs 6-9 us at 256 to
+# 3,000 points against 3.5-37 us for the walk (random 3-part
+# compositions, 2 vCPUs, CPython 3.11).
 _INDUCTION_CUTOFF = 256
 
 
@@ -152,8 +206,24 @@ def _encode_parts(parts: Sequence[int], alphabet: Sequence[Letter]) -> list:
 
 
 def _induce(parts: Sequence[int], alphabet: Sequence[Letter]) -> list:
-    """The letters of the cycle of 0, by right Rauzy induction with
-    Zorich's acceleration on the lengths alone.
+    """The letters of the cycle of 0, by ``_rauzy`` on letter lists; a
+    cycle shorter than the total raises NotCircularError."""
+    if len(alphabet) != len(parts):
+        raise AlphabetSizeMismatchError(f"{len(alphabet)} letters for {len(parts)} parts")
+    out = _rauzy(parts, [[x] for x, c in zip(alphabet, parts) if c])
+    if len(out) != sum(parts):
+        raise NotCircularError(f"exchange of {tuple(parts)} is not circular")
+    return out
+
+
+def _rauzy(parts: Sequence[int], words: list):
+    """The return word of 0, by right Rauzy induction with Zorich's
+    acceleration on the lengths alone.
+
+    ``words`` holds one carrier per nonzero part, in order: the list of
+    that part's letter, or the int 1.  The loop only adds carriers and
+    multiplies them by ints, so with lists it returns the letters of the
+    cycle of 0 and with ints its length, in the same steps.
 
     The exchange of these parts carries interval j (letter j) of the top
     row onto the interval of the same letter in the bottom row, whose
@@ -164,22 +234,18 @@ def _induce(parts: Sequence[int], alphabet: Sequence[Letter]) -> list:
     or prepended (bottom wins), moves next to the winner in the loser's
     row, and the winner shrinks by m; a tie merges the two intervals.
     All points of one interval follow one itinerary until they return, so
-    one return word per interval, a list of the alphabet's own letters,
-    describes them all, and the steps are exact integer arithmetic.
-    Right induction never moves the first top interval, which holds 0,
-    so when one point is left its return word is the cycle of 0.  While
-    one letter keeps winning, the letters after it in the other row take
-    its word in turn; q = (lambda - 1) // (sum of their lengths) full
-    turns leave it the winner and are applied at once, so a composition
-    of n costs a few concatenations per Euclid-like step, not one
-    Python-level step per letter.  A last interval in both rows maps
-    onto itself, so the exchange is then not circular; the word is
-    shorter than the total and NotCircularError is raised.
+    one return word per interval describes them all, and the steps are
+    exact integer arithmetic.  Right induction never moves the first top
+    interval, which holds 0, so when one point is left its return word is
+    the cycle of 0.  While one letter keeps winning, the letters after it
+    in the other row take its word in turn; q = (lambda - 1) // (sum of
+    their lengths) full turns leave it the winner and are applied at
+    once, so a composition of n costs a few additions per Euclid-like
+    step, not one Python-level step per letter.  A last interval in both
+    rows maps onto itself, so the exchange is then not circular and the
+    return word is shorter than the total.
     """
-    if len(alphabet) != len(parts):
-        raise AlphabetSizeMismatchError(f"{len(alphabet)} letters for {len(parts)} parts")
     lengths = [c for c in parts if c]
-    words = [[x] for x, c in zip(alphabet, parts) if c]
     top = [*range(len(lengths))]
     bottom = top[::-1]
     length_of = lengths.__getitem__
@@ -219,20 +285,31 @@ def _induce(parts: Sequence[int], alphabet: Sequence[Letter]) -> list:
             top.pop()
             bottom.pop()
             bottom[bottom.index(t)] = b
-    out = words[top[0]]
-    if len(out) != sum(parts):
-        raise NotCircularError(f"exchange of {tuple(parts)} is not circular")
-    return out
+    return words[top[0]]
 
 
 def is_circular(p: IetPermutation) -> bool:
-    """True when the exchange is a single cycle."""
+    """True when the exchange is a single cycle.
+
+    An exchange that ``build_sigma`` made, of at least
+    ``_INDUCTION_CUTOFF`` points, is decided from its parts: ``_rauzy``
+    on return-word lengths gives the length of the cycle of 0 in
+    O(k log N) steps.  Any other exchange walks the cycle of 0 once;
+    one from the public constructor always does, since nothing ties its
+    sigma to its composition.
+    """
     images = p.sigma.images
-    length, x = 1, images[0]
-    while x:
-        length += 1
+    n = len(images)
+    if n >= _INDUCTION_CUTOFF and p._parts is not None:
+        return _rauzy(p._parts, [1 for c in p._parts if c]) == n
+    # No step counter: the cycle has every point when none of the first
+    # n - 1 steps returns to 0.
+    x = images[0]
+    for _ in repeat(None, n - 1):
+        if not x:
+            return False
         x = images[x]
-    return length == len(images)
+    return True
 
 
 def two_interval_circular(c1: int, c2: int) -> bool:

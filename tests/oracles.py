@@ -525,6 +525,27 @@ def pc_words_by_every_composition(length, k, alphabet):
     return sorted(words)
 
 
+def is_circular_by_walk(exchange):
+    """True when the cycle of 0, walked one step at a time with a counter,
+    holds every point."""
+    images = exchange.sigma.images
+    length, x = 1, images[0]
+    while x:
+        length += 1
+        x = images[x]
+    return length == len(images)
+
+
+def images_by_ranges(parts):
+    """The exchange's image list, one fresh range block per interval."""
+    images = []
+    start = sum(parts)
+    for c in parts:
+        start -= c
+        images += range(start, start + c)
+    return images
+
+
 def interval_index(composition, x):
     """0-based index j with x in I_{j+1}, by a walk over the parts."""
     acc = 0

@@ -2,8 +2,8 @@
 
 ``tools/bench_compare.py`` writes a BENCH file from its runs; each
 file's ``summary`` must follow from its own ``runs``: medians, inclusive
-quartiles, the change's wins and ratios on tasks_per_s, and the claim
-rule.
+quartiles, the change's wins and ratios on the claimed metric, and the
+claim rule.
 """
 
 import importlib.util
@@ -26,10 +26,11 @@ _spec.loader.exec_module(bench_compare)
                                   "BENCH_17_rowdiff.json", "BENCH_18_diffprod.json",
                                   "BENCH_20_pathminors.json", "BENCH_25_pathdet.json",
                                   "BENCH_26_rotprod.json", "BENCH_27_rowzero.json",
-                                  "BENCH_28_flatenum.json"])
+                                  "BENCH_28_flatenum.json", "BENCH_30_lengths.json"])
 def test_summary_recomputed_from_runs(name):
     data = json.loads((ROOT / name).read_text())
-    summary = bench_compare.summarize(data["runs"], data["claim"]["seed"])
+    summary = bench_compare.summarize(data["runs"], data["claim"]["seed"],
+                                      data["claim"]["metric"])
     assert summary == data["summary"]
     assert bench_compare.claim_met(summary, data["claim"])
     assert data["claim"].get("met", True) is True
@@ -102,3 +103,56 @@ def test_traced_per_call_is_the_median_over_traced_pairs():
         per_call = sorted(bench_compare._traced_side(r)["numeric.mat_mul"]["self_ms_per_call"]
                           for r in runs)
         assert figures["numeric.mat_mul"]["self_ms_per_call"] == per_call[1]
+
+
+def fabricated_runs(parent_p90, change_p90, parent_rate, change_rate):
+    """Ten untraced pairs of one workload whose metrics are all 1.0 except
+    task_p90_ms and tasks_per_s, taken per pair from the four lists."""
+    runs = []
+    for pair in range(10):
+        for side, p90, rate in (("parent", parent_p90, parent_rate),
+                                ("change", change_p90, change_rate)):
+            metrics = {name: {"value": 1.0} for name in bench_compare.METRICS}
+            metrics["task_p90_ms"] = {"value": p90[pair]}
+            metrics["tasks_per_s"] = {"value": rate[pair]}
+            runs.append({"workload": "pc-enum-sign", "seed": 17, "pair": pair, "side": side,
+                         "trace": 0, "result": {"correct": True, "metrics": metrics}})
+    return runs
+
+
+def test_lower_is_better_claim():
+    """A claim on task_p90_ms counts a pair as won when the change's p90 is
+    lower, gives ratios parent / change, and needs the change's median
+    below the parent's by more than the parent's interquartile range."""
+    assert bench_compare.BETTER["task_p90_ms"] == "lower"
+    parent = [0.094 + 0.001 * (k % 3) for k in range(10)]
+    change = [0.085 + 0.001 * (k % 2) for k in range(10)]
+    # tasks_per_s falls in every pair: the claim does not look at it.
+    rates = ([20_000.0] * 10, [19_000.0] * 10)
+    claim = bench_compare.merged_claim(None, "pc-enum-sign", 17, 10, "task_p90_ms")
+    assert claim["metric"] == "task_p90_ms"
+    summary = bench_compare.summarize(fabricated_runs(parent, change, *rates), 17,
+                                      "task_p90_ms")
+    entry = summary["pc-enum-sign"]
+    assert entry["task_p90_ms_change_wins"] == 10 and "tasks_per_s_change_wins" not in entry
+    assert entry["task_p90_ms_ratios"] == [round(p / c, 4) for p, c in zip(parent, change)]
+    assert all(r > 1 for r in entry["task_p90_ms_ratios"])
+    assert bench_compare.claim_met(summary, claim)
+    # The same runs with the sides swapped: every pair lost, no claim.
+    swapped = bench_compare.summarize(fabricated_runs(change, parent, *rates), 17,
+                                      "task_p90_ms")
+    assert swapped["pc-enum-sign"]["task_p90_ms_change_wins"] == 0
+    assert not bench_compare.claim_met(swapped, claim)
+    # A p90 lower by less than the parent's spread is not enough.
+    narrow = [p - 0.0005 for p in parent]
+    summary = bench_compare.summarize(fabricated_runs(parent, narrow, *rates), 17,
+                                      "task_p90_ms")
+    assert summary["pc-enum-sign"]["task_p90_ms_change_wins"] == 10
+    assert not bench_compare.claim_met(summary, claim)
+    # On tasks_per_s the same runs lose every pair.
+    tps = bench_compare.merged_claim(None, "pc-enum-sign", 17, 10)
+    summary = bench_compare.summarize(fabricated_runs(parent, change, *rates), 17)
+    assert summary["pc-enum-sign"]["tasks_per_s_change_wins"] == 0
+    assert not bench_compare.claim_met(summary, tps)
+    with pytest.raises(ValueError, match="claims pc-enum-sign at seed 17 on task_p90_ms"):
+        bench_compare.merged_claim(claim, "pc-enum-sign", 17, 3)

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 import tracemalloc
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from christoffel import (
     Composition,
+    IetPermutation,
+    Permutation,
     SlopeRatio,
     Word,
     build_sigma,
@@ -27,6 +30,7 @@ from christoffel import (
 )
 from christoffel.errors import (
     AlphabetSizeMismatchError,
+    DimensionMismatchError,
     EmptyCompositionError,
     InvalidSlopeError,
     LengthOutOfRangeError,
@@ -40,6 +44,7 @@ from christoffel.errors import (
 from christoffel import iet
 from christoffel.iet import (
     _INDUCTION_CUTOFF,
+    _NATURALS_CAP,
     _encode,
     _encode_parts,
     _images,
@@ -50,6 +55,8 @@ from christoffel.iet import (
 from oracles import (
     compositions,
     encoding_by_interval_index,
+    images_by_ranges,
+    is_circular_by_walk,
     merge_positions_by_scan,
     pc_by_bw_table,
     pc_words_by_every_composition,
@@ -90,6 +97,39 @@ class TestBuildSigma:
         with pytest.raises(EmptyCompositionError):
             Composition((0, 0))
 
+    @pytest.mark.parametrize("images", [[0], [1, 2, 0]])
+    def test_permutation_must_have_the_composition_total(self, images):
+        """A one-point sigma used to encode (1, 1) as the word (0,) and call
+        it circular; a three-point one raised a bare IndexError."""
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"permutation of \[{len(images)}\] for a composition of 2"):
+            IetPermutation(Permutation(images), Composition((1, 1)))
+
+    def test_images_equal_range_blocks(self):
+        """Every composition of a total up to 40 into 1 to 4 parts, and one
+        of 10**5 points: the slices of the shared naturals equal fresh
+        range blocks, and every image is an int."""
+        checked = 0
+        for k in range(1, 5):
+            for total in range(1, 41):
+                for parts in compositions(total, k):
+                    images = _images(parts)
+                    assert images == images_by_ranges(parts), parts
+                    assert set(map(type, images)) == {int}, parts
+                    checked += 1
+        assert checked > 130_000
+        parts = (31_415, 2, 0, 68_583)
+        images = _images(parts)
+        assert images == images_by_ranges(parts) and set(map(type, images)) == {int}
+
+    def test_shared_naturals_stop_at_their_cap(self):
+        """An exchange of cap + 1 points takes fresh ints and leaves the
+        shared tuple no longer than the cap."""
+        parts = (3, _NATURALS_CAP - 5, 3)
+        exchange = build_sigma(Composition(parts))
+        assert list(exchange.sigma.images) == images_by_ranges(parts)
+        assert len(iet._naturals) <= _NATURALS_CAP
+
 
 class TestCircularity:
     def test_examples(self):
@@ -129,6 +169,87 @@ class TestCircularity:
             for parts in compositions(total, 3):
                 exchange = build_sigma(Composition(parts))
                 assert is_circular(exchange) == (len(exchange.sigma.cycles()) == 1), parts
+
+
+def circular_both_ways(parts):
+    """is_circular of the exchange build_sigma makes, and the walk."""
+    exchange = build_sigma(Composition(parts))
+    return is_circular(exchange), is_circular_by_walk(exchange)
+
+
+class TestCircularityFromLengths:
+    """From the cutoff on, is_circular of an exchange that build_sigma made
+    runs the induction on return-word lengths; every other exchange walks."""
+
+    def test_equals_the_walk_across_the_cutoff(self):
+        """2 parts: every composition of every total in [cutoff - 2,
+        cutoff + 40].  3 parts: every composition of the cutoff itself, and
+        40 drawn ones of each other total in that band.  4 and 5 parts:
+        30 drawn ones of each total in [cutoff - 2, cutoff + 10].  Every
+        3-part composition of the whole band would be 1.4 million, about
+        45 s."""
+        rng = random.Random(30)
+        low = _INDUCTION_CUTOFF - 2
+        cases = [parts for total in range(low, low + 43) for parts in compositions(total, 2)]
+        cases += compositions(_INDUCTION_CUTOFF, 3)
+        for k, high, draws in ((3, low + 43, 40), (4, low + 13, 30), (5, low + 13, 30)):
+            for total in range(low, high):
+                for _ in range(draws):
+                    cuts = sorted(rng.randint(0, total) for _ in range(k - 1))
+                    cases.append(tuple(b - a for a, b in zip([0, *cuts], [*cuts, total])))
+        circular = 0
+        for parts in cases:
+            direct, walked_ = circular_both_ways(parts)
+            assert direct == walked_, parts
+            circular += direct
+        assert len(cases) > 45_000 and 0 < circular < len(cases)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.integers(0, 10 ** 5 // 7), min_size=1, max_size=7).filter(any))
+    def test_equals_the_walk_on_random_compositions(self, parts):
+        direct, walked_ = circular_both_ways(parts)
+        assert direct == walked_
+
+    @pytest.mark.parametrize("parts", [(1, 1, 99998), (99998, 1, 1)])
+    def test_adversarial_lengths(self, monkeypatch, parts):
+        """Each full turn of the short intervals is one step, counted as
+        TestInduction counts them: one sum of the turn's lengths."""
+        exchange = build_sigma(Composition(parts))
+        steps = []
+
+        def counted_sum(values):
+            steps.append(1)
+            return sum(values)
+
+        monkeypatch.setattr(iet, "sum", counted_sum, raising=False)
+        assert is_circular(exchange) and is_circular_by_walk(exchange)
+        assert 0 < len(steps) < 50
+
+    @pytest.mark.parametrize("total", [_INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF, 3000])
+    def test_route(self, monkeypatch, total):
+        """Only an exchange from build_sigma with at least cutoff points
+        takes the lengths; one from the public constructor walks, even with
+        the same images, and so does one back from a pickle."""
+        calls = []
+        rauzy = iet._rauzy
+
+        def spy(parts, words):
+            calls.append(parts)
+            return rauzy(parts, words)
+
+        monkeypatch.setattr(iet, "_rauzy", spy)
+        for parts in [(2, 3, total - 5), (2, 2, total - 4)]:
+            built = build_sigma(Composition(parts))
+            public = IetPermutation(built.sigma, built.composition)
+            twin = pickle.loads(pickle.dumps(built))
+            assert public == built == twin and hash(public) == hash(built)
+            assert repr(public) == repr(built) == repr(twin)
+            expected = is_circular_by_walk(built)
+            calls.clear()
+            assert is_circular(public) == is_circular(twin) == expected
+            assert calls == []
+            assert is_circular(built) == expected
+            assert calls == ([parts] if total >= _INDUCTION_CUTOFF else [])
 
 
 class TestStandardEncoding:

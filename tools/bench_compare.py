@@ -2,7 +2,8 @@
 
     python3 tools/bench_compare.py --base REF [--change REF] --number NN --tag TAG
         --workload W [--workload W ...] [--pairs P] [--seed S] [--seconds T]
-        [--trace] [--tier1 K] [--claim W] [--description TEXT] [--out-dir DIR]
+        [--trace] [--tier1 K] [--claim W] [--claim-metric M] [--description TEXT]
+        [--out-dir DIR]
 
 The base ref and the change (another ref, or by default the working tree
 with its untracked files) are checked out with ``git worktree`` in a
@@ -14,14 +15,16 @@ first when k is even.  ``--trace`` adds one traced pair per workload,
 The result goes to ``BENCH_<NN>_<TAG>.json`` (stdlib only, the schema of
 ``BENCH_10_minors.json``): every run, and per workload the median and
 quartiles of each end-to-end metric on each side, the change's wins and
-ratios on ``tasks_per_s``, the claim rule, and per traced function the
-median over the traced pairs of its calls and self time per call.  Runs
-on a seed other than the claimed one are summarized under
-``"<workload> (seed <S>)"``.
+ratios on the claimed metric (``--claim-metric``, by default
+``tasks_per_s``), the claim rule, and per traced function the median
+over the traced pairs of its calls and self time per call.  A win, a
+ratio above 1 and the claim rule all follow the metric's ``better``
+direction in ``BENCHMARK.json``.  Runs on a seed other than the claimed
+one are summarized under ``"<workload> (seed <S>)"``.
 If the file exists, the new runs are added to it (same base commit) and
 the summary is computed again from all runs.  A file holds one claim:
-``--claim`` on another workload or seed than the file's exits with
-status 2 and leaves the file as it is.
+``--claim`` on another workload, seed or metric than the file's exits
+with status 2 and leaves the file as it is.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("tasks_per_s", "task_p50_ms", "task_p90_ms", "setup_s", "success_rate",
            "peak_rss_mib")
+with open(os.path.join(REPO, "BENCHMARK.json")) as _f:
+    # End-to-end metric -> "higher" or "lower", the direction that is better.
+    BETTER = {m["name"]: m["better"] for m in json.load(_f)["end_to_end"]}
 SIDES = ("parent", "change")
 RULE = ("change wins >= 9 of 10 pairs and its median beats the parent's by more "
         "than the parent's interquartile range")
@@ -116,10 +122,11 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], claim_seed: int) -> dict:
+def summarize(runs: list[dict], claim_seed: int, metric: str = "tasks_per_s") -> dict:
     """Per workload (and seed), each side's median and quartiles of every
     end-to-end metric over the untraced pairs, with the change's wins on
-    tasks_per_s."""
+    the claimed metric and its ratio per pair, change / parent when higher
+    is better and parent / change when lower is: above 1 is a gain."""
     groups: dict[str, dict[int, dict[str, dict]]] = {}
     for run in runs:
         if run["trace"]:
@@ -132,17 +139,16 @@ def summarize(runs: list[dict], claim_seed: int) -> dict:
     for label, pairs in groups.items():
         ordered = [pairs[k] for k in sorted(pairs)]
 
-        def values(side, metric):
-            return [p[side]["result"]["metrics"][metric]["value"] for p in ordered]
+        def values(side, name):
+            return [p[side]["result"]["metrics"][name]["value"] for p in ordered]
 
-        entry: dict = {metric: {side: _quartiles(values(side, metric)) for side in SIDES}
-                       for metric in METRICS}
-        ratios = [round(c / p, 4) for p, c in zip(values("parent", "tasks_per_s"),
-                                                  values("change", "tasks_per_s"))]
-        entry["tasks_per_s_change_wins"] = sum(
-            c > p for p, c in zip(values("parent", "tasks_per_s"),
-                                  values("change", "tasks_per_s")))
-        entry["tasks_per_s_ratios"] = ratios
+        entry: dict = {name: {side: _quartiles(values(side, name)) for side in SIDES}
+                       for name in METRICS}
+        pairs = list(zip(values("parent", metric), values("change", metric)))
+        if BETTER[metric] == "lower":
+            pairs = [(c, p) for p, c in pairs]
+        entry[metric + "_change_wins"] = sum(c > p for p, c in pairs)
+        entry[metric + "_ratios"] = [round(c / p, 4) for p, c in pairs]
         entry["pairs"] = len(ordered)
         entry["all_correct"] = all(p[side]["result"]["correct"]
                                    for p in ordered for side in SIDES)
@@ -151,15 +157,19 @@ def summarize(runs: list[dict], claim_seed: int) -> dict:
 
 
 def claim_met(summary: dict, claim: dict) -> bool:
-    """The claim rule on tasks_per_s: at least nine tenths of the pairs
-    won, and the change's median above the parent's by more than the
-    parent's interquartile range."""
+    """The claim rule on the claimed metric: at least nine tenths of the
+    pairs won, and the change's median better than the parent's by more
+    than the parent's interquartile range."""
+    metric = claim["metric"]
     entry = summary[claim["workload"]]
-    stats = entry["tasks_per_s"]
+    stats = entry[metric]
     spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    lead = stats["change"]["median"] - stats["parent"]["median"]
+    if BETTER[metric] == "lower":
+        lead = -lead
     return (entry["pairs"] >= claim["pairs"] and entry["all_correct"]
-            and 10 * entry["tasks_per_s_change_wins"] >= 9 * entry["pairs"]
-            and stats["change"]["median"] - stats["parent"]["median"] > spread)
+            and 10 * entry[metric + "_change_wins"] >= 9 * entry["pairs"]
+            and lead > spread)
 
 
 def _traced_side(run: dict) -> dict:
@@ -217,20 +227,21 @@ def how(runs: list[dict], change: str) -> str:
             f"alternate which side runs first. Pairs per setting: {counts}")
 
 
-def merged_claim(claim: dict | None, workload: str | None, seed: int, pairs: int) -> dict | None:
+def merged_claim(claim: dict | None, workload: str | None, seed: int, pairs: int,
+                 metric: str = "tasks_per_s") -> dict | None:
     """The claim record after a call with ``--claim workload``.  An
-    existing claim on the same workload and seed is kept as it is, so a
-    later call that adds other workloads with fewer pairs does not lower
-    its pair count.  A file holds one claim: a claim on another workload
-    or seed raises ValueError."""
+    existing claim on the same workload, seed and metric is kept as it
+    is, so a later call that adds other workloads with fewer pairs does
+    not lower its pair count.  A file holds one claim: a claim on another
+    workload, seed or metric raises ValueError."""
     if not workload:
         return claim
     if claim is None:
-        return {"workload": workload, "metric": "tasks_per_s", "seed": seed, "pairs": pairs,
+        return {"workload": workload, "metric": metric, "seed": seed, "pairs": pairs,
                 "rule": RULE}
-    if (claim["workload"], claim["seed"]) != (workload, seed):
-        raise ValueError(f"the file claims {claim['workload']} at seed {claim['seed']}, "
-                         f"not {workload} at seed {seed}")
+    if (claim["workload"], claim["seed"], claim["metric"]) != (workload, seed, metric):
+        raise ValueError(f"the file claims {claim['workload']} at seed {claim['seed']} on "
+                         f"{claim['metric']}, not {workload} at seed {seed} on {metric}")
     return claim
 
 
@@ -239,7 +250,8 @@ def save(data: dict, path: str, change: str, claim_seed: int) -> None:
     prov = data["runs"][0]["provenance"] if data["runs"] else {}
     data["machine"] = {key: prov.get(key) for key in ("python", "nproc", "cpu_model")}
     data["how"] = how(data["runs"], change)
-    data["summary"] = summarize(data["runs"], claim_seed)
+    metric = data["claim"]["metric"] if data["claim"] else "tasks_per_s"
+    data["summary"] = summarize(data["runs"], claim_seed, metric)
     if data["claim"] and data["claim"]["workload"] in data["summary"]:
         data["claim"]["met"] = claim_met(data["summary"], data["claim"])
     data["traced_per_call"] = traced_per_call(data["runs"])
@@ -260,7 +272,9 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", action="store_true", help="add one traced pair per workload")
     parser.add_argument("--tier1", type=int, default=0, help="tier-1 runs per side")
-    parser.add_argument("--claim", help="workload whose tasks_per_s the change claims")
+    parser.add_argument("--claim", help="workload on which the change claims a gain")
+    parser.add_argument("--claim-metric", default="tasks_per_s", choices=sorted(BETTER),
+                        help="end-to-end metric of the claim (default tasks_per_s)")
     parser.add_argument("--description", default="", help="what the change does")
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args()
@@ -281,7 +295,8 @@ def main() -> int:
     if args.description:
         data["change"] = args.description
     try:
-        data["claim"] = merged_claim(data["claim"], args.claim, args.seed, args.pairs)
+        data["claim"] = merged_claim(data["claim"], args.claim, args.seed, args.pairs,
+                                     args.claim_metric)
     except ValueError as exc:
         parser.error(f"{path}: {exc}")
     change = args.change or "the working tree"
