@@ -577,9 +577,20 @@ def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
         leaf = argparse.ArgumentParser(prog=f"christoffel {name}", parents=[_common_options()])
         args, rest = _with_arguments(leaf, name).parse_known_args(argv[2:])
         if not rest:
-            return name, args
+            return name, _valued(name, args)
     args = build_parser().parse_args(argv)
-    return f"{args.group} {args.op}", args
+    name = f"{args.group} {args.op}"
+    return name, _valued(name, args)
+
+
+def _valued(name: str, args: argparse.Namespace) -> argparse.Namespace:
+    """args, unless argparse stored [] for "--opt=--" (it drops that "--"
+    in 3.11), which no handler takes: that ends with a usage line."""
+    for flags, options in COMMANDS[name][1]:
+        if getattr(args, options.get("dest", flags[0].lstrip("-"))) == []:
+            print(f"error [usage]: argument {flags[0]}: expected one argument", file=sys.stderr)
+            sys.exit(2)
+    return args
 
 
 def main(argv=None) -> int:

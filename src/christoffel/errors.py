@@ -79,6 +79,10 @@ class NotCircularError(ChristoffelError):
     """Interval exchange is not a single cycle."""
 
 
+class NotExchangeError(ChristoffelError):
+    """Permutation is not the interval exchange of its composition."""
+
+
 class AlphabetSizeMismatchError(ChristoffelError):
     """Alphabet size differs from the number of composition parts."""
 

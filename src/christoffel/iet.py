@@ -8,33 +8,19 @@ off the cycle form that starts at 0 and replacing each element of I_j by
 the j-th alphabet letter yields the standard encoding, a perfectly
 clustering Lyndon word; conversely every such word arises this way.
 
-Words come from two routes.  The cycle walk, ``_walk``, follows the
-cycle of 0 once and reads letters from a table that holds letter j at
-every element of I_j; ``_encode`` calls it on the images of one
-composition and checks the length.  ``_images`` is the one producer of
-image lists, for ``build_sigma`` and for the walk: it concatenates
-slices of one shared tuple of naturals, so an exchange creates no int
-objects.  The encoders that take an exchange (``standard_encoding``,
-``cycle_encodings``, ``standard_cycle``) walk it.  Callers that hold
-only the parts (the closed-form vectors, the perfectly clustering test
-and the first word of a restriction chain) go through
-``_encode_parts``: below ``_INDUCTION_CUTOFF`` letters it walks, from it
-on ``_induce`` runs right Rauzy induction with Zorich's acceleration
-(``_rauzy``) on the lengths and concatenates return words of the
-alphabet's own letters, with no image list and no Python-level step per
-letter.  Both raise the same errors.  ``is_circular`` runs the same
-induction on return-word lengths (ints) for an exchange that
-``build_sigma`` made, of at least ``_INDUCTION_CUTOFF`` points: it is
-circular exactly when the return word of 0 is as long as the total.
-Any other exchange, and every smaller one, walks.  The enumeration
-calls the walk too, from one flat loop over the gcd-admissible
-compositions of 2 or 3 parts that builds each letter table and image
-list in one expression: one Python-level call, the walk, per word.  A
-restriction chain is encoded once and then spliced: each step turns one
-factor "ac" into "b" in place, so a chain of gamma steps costs one walk
-plus gamma C-level copies instead of gamma + 1 walks.  One floor
-identity gives its merge rows, listed by ``merge_positions`` and summed
-by ``merge_position_sum``.
+An exchange is its composition: the constructor of ``IetPermutation``
+checks that sigma is the exchange of the parts, so the encoders and
+``is_circular`` work from the parts alone.  ``_images`` is the one
+producer of image lists: it concatenates slices of one shared tuple of
+naturals, so an exchange creates no int objects.  ``_encode_parts`` is
+the one encoder of a composition, for ``standard_encoding``,
+``cycle_encodings``, the closed-form vectors, the perfectly clustering
+test and the first word of a restriction chain: below
+``_INDUCTION_CUTOFF`` letters it walks the cycle of 0 once (``_walk``),
+from it on it runs right Rauzy induction with Zorich's acceleration on
+the lengths (``_rauzy``).  ``is_circular`` runs the same induction on
+return-word lengths from the cutoff on.  ``enumerate_pc_words`` and
+``restriction_word_chain`` say how they reuse the walk and the encoder.
 """
 
 from __future__ import annotations
@@ -52,6 +38,7 @@ from .errors import (
     MergeMismatchError,
     NotCircularError,
     NotCoprimeError,
+    NotExchangeError,
     OutOfRangeError,
     RestrictionOutOfRangeError,
     SizeLimitError,
@@ -82,31 +69,32 @@ class Composition(Frozen):
 class IetPermutation(Frozen):
     """A symmetric discrete interval exchange with its composition.
 
-    ``_parts`` is derived, not a field: the parts of the composition when
-    ``sigma`` is their exchange by construction (``build_sigma`` sets it
-    through ``_trusted``), else None.  Equality, hashing, repr and pickling
-    follow the two fields alone.
+    The composition is the authority: ``sigma`` must be the exchange of
+    its parts (``_images``), or the constructor raises
+    DimensionMismatchError for a size that differs and NotExchangeError
+    for any other permutation.  So every exchange, pickled and copied
+    ones included, may be encoded and decided from its parts alone.
     """
 
-    __slots__ = ("sigma", "composition", "_parts")
-    _field_names = ("sigma", "composition")
+    __slots__ = ("sigma", "composition")
 
     def __init__(self, sigma: Permutation, composition: Composition):
         if len(sigma) != composition.total:
             raise DimensionMismatchError(
                 f"permutation of [{len(sigma)}] for a composition of {composition.total}")
+        if sigma.images != tuple(_images(composition.parts)):
+            raise NotExchangeError(
+                f"permutation of [{len(sigma)}] is not the exchange of {composition.parts}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "composition", composition)
-        object.__setattr__(self, "_parts", None)
 
     @classmethod
     def _trusted(cls, sigma: Permutation, composition: Composition) -> "IetPermutation":
         """Wrap the exchange of the composition's parts, without the check
-        of the constructor, and record that it is their exchange."""
+        of the constructor."""
         p = cls.__new__(cls)
         object.__setattr__(p, "sigma", sigma)
         object.__setattr__(p, "composition", composition)
-        object.__setattr__(p, "_parts", composition.parts)
         return p
 
 
@@ -115,8 +103,8 @@ def build_sigma(composition: Composition) -> IetPermutation:
 
     J_{l+1-h} holds c_h elements and follows the c_{h+1} + ... + c_l
     elements of the intervals after I_h.  The images are slices of the
-    shared naturals (``_images``), and the exchange records that it was
-    built from its parts, so ``is_circular`` may decide it from them.
+    shared naturals (``_images``); being the exchange of the parts by
+    construction, they skip the constructor's comparison.
     """
     images = _images(composition.parts)
     return IetPermutation._trusted(Permutation._trusted(tuple(images)), composition)
@@ -152,28 +140,6 @@ def _images(parts: Sequence[int]) -> list[int]:
     return images
 
 
-def _encode(parts: Sequence[int], images: Sequence[int],
-            alphabet: Sequence[Letter] | None) -> list:
-    """table[x] for x along the cycle of 0, one walk.
-
-    The table holds letter j at every element of I_j, or x itself when
-    the alphabet is None (the cycle form).  Raises NotCircularError
-    unless the cycle has every element.
-    """
-    if alphabet is None:
-        table: Sequence = range(len(images))
-    else:
-        if len(alphabet) != len(parts):
-            raise AlphabetSizeMismatchError(f"{len(alphabet)} letters for {len(parts)} parts")
-        table = []
-        for letter, c in zip(alphabet, parts):
-            table += [letter] * c
-    out = _walk(table, images)
-    if len(out) != len(images):
-        raise NotCircularError(f"exchange of {tuple(parts)} is not circular")
-    return out
-
-
 def _walk(table: Sequence, images: Sequence[int]) -> list:
     """table[x] for x along the cycle of 0; shorter than the images when
     the exchange is not a single cycle."""
@@ -198,20 +164,21 @@ _INDUCTION_CUTOFF = 256
 
 def _encode_parts(parts: Sequence[int], alphabet: Sequence[Letter]) -> list:
     """The standard encoding of the exchange of these parts, a list of the
-    alphabet's letters: the walk below ``_INDUCTION_CUTOFF`` letters,
-    ``_induce`` (no image list) from it on.  Same errors either way."""
-    if sum(parts) < _INDUCTION_CUTOFF:
-        return _encode(parts, _images(parts), alphabet)
-    return _induce(parts, alphabet)
-
-
-def _induce(parts: Sequence[int], alphabet: Sequence[Letter]) -> list:
-    """The letters of the cycle of 0, by ``_rauzy`` on letter lists; a
-    cycle shorter than the total raises NotCircularError."""
+    alphabet's letters.  Below ``_INDUCTION_CUTOFF`` letters it walks the
+    cycle of 0 through a table that holds letter j at every element of
+    I_j; from it on ``_rauzy`` induces it from the lengths, with no image
+    list.  A cycle shorter than the total raises NotCircularError."""
     if len(alphabet) != len(parts):
         raise AlphabetSizeMismatchError(f"{len(alphabet)} letters for {len(parts)} parts")
-    out = _rauzy(parts, [[x] for x, c in zip(alphabet, parts) if c])
-    if len(out) != sum(parts):
+    n = sum(parts)
+    if n < _INDUCTION_CUTOFF:
+        table: list = []
+        for letter, c in zip(alphabet, parts):
+            table += [letter] * c
+        out = _walk(table, _images(parts))
+    else:
+        out = _rauzy(parts, [[x] for x, c in zip(alphabet, parts) if c])
+    if len(out) != n:
         raise NotCircularError(f"exchange of {tuple(parts)} is not circular")
     return out
 
@@ -291,17 +258,16 @@ def _rauzy(parts: Sequence[int], words: list):
 def is_circular(p: IetPermutation) -> bool:
     """True when the exchange is a single cycle.
 
-    An exchange that ``build_sigma`` made, of at least
-    ``_INDUCTION_CUTOFF`` points, is decided from its parts: ``_rauzy``
-    on return-word lengths gives the length of the cycle of 0 in
-    O(k log N) steps.  Any other exchange walks the cycle of 0 once;
-    one from the public constructor always does, since nothing ties its
-    sigma to its composition.
+    From ``_INDUCTION_CUTOFF`` points on it is decided from the parts of
+    the composition, which the constructor ties to sigma: ``_rauzy`` on
+    return-word lengths gives the length of the cycle of 0 in
+    O(k log N) steps.  A smaller exchange walks the cycle of 0 once.
     """
     images = p.sigma.images
     n = len(images)
-    if n >= _INDUCTION_CUTOFF and p._parts is not None:
-        return _rauzy(p._parts, [1 for c in p._parts if c]) == n
+    if n >= _INDUCTION_CUTOFF:
+        parts = p.composition.parts
+        return _rauzy(parts, [1 for c in parts if c]) == n
     # No step counter: the cycle has every point when none of the first
     # n - 1 steps returns to 0.
     x = images[0]
@@ -324,17 +290,20 @@ def pak_redlich_circular(c1: int, c2: int, c3: int) -> bool:
 
 def standard_cycle(p: IetPermutation) -> tuple[int, ...]:
     """Cycle form starting at 0 of a circular exchange."""
-    return tuple(_encode(p.composition.parts, p.sigma.images, None))
+    cycles = p.sigma.cycles()
+    if len(cycles) != 1:
+        raise NotCircularError(f"exchange of {p.composition.parts} is not circular")
+    return cycles[0]
 
 
 def standard_encoding(p: IetPermutation, alphabet: Sequence[Letter]) -> Word:
     """Word read off the 0-based cycle form, letter j for elements of I_j."""
-    return Word(_encode(p.composition.parts, p.sigma.images, alphabet))
+    return Word(_encode_parts(p.composition.parts, alphabet))
 
 
 def cycle_encodings(p: IetPermutation, alphabet: Sequence[Letter]) -> list[Word]:
     """The n encodings from the n cycle forms; a full conjugacy class."""
-    letters = _encode(p.composition.parts, p.sigma.images, alphabet)
+    letters = _encode_parts(p.composition.parts, alphabet)
     return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
 
 
@@ -367,8 +336,8 @@ def restriction_word_chain(gamma: int, rho: int,
     gamma < rho, each step replaces one factor "ac" by "b"; the position
     recorded with step i is (i*gamma^{-1} mod n) - d_i where d_i counts
     the earlier removals landing below the current one (merge_positions).
-    Word i is the encoding of (gamma-i, i, rho-i): the first is read off
-    the exchange once, and each later one is its predecessor with the
+    Word i is the encoding of (gamma-i, i, rho-i): the first comes from
+    ``_encode_parts``, and each later one is its predecessor with the
     factor at the merge position spliced into the middle letter.
     """
     if gcd(gamma, rho) != 1:

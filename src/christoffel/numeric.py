@@ -55,10 +55,16 @@ from array import array
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
-from operator import mul, ne, sub
+from operator import index, mul, ne, sub
 from typing import Iterable, Sequence, Union
 
-from .errors import ChristoffelError, DimensionMismatchError, KindMismatchError, SizeLimitError
+from .errors import (
+    ChristoffelError,
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+    KindMismatchError,
+    SizeLimitError,
+)
 from .permsign import _cycle_sign
 
 ScalarLike = Union[int, Fraction, "FieldScalar"]
@@ -223,6 +229,11 @@ class FieldScalar:
         return self._new(-self.value)
 
     def __pow__(self, exponent: int):
+        # Int exponents only (operator.index): a fractional power leaves the field.
+        try:
+            exponent = index(exponent)
+        except TypeError:
+            return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
         if self.modulus is None:
@@ -353,14 +364,21 @@ class ExactMatrix:
         return tuple([_read(x, den, modulus) for x in self.ints])
 
     def entry(self, i: int, j: int) -> FieldScalar:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexOutOfRangeError(
+                f"entry ({i}, {j}) outside a {self.rows} x {self.cols} matrix")
         return _read(self.ints[i * self.cols + j], self.den, self.modulus)
 
     def row(self, i: int) -> tuple[FieldScalar, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexOutOfRangeError(f"row {i} outside [0, {self.rows})")
         den, modulus = self.den, self.modulus
         return tuple([_read(x, den, modulus)
                       for x in self.ints[i * self.cols:(i + 1) * self.cols]])
 
     def column(self, j: int) -> tuple[FieldScalar, ...]:
+        if not 0 <= j < self.cols:
+            raise IndexOutOfRangeError(f"column {j} outside [0, {self.cols})")
         return tuple(self.entry(i, j) for i in range(self.rows))
 
     def to_string_rows(self) -> list[list[str]]:

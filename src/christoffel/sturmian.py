@@ -17,10 +17,8 @@ Z/NZ and t = sum_{1<=j<=i} (N - j + d_j - (j q mod N)), d_j counting the
 earlier removals below the current one.  The factorization needs no
 word: |w'| = r^(-1) mod N and |w'|_1 = (|w'| r - 1)/N, and t needs only
 the sum of the merge positions, which floor sums give in O(log N).  The
-word itself is a walk of the cycle of 0 for short vectors and, from
-``iet._INDUCTION_CUTOFF`` letters on, Rauzy induction on the three
-lengths, which only concatenates return words: letters are copied at C
-speed, and the Python-level steps grew like log N in every measured case
+word itself is ``iet._encode_parts`` of the three lengths: the Rauzy
+induction's Python-level steps grew like log N in every measured case
 (at most 41 on random lengths below 10^7).  Successive vectors merge at
 the palindromic factorization, up to a global sign.  The exact minors need
 no elimination either: the row differences of G_n are the edges of a

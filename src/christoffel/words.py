@@ -228,10 +228,9 @@ def is_perfectly_clustering(w: Word) -> bool:
     By Ferenczi and Zamboni, a primitive word is perfectly clustering
     exactly when the symmetric exchange of its letter counts is one
     cycle and w is a conjugate of that exchange's standard encoding.  The
-    encoding comes from the counts alone (``iet._encode_parts``: a walk
-    of the cycle for short words, Rauzy induction on the counts for long
-    ones), and one search of w in the doubled encoding decides it in
-    O(n), with no rotation sort.
+    encoding comes from the counts alone (``iet._encode_parts``), and one
+    search of w in the doubled encoding decides it in O(n), with no
+    rotation sort.
     """
     from .iet import _encode_parts  # iet imports this module
     if not is_primitive(w):

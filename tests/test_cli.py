@@ -467,6 +467,20 @@ def test_malformed_int_argument_is_elided(capsys, argv, name):
         assert err.startswith("error [usage]: " + name)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fib", "chain", "--count=--"], "--count"),
+    (["iet", "encode", "--composition=--"], "--composition"),
+    (["iet", "encode", "--composition=1,2", "--alphabet=--"], "--alphabet"),
+    (["matrix", "det", "--n=3", "--a=--", "--b=1", "--r=1"], "--a"),
+])
+def test_option_valued_double_dash_is_usage_error(capsys, argv, flag):
+    """argparse stores "--opt=--" as an empty list, which used to reach a
+    handler and crash it (or, for --alphabet, pass as no alphabet)."""
+    code, out, err = exit_of(capsys, main, argv)
+    assert code == 2 and out == ""
+    assert err == f"error [usage]: argument {flag}: expected one argument\n"
+
+
 def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["nonsense"])

@@ -1,9 +1,12 @@
+import math
 import pickle
 import random
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +40,7 @@ from christoffel.errors import (
     MergeMismatchError,
     NotCircularError,
     NotCoprimeError,
+    NotExchangeError,
     OutOfRangeError,
     RestrictionOutOfRangeError,
     SizeLimitError,
@@ -45,12 +49,11 @@ from christoffel import iet
 from christoffel.iet import (
     _INDUCTION_CUTOFF,
     _NATURALS_CAP,
-    _encode,
     _encode_parts,
     _images,
-    _induce,
     merge_position_sum,
     merge_positions,
+    standard_cycle,
 )
 from oracles import (
     compositions,
@@ -104,6 +107,28 @@ class TestBuildSigma:
         with pytest.raises(DimensionMismatchError,
                            match=rf"permutation of \[{len(images)}\] for a composition of 2"):
             IetPermutation(Permutation(images), Composition((1, 1)))
+
+    def test_permutation_must_be_the_exchange_of_its_composition(self):
+        """The identity of [2] has the size of (1, 1) but is not its
+        exchange, the swap; it used to be accepted and called not circular."""
+        with pytest.raises(NotExchangeError,
+                           match=r"permutation of \[2\] is not the exchange of \(1, 1\)"):
+            IetPermutation(Permutation((0, 1)), Composition((1, 1)))
+
+    def test_constructor_accepts_exactly_the_exchange(self):
+        """Every permutation of [5] against every composition of 5 into 1
+        to 3 parts: the constructor accepts the exchange of the parts and
+        raises NotExchangeError for every other permutation."""
+        for k in range(1, 4):
+            for parts in compositions(5, k):
+                exchange = images_by_ranges(parts)
+                for images in permutations(range(5)):
+                    if list(images) == exchange:
+                        p = IetPermutation(Permutation(images), Composition(parts))
+                        assert p == build_sigma(Composition(parts))
+                    else:
+                        with pytest.raises(NotExchangeError):
+                            IetPermutation(Permutation(images), Composition(parts))
 
     def test_images_equal_range_blocks(self):
         """Every composition of a total up to 40 into 1 to 4 parts, and one
@@ -178,8 +203,8 @@ def circular_both_ways(parts):
 
 
 class TestCircularityFromLengths:
-    """From the cutoff on, is_circular of an exchange that build_sigma made
-    runs the induction on return-word lengths; every other exchange walks."""
+    """From the cutoff on, is_circular runs the induction on return-word
+    lengths; a smaller exchange walks."""
 
     def test_equals_the_walk_across_the_cutoff(self):
         """2 parts: every composition of every total in [cutoff - 2,
@@ -227,9 +252,9 @@ class TestCircularityFromLengths:
 
     @pytest.mark.parametrize("total", [_INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF, 3000])
     def test_route(self, monkeypatch, total):
-        """Only an exchange from build_sigma with at least cutoff points
-        takes the lengths; one from the public constructor walks, even with
-        the same images, and so does one back from a pickle."""
+        """From the cutoff on, one call of the induction on the lengths
+        decides an exchange whether build_sigma made it, the public
+        constructor or a pickle; below the cutoff each walks."""
         calls = []
         rauzy = iet._rauzy
 
@@ -245,11 +270,10 @@ class TestCircularityFromLengths:
             assert public == built == twin and hash(public) == hash(built)
             assert repr(public) == repr(built) == repr(twin)
             expected = is_circular_by_walk(built)
-            calls.clear()
-            assert is_circular(public) == is_circular(twin) == expected
-            assert calls == []
-            assert is_circular(built) == expected
-            assert calls == ([parts] if total >= _INDUCTION_CUTOFF else [])
+            for exchange in (built, public, twin):
+                calls.clear()
+                assert is_circular(exchange) == expected
+                assert calls == ([parts] if total >= _INDUCTION_CUTOFF else [])
 
 
 class TestStandardEncoding:
@@ -268,6 +292,16 @@ class TestStandardEncoding:
     def test_not_circular(self):
         with pytest.raises(NotCircularError):
             standard_encoding(build_sigma(Composition((2, 2, 2))), (0, 1, 2))
+
+    def test_standard_cycle(self):
+        """The cycle of 0 in points: the one cycle of a circular exchange,
+        an error naming the parts for any other."""
+        assert standard_cycle(build_sigma(Composition((2, 2, 5)))) == (0, 7, 3, 6, 2, 5, 1, 8, 4)
+        assert standard_cycle(build_sigma(Composition((0, 1)))) == (0,)
+        for parts in [(2, 2), (2, 2, 2)]:  # two cycles, four
+            with pytest.raises(NotCircularError,
+                               match=re.escape(f"exchange of {parts} is not circular")):
+                standard_cycle(build_sigma(Composition(parts)))
 
     def test_alphabet_size(self):
         with pytest.raises(AlphabetSizeMismatchError):
@@ -333,19 +367,26 @@ class TestStandardEncoding:
                 assert is_perfectly_clustering(word)
 
 
+def encoded(parts, alphabet):
+    """_encode_parts, or the error it raises as (type, message)."""
+    try:
+        return _encode_parts(parts, alphabet)
+    except (NotCircularError, AlphabetSizeMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+# The cutoff is patched with unittest.mock, not monkeypatch: hypothesis
+# refuses function-scoped fixtures.
 def walked(parts, alphabet):
-    """The walk of the cycle of 0, or the error it raises as (type, message)."""
-    try:
-        return _encode(parts, _images(parts), alphabet)
-    except (NotCircularError, AlphabetSizeMismatchError) as exc:
-        return type(exc), str(exc)
+    """encoded with the cutoff above every total: the walk of the cycle of 0."""
+    with patch.object(iet, "_INDUCTION_CUTOFF", math.inf):
+        return encoded(parts, alphabet)
 
 
-def induced(parts, alphabet, encoder=_induce):
-    try:
-        return encoder(parts, alphabet)
-    except (NotCircularError, AlphabetSizeMismatchError) as exc:
-        return type(exc), str(exc)
+def induced(parts, alphabet):
+    """encoded with the cutoff at 0: Rauzy induction on the lengths."""
+    with patch.object(iet, "_INDUCTION_CUTOFF", 0):
+        return encoded(parts, alphabet)
 
 
 LETTER_SETS = [
@@ -397,7 +438,7 @@ class TestInduction:
         assert len(steps) < 50
 
     def test_one_long_interval_is_a_power_of_its_letter(self):
-        word = _induce((1, 1, 99998), "abc")
+        word = induced((1, 1, 99998), "abc")
         assert word == ["a"] + ["c"] * 49999 + ["b"] + ["c"] * 49999
 
     @pytest.mark.parametrize("total", [_INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF])
@@ -410,7 +451,7 @@ class TestInduction:
         for parts in cases:
             alphabet = LETTER_SETS[0][:len(parts)]
             expected = walked(parts, alphabet)
-            assert induced(parts, alphabet, _encode_parts) == expected, parts
+            assert encoded(parts, alphabet) == expected, parts
             assert induced(parts, alphabet) == expected, parts
 
     @pytest.mark.parametrize("total", [7, _INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF, 10 ** 5])
@@ -422,13 +463,13 @@ class TestInduction:
             error = walked(parts, alphabet)
             assert error[0] is NotCircularError, parts
             assert induced(parts, alphabet) == error
-            assert induced(parts, alphabet, _encode_parts) == error
+            assert encoded(parts, alphabet) == error
         parts = (1, total - 1)
         for alphabet in ("a", "abc"):
             error = walked(parts, alphabet)
             assert error == (AlphabetSizeMismatchError, f"{len(alphabet)} letters for 2 parts")
             assert induced(parts, alphabet) == error
-            assert induced(parts, alphabet, _encode_parts) == error
+            assert encoded(parts, alphabet) == error
 
     @pytest.mark.parametrize("long", [False, True])
     def test_route_by_length(self, monkeypatch, long):
@@ -456,6 +497,29 @@ class TestInduction:
             monkeypatch.setattr(iet, "_walk", spy)
         assert _encode_parts(parts, "abc") == expected
         assert walks == ([] if long else [total])
+
+    @pytest.mark.parametrize("total", [_INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF, 300])
+    def test_exchange_encoders_route_by_length(self, monkeypatch, total):
+        """standard_encoding and cycle_encodings encode the parts of the
+        exchange: one call of the induction each from the cutoff on, none
+        below it, and the words of the interval lookup either way."""
+        calls = []
+        rauzy = iet._rauzy
+
+        def spy(parts, words):
+            calls.append(parts)
+            return rauzy(parts, words)
+
+        monkeypatch.setattr(iet, "_rauzy", spy)
+        c2 = next(c2 for c2 in range(1, total) if gcd(2 + c2, total - 2) == 1)
+        parts = (2, c2, total - 2 - c2)
+        exchange = build_sigma(Composition(parts))
+        expected = encoding_by_interval_index(exchange, "abc")
+        for encode, words in ((standard_encoding, expected),
+                              (cycle_encodings, [expected.rotation(i) for i in range(total)])):
+            calls.clear()
+            assert encode(exchange, "abc") == words
+            assert calls == ([parts] if total >= _INDUCTION_CUTOFF else [])
 
     def test_long_callers_agree_with_the_walk(self):
         """The first word of a long restriction chain and the perfectly

@@ -27,6 +27,7 @@ from christoffel import (
 from christoffel.errors import (
     ChristoffelError,
     DimensionMismatchError,
+    IndexOutOfRangeError,
     KindMismatchError,
     NotChristoffelError,
     SizeLimitError,
@@ -142,6 +143,25 @@ class TestFieldScalar:
         assert FieldScalar.rational(2, 3) ** 3 == Fraction(8, 27)
         assert FieldScalar.residue(3, 7) ** 6 == FieldScalar.residue(1, 7)
         assert FieldScalar.rational(2) ** -1 == Fraction(1, 2)
+
+    @pytest.mark.parametrize("x", [FieldScalar.rational(1, 4), FieldScalar.residue(4, 7)],
+                             ids=["Q", "GF(7)"])
+    @pytest.mark.parametrize("exponent", [0.5, Fraction(1, 2), Fraction(-1, 3), 2.0, "2", None])
+    def test_power_takes_int_exponents_only(self, x, exponent):
+        """A power that is not an int is refused as an operand: over Q,
+        1/4 ** 0.5 used to give a scalar holding the float 0.5, and over
+        GF(p) pow raised its own TypeError from inside."""
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\* or pow"):
+            x ** exponent
+
+    def test_power_takes_what_operator_index_takes(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        for x in (FieldScalar.rational(1, 4), FieldScalar.residue(4, 7)):
+            assert x ** Two() == x ** 2 == x * x
+            assert x ** True == x and x ** False == 1
 
 
 class TestScalarProtocol:
@@ -1050,6 +1070,38 @@ class TestRotationDeterminant:
         for m, expected in cases:
             assert m._step is not None
             assert det_exact(m) == expected
+
+
+class TestIndexRange:
+    """entry, row and column read inside the matrix and raise
+    IndexOutOfRangeError outside it.  On a 3 x 3 table entry(0, 3) used to
+    read entry (1, 0), entry(0, -1) entry (2, 2), row(5) gave an empty
+    tuple and column(3) a bare IndexError."""
+
+    ROWS = [[1, Fraction(1, 2), -3], [4, 0, Fraction(7, 3)]]
+
+    @pytest.mark.parametrize("modulus", [None, 11])
+    def test_inside(self, modulus):
+        m = ExactMatrix.from_rows(self.ROWS, modulus)
+        scalars = [[FieldScalar(x, modulus) for x in row] for row in self.ROWS]
+        assert [[m.entry(i, j) for j in range(3)] for i in range(2)] == scalars
+        assert [list(m.row(i)) for i in range(2)] == scalars
+        assert [list(m.column(j)) for j in range(3)] == [list(c) for c in zip(*scalars)]
+
+    @pytest.mark.parametrize("modulus", [None, 11])
+    def test_outside(self, modulus):
+        square = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]], modulus)
+        wide = ExactMatrix.from_rows(self.ROWS, modulus)
+        for m, i, j in ((square, 0, 3), (square, 0, -1), (square, 3, 0), (square, -1, 0),
+                        (wide, 2, 0), (wide, 0, 3)):
+            with pytest.raises(IndexOutOfRangeError, match=rf"entry \({i}, {j}\) outside"):
+                m.entry(i, j)
+        for m, i in ((square, 5), (square, 3), (square, -1), (wide, 2)):
+            with pytest.raises(IndexOutOfRangeError, match=rf"row {i} outside"):
+                m.row(i)
+        for m, j in ((square, 3), (square, -1), (wide, 3)):
+            with pytest.raises(IndexOutOfRangeError, match=rf"column {j} outside"):
+                m.column(j)
 
 
 class TestKindStoredOnce:

@@ -35,7 +35,7 @@ from christoffel.errors import (
     OutOfRangeError,
 )
 from christoffel.fixtures import G_CHAIN_ROWS, H_SEQUENCE
-from christoffel.iet import _INDUCTION_CUTOFF, _encode, _images, merge_positions
+from christoffel.iet import _INDUCTION_CUTOFF, _encode_parts, merge_positions
 from christoffel import iet, numeric, sturmian
 from christoffel.sturmian import FactorMatrix, _covering, _factor_matrix, _standard_split
 from oracles import (
@@ -470,7 +470,7 @@ class TestClosedFormRoute:
         assert walks == [n + 1 for n in ns]
 
     @pytest.mark.parametrize("quotients", [(0, 1), (0, 2, 1, 3), (3, 4, 1)])
-    def test_length_100000_equals_the_walk(self, quotients):
+    def test_length_100000_equals_the_walk(self, monkeypatch, quotients):
         n = 100_000
         v = determinantal_vector_closed(self.long_slope(quotients, n), n)
         sign = v.context.epsilon * (1 if v.context.t % 2 == 0 else -1)
@@ -479,7 +479,8 @@ class TestClosedFormRoute:
             parts = (parts[0], 0, parts[1])
         lo, hi = v.context.alphabet[0], v.context.alphabet[-1]
         alphabet = (sign * lo, sign * (lo + hi), sign * hi)
-        assert v.components == tuple(_encode(parts, _images(parts), alphabet))
+        monkeypatch.setattr(iet, "_INDUCTION_CUTOFF", float("inf"))  # force the walk
+        assert v.components == tuple(_encode_parts(parts, alphabet))
         assert len(v) == n + 1
 
 

@@ -57,7 +57,7 @@ VALUES = [
      "FixtureResult(fixture='bw-matrix-order7', passed=True, detail='table')"),
     (Composition, ((1, 0, 2),), ((1, 2),), "Composition(parts=(1, 0, 2))"),
     (IetPermutation, (Permutation((1, 0)), Composition((1, 1))),
-     (Permutation((0, 1)), Composition((1, 1))),
+     (Permutation((2, 0, 1)), Composition((1, 2))),
      "IetPermutation(sigma=Permutation([1, 0]), composition=Composition(parts=(1, 1)))"),
     (SturmianSlope, (CF,), (ContinuedFraction((0, 2)),),
      "SturmianSlope(cf=ContinuedFraction(quotients=(0, 2, 3)))"),
