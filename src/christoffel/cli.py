@@ -304,10 +304,17 @@ def _cmd_iet_encode(args):
 
 
 def _cmd_iet_circular(args):
-    from .iet import build_sigma, is_circular
+    from .iet import build_sigma, is_circular, pak_redlich_circular, two_interval_circular
     comp = _composition_arg(args)
     direct = is_circular(build_sigma(comp))
-    return {"composition": list(comp.parts)}, {"circular": direct}, [str(direct).lower()]
+    # The gcd criterion of two or three intervals, when one applies.
+    criterion = {2: two_interval_circular, 3: pak_redlich_circular}.get(len(comp.parts))
+    name = match = None
+    if criterion is not None:
+        name, match = criterion.__name__, criterion(*comp.parts) == direct
+    return ({"composition": list(comp.parts)},
+            {"circular": direct, "criterion": name, "match": match},
+            [str(direct).lower()])
 
 
 def _cmd_cf_continuant(args):

@@ -19,8 +19,10 @@ test and the first word of a restriction chain: below
 ``_INDUCTION_CUTOFF`` letters it walks the cycle of 0 once (``_walk``),
 from it on it runs right Rauzy induction with Zorich's acceleration on
 the lengths (``_rauzy``).  ``is_circular`` runs the same induction on
-return-word lengths from the cutoff on.  ``enumerate_pc_words`` and
-``restriction_word_chain`` say how they reuse the walk and the encoder.
+return-word lengths from the cutoff on.  ``enumerate_pc_words`` reads
+each word of two or three letters off the rotation whose first return
+is its exchange, with a constant number of bytes operations per word;
+``restriction_word_chain`` says how it reuses the encoder.
 """
 
 from __future__ import annotations
@@ -424,6 +426,16 @@ def merge_position_sum(n: int, step: int, count: int) -> int:
     return step * i * (i + 1) // 2 - n * s0 - i * (i - 1) // 2 + 3 * s1 - (2 * i + 1) * s0
 
 
+# The codes ``enumerate_pc_words`` reads, as slices of two run-length
+# templates sized to its length cap: ``_LOW[_PC_CAP - c1:_PC_CAP + c2]`` is
+# c1 zeros then c2 ones, ``_HIGH[_PC_CAP - c3:_PC_CAP + c2]`` is c3 twos
+# then c2 holes.
+_PC_CAP = 18
+_HOLE = b"\3"
+_LOW = bytes(_PC_CAP) + b"\1" * _PC_CAP
+_HIGH = b"\2" * _PC_CAP + _HOLE * _PC_CAP
+
+
 def enumerate_pc_words(length: int, num_letters: int,
                        alphabet: Sequence[Letter] | None = None) -> list[Word]:
     """All perfectly clustering Lyndon words of the given length.
@@ -433,10 +445,24 @@ def enumerate_pc_words(length: int, num_letters: int,
     whose exchange is a single cycle (Ferenczi-Zamboni).  One flat loop
     runs over the compositions, c1 for two letters and (c1, c2) for
     three, and keeps those that pass the gcd criterion of
-    ``two_interval_circular`` or ``pak_redlich_circular``.  Each kept
-    one gets its letter table and image list in one expression each and
-    one walk of the cycle of 0; a walk shorter than the length raises
-    NotCircularError, so a wrong pick is an error, never a wrong word.
+    ``two_interval_circular`` or ``pak_redlich_circular``.
+
+    Each kept word is read off an induced rotation, not walked.  The
+    exchange of (c1, c2, c3) of n is the first return to [0, n) of the
+    rotation y -> y + s on Z/N, with s = c2 + c3 and N = n + c2; the
+    exchange of (c1, c2) is the rotation by c2 on Z/n (s = c2, N = n).
+    So the word is the code of the points 0, s, 2s, ... mod N with the
+    c2 points [n, N) skipped: the code (c1 zeros, c2 ones, c3 twos, c2
+    holes, as bytes) repeated s times and sliced with stride s, holes
+    dropped.  The buffer holds N*s <= 648 bytes at the cap of 18; it
+    grows with the square of the length.  The read covers every point
+    only when s is a unit mod N, so ``pow(s, -1, N)`` checks that first,
+    independently of the gcd filter, and raises NotCircularError naming
+    the composition: a wrong pick is an error, never a wrong word.  The
+    codes sort as the words do; with no alphabet they are the letters
+    0, 1, 2, and an alphabet maps each sorted word once, so its words
+    hold the alphabet's own letter objects.
+
     The letters of the alphabet must increase strictly, as for
     ``lower_christoffel``.  A length below 1 raises
     LengthOutOfRangeError; more than 3 letters or a length above 18
@@ -446,37 +472,42 @@ def enumerate_pc_words(length: int, num_letters: int,
         raise SizeLimitError(f"alphabet size {num_letters} not supported")
     if length < 1:
         raise LengthOutOfRangeError(f"length {length} below 1")
-    if length > 18:
-        raise SizeLimitError(f"length {length} outside [1, 18]")
-    if alphabet is None:
-        alphabet = tuple(range(num_letters))
-    if len(alphabet) != num_letters:
-        raise AlphabetSizeMismatchError(
-            f"{len(alphabet)} letters for alphabet size {num_letters}")
-    _ordered(alphabet)
-    n = length
-    words = []
+    if length > _PC_CAP:
+        raise SizeLimitError(f"length {length} outside [1, {_PC_CAP}]")
+    if alphabet is not None:
+        if len(alphabet) != num_letters:
+            raise AlphabetSizeMismatchError(
+                f"{len(alphabet)} letters for alphabet size {num_letters}")
+        _ordered(alphabet)
+    n, cap = length, _PC_CAP
+    codes = []
+    # s = 0 is a unit only mod N = 1, where stride 1 reads the one point.
     if num_letters == 2:
-        a, b = alphabet
         for c1 in range(n + 1):
             c2 = n - c1
             if gcd(c1, c2) == 1:
-                out = _walk([a] * c1 + [b] * c2, [*range(c2, n), *range(c2)])
-                if len(out) != n:
-                    raise NotCircularError(f"exchange of {(c1, c2)} is not circular")
-                words.append(tuple(out))
+                try:
+                    pow(c2, -1, n)
+                except ValueError:
+                    raise NotCircularError(f"exchange of {(c1, c2)} is not circular") from None
+                step = c2 or 1
+                codes.append((_LOW[cap - c1:cap + c2] * step)[::step])
     else:
-        a, b, c = alphabet
         for c1 in range(n + 1):
-            # The letters and images of I_1 do not depend on c2.
-            head, top = [a] * c1, range(n - c1, n)
             for c2 in range(n - c1 + 1):
                 c3 = n - c1 - c2
                 if gcd(c1 + c2, c2 + c3) == 1:
-                    out = _walk(head + [b] * c2 + [c] * c3,
-                                [*top, *range(c3, c3 + c2), *range(c3)])
-                    if len(out) != n:
-                        raise NotCircularError(f"exchange of {(c1, c2, c3)} is not circular")
-                    words.append(tuple(out))
-    words.sort()
-    return list(map(Word, words))
+                    s = c2 + c3
+                    try:
+                        pow(s, -1, n + c2)
+                    except ValueError:
+                        raise NotCircularError(
+                            f"exchange of {(c1, c2, c3)} is not circular") from None
+                    step = s or 1
+                    code = _LOW[cap - c1:cap + c2] + _HIGH[cap - c3:cap + c2]
+                    codes.append((code * step)[::step].replace(_HOLE, b""))
+    codes.sort()
+    if alphabet is None:
+        return list(map(Word, codes))
+    letter = alphabet.__getitem__
+    return [Word(list(map(letter, code))) for code in codes]

@@ -201,6 +201,20 @@ class TestIetCommands:
         code, out, _ = run(capsys, "iet", "circular", "--composition", "2,2,2")
         assert code == 0 and out.strip() == "false"
 
+    @pytest.mark.parametrize("composition, circular, criterion", [
+        ("3,5", True, "two_interval_circular"), ("4,6", False, "two_interval_circular"),
+        ("2,2,5", True, "pak_redlich_circular"), ("0,3,3", False, "pak_redlich_circular"),
+        ("7", False, None), ("1,2,3,4", False, None), ("1,2,1,2", True, None)])
+    def test_circular_names_its_gcd_criterion(self, capsys, composition, circular, criterion):
+        """Two and three parts are cross-checked against their gcd
+        criterion; other sizes report neither a criterion nor a match."""
+        code, out, _ = run(capsys, "iet", "circular", "--composition", composition,
+                           "--format", "json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result == {
+            "circular": circular, "criterion": criterion,
+            "match": None if criterion is None else True}
+
 
 class TestCfCommands:
     def test_continuant(self, capsys):

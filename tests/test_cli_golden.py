@@ -277,7 +277,8 @@ EXPECTED = {
                  ''],
         'json': [0,
                  ('{"command": "iet circular", "format_version": "1", "inputs": {"composit'
-                  'ion": [2, 2, 2]}, "result": {"circular": false}}\n'),
+                  'ion": [2, 2, 2]}, "result": {"circular": false, "criterion": "pak_redlich'
+                  '_circular", "match": true}}\n'),
                  ''],
     },
     'iet-encode': {

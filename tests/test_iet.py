@@ -785,10 +785,50 @@ class TestEnumeration:
                 assert enumerate_pc_words(length, k, given) == \
                     pc_words_by_every_composition(length, k, letters), (k, length)
 
+    def test_letters_are_the_alphabets_own_objects(self):
+        """With no alphabet the letters are ints; an alphabet's words hold
+        its own letter objects, bools and fractions included, and the
+        alphabet (0, 1, 2) gives the default's words."""
+        fractions = (Fraction(-3, 2), Fraction(1, 3), Fraction(7, 2))
+        for length in range(1, 19):
+            for k in (2, 3):
+                default = enumerate_pc_words(length, k)
+                assert {type(x) for w in default for x in w} == {int}
+                assert enumerate_pc_words(length, k, (0, 1, 2)[:k]) == default
+                own = set(map(id, fractions[:k]))
+                assert all(id(x) in own
+                           for w in enumerate_pc_words(length, k, fractions[:k]) for x in w)
+            bools = enumerate_pc_words(length, 2, (False, True))
+            assert bools == enumerate_pc_words(length, 2)
+            assert {type(x) for w in bools for x in w} == {bool}
+
+    def test_first_return_of_the_rotation_is_the_exchange(self):
+        """The identity the enumeration reads its words by: the exchange of
+        (c1, c2, c3) of n is the first return to [0, n) of y -> y + s on
+        Z/N, s = c2 + c3 and N = n + c2, and that of (c1, c2) the rotation
+        by c2 on Z/n; every composition of a total up to 18 into 2 and 3
+        parts, zeros included."""
+        def first_return(n, s, modulus):
+            images = []
+            for x in range(n):
+                y = (x + s) % modulus
+                while y >= n:
+                    y = (y + s) % modulus
+                images.append(y)
+            return tuple(images)
+
+        for total in range(1, 19):
+            for c1, c2 in compositions(total, 2):
+                assert first_return(total, c2, total) == \
+                    build_sigma(Composition((c1, c2))).sigma.images, (c1, c2)
+            for c1, c2, c3 in compositions(total, 3):
+                assert first_return(total, c2 + c3, total + c2) == \
+                    build_sigma(Composition((c1, c2, c3))).sigma.images, (c1, c2, c3)
+
     @pytest.mark.parametrize("num_letters, first", [(2, (0, 4)), (3, (0, 0, 4))])
     def test_a_wrong_prefilter_is_an_error_not_a_word(self, monkeypatch, num_letters, first):
         """With the gcd criterion patched to admit every composition, the
-        first non-circular one fails its walk's length check."""
+        first non-circular one fails the unit check of its rotation."""
         import christoffel.iet as iet
         monkeypatch.setattr(iet, "gcd", lambda x, y: 1)
         with pytest.raises(NotCircularError, match=re.escape(f"exchange of {first}")):
