@@ -276,7 +276,8 @@ def _cmd_iet_sigma(args):
     from .iet import build_sigma, is_circular
     comp = _composition_arg(args)
     exchange = build_sigma(comp)
-    images, cycles = list(exchange.sigma.images), exchange.sigma.cycle_string()
+    sigma = exchange.sigma
+    images, cycles = list(sigma.images), sigma.cycle_string()
     return ({"composition": list(comp.parts)},
             {"images": images, "cycles": cycles, "circular": is_circular(exchange)},
             [f"images: {images}", f"cycles: {cycles}"])

@@ -9,8 +9,9 @@ the j-th alphabet letter yields the standard encoding, a perfectly
 clustering Lyndon word; conversely every such word arises this way.
 
 An exchange is its composition: the constructor of ``IetPermutation``
-checks that sigma is the exchange of the parts, so the encoders and
-``is_circular`` work from the parts alone.  ``_images`` is the one
+checks that sigma is the exchange of the parts and keeps the parts alone,
+so ``build_sigma`` is O(1), sigma is built only when it is read, and the
+encoders and ``is_circular`` work from the parts.  ``_images`` is the one
 producer of image lists: it concatenates slices of one shared tuple of
 naturals, so an exchange creates no int objects.  ``_encode_parts`` is
 the one encoder of a composition, for ``standard_encoding``,
@@ -69,16 +70,19 @@ class Composition(Frozen):
 
 
 class IetPermutation(Frozen):
-    """A symmetric discrete interval exchange with its composition.
+    """A symmetric discrete interval exchange, stored as its composition.
 
-    The composition is the authority: ``sigma`` must be the exchange of
-    its parts (``_images``), or the constructor raises
+    The composition is the authority: the constructor checks that
+    ``sigma`` is the exchange of its parts (``_images``), or raises
     DimensionMismatchError for a size that differs and NotExchangeError
-    for any other permutation.  So every exchange, pickled and copied
-    ones included, may be encoded and decided from its parts alone.
+    for any other permutation, and then keeps the composition alone.
+    ``sigma`` is built from the parts each time it is read and is not
+    cached, so the class holds one form of the exchange.  Equality, hash,
+    repr and pickling still follow (sigma, composition).
     """
 
-    __slots__ = ("sigma", "composition")
+    __slots__ = ("composition",)
+    _field_names = ("sigma", "composition")
 
     def __init__(self, sigma: Permutation, composition: Composition):
         if len(sigma) != composition.total:
@@ -87,29 +91,24 @@ class IetPermutation(Frozen):
         if sigma.images != tuple(_images(composition.parts)):
             raise NotExchangeError(
                 f"permutation of [{len(sigma)}] is not the exchange of {composition.parts}")
-        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "composition", composition)
 
-    @classmethod
-    def _trusted(cls, sigma: Permutation, composition: Composition) -> "IetPermutation":
-        """Wrap the exchange of the composition's parts, without the check
-        of the constructor."""
-        p = cls.__new__(cls)
-        object.__setattr__(p, "sigma", sigma)
-        object.__setattr__(p, "composition", composition)
-        return p
+    @property
+    def sigma(self) -> Permutation:
+        return Permutation._trusted(tuple(_images(self.composition.parts)))
 
 
 def build_sigma(composition: Composition) -> IetPermutation:
     """The exchange permutation: I_h maps increasingly onto J_{l+1-h}.
 
     J_{l+1-h} holds c_h elements and follows the c_{h+1} + ... + c_l
-    elements of the intervals after I_h.  The images are slices of the
-    shared naturals (``_images``); being the exchange of the parts by
-    construction, they skip the constructor's comparison.
+    elements of the intervals after I_h.  The exchange of the parts by
+    construction, it skips the constructor's comparison and holds only the
+    composition, in O(1); its ``sigma`` is built when it is read.
     """
-    images = _images(composition.parts)
-    return IetPermutation._trusted(Permutation._trusted(tuple(images)), composition)
+    p = IetPermutation.__new__(IetPermutation)
+    object.__setattr__(p, "composition", composition)
+    return p
 
 
 # ``_images`` slices its blocks out of one shared tuple of the naturals, so
@@ -158,9 +157,14 @@ def _walk(table: Sequence, images: Sequence[int]) -> list:
 # min of 21 interleaved passes over 40 seeded slopes per length) the two
 # routes tie at about 210-240 letters; the induction is 1.1x faster at
 # 264, 1.3x at 324, 1.6x at 513 and 2.7x at 2,049.  ``is_circular`` uses
-# the same cutoff; there the induction on lengths costs 6-9 us at 256 to
-# 3,000 points against 3.5-37 us for the walk (random 3-part
-# compositions, 2 vCPUs, CPython 3.11).
+# the same cutoff.  There the walk pays for its own image list, and on
+# random 3-part compositions (``build_sigma`` then ``is_circular``, min of
+# 21 interleaved passes over 200 of each size, 2 vCPUs, CPython 3.11) the
+# two routes cross at about 370 points: walk 6.2-6.4 us against 7.7 us
+# for the induction on lengths at 256 points, 7.0 against 7.8-7.9 at
+# 300, 7.8 against 8.4 at 350, 9.2 against 8.4-8.5 at 400 and 13.7-14.0
+# against 8.9-9.2 at 646.  A separate cutoff would save at most 1.5 us,
+# on 256-370 points only, so the cutoff stays shared.
 _INDUCTION_CUTOFF = 256
 
 
@@ -258,18 +262,19 @@ def _rauzy(parts: Sequence[int], words: list):
 
 
 def is_circular(p: IetPermutation) -> bool:
-    """True when the exchange is a single cycle.
+    """True when the exchange is a single cycle, decided from the parts of
+    its composition, with no Permutation built.
 
-    From ``_INDUCTION_CUTOFF`` points on it is decided from the parts of
-    the composition, which the constructor ties to sigma: ``_rauzy`` on
-    return-word lengths gives the length of the cycle of 0 in
-    O(k log N) steps.  A smaller exchange walks the cycle of 0 once.
+    From ``_INDUCTION_CUTOFF`` points on ``_rauzy`` on return-word lengths
+    gives the length of the cycle of 0 in O(k log N) steps.  A smaller
+    exchange walks the cycle of 0 once through the image list of
+    ``_images``.
     """
-    images = p.sigma.images
-    n = len(images)
+    parts = p.composition.parts
+    n = sum(parts)
     if n >= _INDUCTION_CUTOFF:
-        parts = p.composition.parts
         return _rauzy(parts, [1 for c in parts if c]) == n
+    images = _images(parts)
     # No step counter: the cycle has every point when none of the first
     # n - 1 steps returns to 0.
     x = images[0]

@@ -126,11 +126,15 @@ def _factor_matrix(s: SlopeRatio, n: int) -> FactorMatrix:
 
     The rows are the length-n prefixes of the Burrows-Wheeler rows left
     after removing the rows jq mod N, 1 <= j <= N-1-n, each one slice of
-    the doubled row 0.
+    the doubled row 0.  Row x = jq mod N is kept exactly when j is 0 or
+    at least N - n, so the origin is the sorted n + 1 rows jq mod N of
+    those j, with no O(N) scan.
     """
-    big_n = s.length
-    removed = {(j * s.zeros) % big_n for j in range(1, big_n - n)}
-    origin = tuple(x for x in range(big_n) if x not in removed)
+    big_n, q = s.length, s.zeros
+    kept = [(j * q) % big_n for j in range(max(big_n - n, 1), big_n)]
+    kept.append(0)
+    kept.sort()
+    origin = tuple(kept)
     rows = tuple(map(Word, _christoffel_bw_prefixes(s, origin, n)))
     return FactorMatrix(n, rows, origin)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -267,13 +268,43 @@ class TestCircularityFromLengths:
             built = build_sigma(Composition(parts))
             public = IetPermutation(built.sigma, built.composition)
             twin = pickle.loads(pickle.dumps(built))
+            shallow, deep = copy.copy(built), copy.deepcopy(built)
             assert public == built == twin and hash(public) == hash(built)
             assert repr(public) == repr(built) == repr(twin)
+            assert shallow == deep == built and hash(shallow) == hash(deep) == hash(built)
+            assert repr(shallow) == repr(deep) == repr(built)
             expected = is_circular_by_walk(built)
-            for exchange in (built, public, twin):
+            for exchange in (built, public, twin, shallow, deep):
                 calls.clear()
                 assert is_circular(exchange) == expected
                 assert calls == ([parts] if total >= _INDUCTION_CUTOFF else [])
+
+    @pytest.mark.parametrize("total", [_INDUCTION_CUTOFF - 1, _INDUCTION_CUTOFF, 3000])
+    def test_sigma_is_built_only_when_read(self, monkeypatch, total):
+        """An exchange holds its composition alone: build_sigma builds no
+        image list, is_circular builds none from the cutoff on, and each
+        read of sigma builds one."""
+        calls = []
+        images = iet._images
+
+        def spy(parts):
+            calls.append(parts)
+            return images(parts)
+
+        monkeypatch.setattr(iet, "_images", spy)
+        parts = (2, 3, total - 5)
+        exchange = build_sigma(Composition(parts))
+        assert calls == []
+        is_circular(exchange)
+        assert calls == ([] if total >= _INDUCTION_CUTOFF else [parts])
+        calls.clear()
+        sigma = exchange.sigma
+        assert calls == [parts]
+        assert list(sigma.images) == images_by_ranges(parts)
+        assert exchange.sigma == sigma and len(calls) == 2
+        assert IetPermutation.__slots__ == ("composition",)
+        with pytest.raises(AttributeError):
+            exchange.__dict__
 
 
 class TestStandardEncoding:
