@@ -7,7 +7,9 @@ with equal fields, hashes like the tuple of its fields, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion, and pickles
 and copies by calling the constructor again.  A class that stores its
 fields in another form lists them in ``_field_names`` and reads each back
-as a property; the rest then follow those values.  The classes do not use
+as a property; printing and pickling then follow those values, while
+equality and hashing still read the slots, so the stored form must be
+canonical: equal values, equal slots.  The classes do not use
 ``dataclasses``: importing it takes about 9 ms (Python 3.11, 2 vCPUs),
 about as long as everything else a light CLI command imports.
 """
@@ -23,13 +25,16 @@ class Frozen:
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._names()])
 
+    def _stored(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._stored() == other._stored()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._stored())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names())

@@ -68,8 +68,9 @@ class ChristoffelParams(Frozen):
 
     The letters a and b are stored as the ints ``_a`` and ``_b`` over
     ``_den`` in the canonical form of the module docstring; ``a`` and
-    ``b`` read them as FieldScalars.  Equality, hashing, printing and
-    pickling follow (n, a, b, r).
+    ``b`` read them as FieldScalars.  Equality and hashing compare the
+    stored form, which equal letters share; printing and pickling follow
+    (n, a, b, r).
     """
 
     __slots__ = ("n", "r", "modulus", "_a", "_b", "_den")
@@ -130,7 +131,8 @@ class GroupTriple(Frozen):
 
     c and d are stored as the ints ``_c`` and ``_d`` over ``_den`` in the
     canonical form of the module docstring; ``c`` and ``d`` read them as
-    FieldScalars.  r is kept as given.
+    FieldScalars.  r is kept as given.  Equality and hashing compare the
+    stored form, printing and pickling follow (n, c, d, r).
     """
 
     __slots__ = ("n", "r", "modulus", "_c", "_d", "_den")

@@ -32,7 +32,7 @@ from .errors import ChristoffelError, NotChristoffelError, SizeLimitError
 # Caps on sizes whose cost grows without bound, checked before any work.
 # The costs quoted are single runs on 2 vCPUs at the cap.
 # A matrix command builds n^2 entries (`det` then reads the determinant
-# off the n - 1 row differences of the table with no elimination, 0.08 s
+# off the table's row 0 and its rotation step with no elimination, 0.08 s
 # of wall time as a median of 11; `mul` and `inv` check their table
 # against one dense product in 7 to 11 ms and print n^2 entries, 0.22 to
 # 0.30 s as medians of 11), and so does the exact-minor oracle of

@@ -77,8 +77,9 @@ class IetPermutation(Frozen):
     DimensionMismatchError for a size that differs and NotExchangeError
     for any other permutation, and then keeps the composition alone.
     ``sigma`` is built from the parts each time it is read and is not
-    cached, so the class holds one form of the exchange.  Equality, hash,
-    repr and pickling still follow (sigma, composition).
+    cached, so the class holds one form of the exchange.  Equality and
+    hash compare the composition alone, with no sigma built; repr and
+    pickling follow (sigma, composition).
     """
 
     __slots__ = ("composition",)

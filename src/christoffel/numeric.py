@@ -27,24 +27,23 @@ rows of a, read back as machine words when a product entry fits in
 8 bytes.  A left factor whose rows differ by adjacent exchanges thus
 costs about 2n + k packed multiply-adds instead of n k.
 
-The determinant of an n x n matrix M runs no elimination when D has that
-shape: rows i < n - 1 equal to d_i (e_{j_i} - e_{j_i + 1}), with no j_i
-repeated.  Let U be the prefix-sum matrix (1 on and above the diagonal,
-det U = 1), so that x U = (x_0, x_0 + x_1, ...).  Then row i < n - 1 of
-T M U is d_i e_{j_i}, and the last row ends in the sum S of g_{n-1}.
-The j_i are the columns 0..n-2 in some order pi, so column n - 1 of
-T M U is S e_{n-1} and det M = sign(pi) * prod d_i * S: one lazy scan
-per row pair, one cycle walk and one sum (see ``_path_det``).  Over
-GF(p) the same reading runs on the stored residues, taken as ints, and
-is reduced mod p.  A table that carries a rotation step s (see
+The determinant of an n x n table that carries a rotation step s (see
 ``ExactMatrix``), row i being its row 0 f rotated left by i s, is read
-off f alone: every row pair differs by delta = f - (f rotated left by
-s), itself rotated, so D has that shape exactly when delta is d at
-c = (-1 - s) mod n and -d at c + 1 and 0 elsewhere, and then det M =
-sign(pi) d^(n-1) sum(f) with pi(i) = (c - i s) mod n (``_rotation_det``):
-O(n) steps, no row scanned.  Every other matrix falls through to an
-elimination of D (``_det_by_elimination``): fraction-free (Bareiss)
-over Q, Gaussian with every entry reduced mod p over GF(p).
+off f alone when D has the shape of a path: rows i < n - 1 equal to
+d (e_{j_i} - e_{j_i + 1}), with no j_i repeated.  Let U be the
+prefix-sum matrix (1 on and above the diagonal, det U = 1), so that
+x U = (x_0, x_0 + x_1, ...).  Then row i < n - 1 of T M U is d e_{j_i},
+and the last row ends in the sum S of f.  The j_i are the columns
+0..n-2 in some order pi, so column n - 1 of T M U is S e_{n-1} and
+det M = sign(pi) d^(n-1) S.  Every row pair differs by delta = f - (f
+rotated left by s), itself rotated, so D has that shape exactly when
+delta is d at c = (-1 - s) mod n and -d at c + 1 and 0 elsewhere, and
+then pi(i) = (c - i s) mod n (``_rotation_det``): O(n) steps, no row
+scanned.  Over GF(p) the same reading runs on the stored residues,
+taken as ints, and is reduced mod p.  Every other matrix, a Christoffel
+table given entry by entry included, is eliminated
+(``_det_by_elimination``): D fraction-free (Bareiss) over Q, Gaussian
+with every entry reduced mod p over GF(p).
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ import struct
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress
 from math import gcd, lcm
-from operator import index, mul, ne, sub
+from operator import index, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -355,8 +354,12 @@ class ExactMatrix:
 
     @property
     def values(self) -> tuple:
-        """Raw entries row by row: Fractions over Q, ints in [0, p) over GF(p)."""
-        return tuple([x.value for x in self.entries])
+        """Raw entries row by row: Fractions over Q, ints in [0, p) over
+        GF(p), which are the stored ints themselves."""
+        if self.modulus is not None:
+            return self.ints
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.ints])
 
     @property
     def entries(self) -> tuple[FieldScalar, ...]:
@@ -653,46 +656,20 @@ def _differenced(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(map(sub, g, h)) for g, h in zip(rows, rows[1:])] + [list(g) for g in rows[-1:]]
 
 
-def _path_det(rows: Sequence[Sequence[int]]) -> int | None:
-    """det M of the n x n integer matrix M (n >= 1) read off the path of
-    its row differences, or None when they do not form one.
-
-    Each pair g_i, g_{i+1} must differ in exactly the columns j_i and
-    j_i + 1, by d_i and -d_i, and no j_i may repeat; then det M =
-    sign(pi) * prod d_i * sum(g_{n-1}) with pi(i) = j_i (see the module
-    docstring).  The scan of a pair runs in C and stops at its first
-    differing column, the rest of the pair is one slice comparison, and
-    the scan of the matrix stops at the first pair that does not fit.  The
-    rows must be tuples, so that their tails compare by value.
-    """
-    n = len(rows)
-    edges: list[int] = []  # edges[i] = pi(i)
-    used = bytearray(n)
-    scale = 1
-    for g, h in zip(rows, rows[1:]):
-        j = next(compress(count(), map(ne, g, h)), n)
-        if j >= n - 1 or used[j]:
-            return None
-        d = g[j] - h[j]
-        if h[j + 1] - g[j + 1] != d or g[j + 2:] != h[j + 2:]:
-            return None
-        used[j] = 1
-        edges.append(j)
-        scale *= d
-    return _cycle_sign(edges) * scale * sum(rows[-1])
-
-
 def _det_by_elimination(rows: Sequence[Sequence[int]], modulus: int | None = None) -> int:
-    """det M of the n x n integer matrix M (n >= 1) by elimination of its
+    """det M of the n x n integer matrix M by elimination of its
     differenced rows D (det T = 1, see ``_differenced``): over Q by one
     Bareiss elimination, each nonzero row of D first divided by its
     content and the contents multiplied back in; over GF(p), the residue
-    in [0, p), by Gaussian elimination of D reduced mod p."""
+    in [0, p), by Gaussian elimination of D reduced mod p.  The 0 x 0
+    matrix has det 1."""
     m = _differenced(rows)
     if modulus is not None:
         for row in m:
             row[:] = [x % modulus for x in row]
         return _det_mod(m, modulus)
+    if not m:
+        return 1
     content = 1
     for i, row in enumerate(m):
         g = gcd(*row)
@@ -703,21 +680,12 @@ def _det_by_elimination(rows: Sequence[Sequence[int]], modulus: int | None = Non
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix M.
-
-    When consecutive rows differ by scaled adjacent exchanges along a path,
-    as in every Christoffel table, det M = sign(pi) * prod d_i * sum of the
-    last row, with no elimination (``_path_det``; T M U in the module
-    docstring).  Any other M falls through to one Bareiss elimination of
-    its differenced rows, det M = det(T M) (``_det_by_elimination``).
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    """Exact determinant of a square integer matrix M, by one Bareiss
+    elimination of its differenced rows, det M = det(T M)
+    (``_det_by_elimination``)."""
+    if any(len(r) != len(rows) for r in rows):
         raise DimensionMismatchError("matrix is not square")
-    if not n:
-        return 1
-    det = _path_det([*map(tuple, rows)])
-    return _det_by_elimination(rows) if det is None else det
+    return _det_by_elimination(rows)
 
 
 def _det_mod(m: list[list[int]], p: int) -> int:
@@ -749,11 +717,8 @@ def det_exact(a: ExactMatrix) -> FieldScalar:
     The stored ints form an integer matrix, whose determinant divided by
     den^n is the answer over Q and reduced mod p is the answer over GF(p).
     A matrix that carries a rotation step is read off its row 0 when its
-    row differences form a path (``_rotation_det``).  Otherwise, over Q,
-    the determinant is ``det_int``'s; over GF(p), the stored residues are
-    read the same way, off the path of their row differences when they
-    form one (``_path_det``), and otherwise by Gaussian elimination of
-    the differenced rows reduced mod p at every step
+    row differences form a path (``_rotation_det``); any other matrix,
+    of either kind, takes one elimination of its differenced rows
     (``_det_by_elimination``).
     """
     if a.rows != a.cols:
@@ -761,30 +726,24 @@ def det_exact(a: ExactMatrix) -> FieldScalar:
     n, p = a.rows, a.modulus
     det = None if a._step is None else _rotation_det(a.ints[:n], a._step)
     if det is None:
-        rows = [a.ints[i * n:(i + 1) * n] for i in range(n)]
-        if p is None:
-            det = det_int(rows)
-        else:
-            det = _path_det(rows) if n else 1
-            if det is None:
-                return _scalar(_det_by_elimination(rows, p), p)
+        det = _det_by_elimination([a.ints[i * n:(i + 1) * n] for i in range(n)], p)
     return _read(det, a.den ** n, None) if p is None else _scalar(det % p, p)
 
 
 def _rotation_det(f: Sequence[int], s: int) -> int | None:
     """det M of the n x n rotation table M with row 0 f and step s (row i
     is f rotated left by i s, s a unit mod n), read off f, or None when
-    n = 1 or ``_path_det`` would not read M.
+    n = 1 or the row differences of M do not form a path.
 
     Row i - row (i + 1) is delta = f - (f rotated left by s), rotated left
     by i s.  When delta's only nonzeros are d at c = (-1 - s) mod n and -d
     at c + 1, pair i is the edge at column j_i = (c - i s) mod n, and the
     j_i for i < n - 1 are the columns 0..n-2, each once (j_{n-1} would be
-    n - 1).  For n >= 2 these are exactly the tables whose every row pair
-    ``_path_det`` accepts: an edge at any other column reaches column
-    n - 1 at some pair i < n - 1, where it wraps.  Then det M = sign(pi)
-    d^(n-1) sum(f) with pi(i) = j_i, pi(n - 1) = n - 1.  Any other delta
-    gives None.
+    n - 1).  For n >= 2 these are exactly the stepped tables whose every
+    row pair differs by one scaled adjacent exchange, no column repeated:
+    an edge at any other column reaches column n - 1 at some pair
+    i < n - 1, where it wraps.  Then det M = sign(pi) d^(n-1) sum(f) with
+    pi(i) = j_i, pi(n - 1) = n - 1.  Any other delta gives None.
     """
     n = len(f)
     c = (-1 - s) % n

@@ -7,8 +7,9 @@ or checks a lemma of the paper on a matrix the library built.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from math import gcd, isqrt
-from operator import le
+from operator import le, ne
 from typing import NamedTuple
 
 from christoffel import (
@@ -275,6 +276,37 @@ def cofactor_det(rows):
         return total
 
     return minor(tuple(range(n)))
+
+
+def path_det(rows):
+    """det M of the n x n integer matrix M (n >= 1) read off the path of
+    its row differences, or None when they do not form one.
+
+    Each pair g_i, g_{i+1} must differ in exactly the columns j_i and
+    j_i + 1, by d_i and -d_i, and no j_i may repeat; then det M =
+    sign(pi) * prod d_i * sum(g_{n-1}) with pi(i) = j_i (see the
+    ``numeric`` module docstring).  The sign is ``sign``'s walk of the
+    cycles of a ``Permutation``, independent of the cycle walk of
+    ``numeric._rotation_det``.  The scan of a pair stops at its first
+    differing column, the rest of the pair is one slice comparison, and
+    the scan of the matrix stops at the first pair that does not fit.  The
+    rows must be tuples, so that their tails compare by value.
+    """
+    n = len(rows)
+    edges = []  # edges[i] = pi(i)
+    used = bytearray(n)
+    scale = 1
+    for g, h in zip(rows, rows[1:]):
+        j = next(compress(count(), map(ne, g, h)), n)
+        if j >= n - 1 or used[j]:
+            return None
+        d = g[j] - h[j]
+        if h[j + 1] - g[j + 1] != d or g[j + 2:] != h[j + 2:]:
+            return None
+        used[j] = 1
+        edges.append(j)
+        scale *= d
+    return sign(Permutation(edges)) * scale * sum(rows[-1])
 
 
 def determinantal_vector_by_minors(rows):

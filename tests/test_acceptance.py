@@ -127,9 +127,18 @@ def _int_rows(m):
     return [m.ints[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
 
 
+def _given_entry_by_entry(m):
+    """The table m again from its entries, through from_rows: equal to m,
+    with no rotation step."""
+    given = ExactMatrix.from_rows([m.row(i) for i in range(m.rows)], m.modulus)
+    assert given == m and given._step is None
+    return given
+
+
 def test_criterion_03_determinant_closed_form():
     """Closed form = fraction-free elimination (the fallback of det_exact,
-    called directly, so that it runs) = det_exact, over Q."""
+    called directly, so that it runs) = det_exact, over Q, of the table
+    and of the same table given entry by entry."""
     count = 0
     for n in range(2, 31):
         for r in range(1, n):
@@ -141,7 +150,8 @@ def test_criterion_03_determinant_closed_form():
                 closed = det_closed(p)
                 assert closed == Fraction(numeric._det_by_elimination(_int_rows(m)),
                                           m.den ** n), (n, a, b, r)
-                assert closed == det_exact(m), (n, a, b, r)
+                assert closed == det_exact(m) == det_exact(_given_entry_by_entry(m)), \
+                    (n, a, b, r)
                 count += 1
     assert count == 831
     report(3, f"determinant closed form on {count} matrices")
@@ -152,7 +162,8 @@ def test_criterion_03_determinant_closed_form():
        p=st.sampled_from((67, 65537, 1_000_000_007, 2 ** 61 - 1)))
 def test_criterion_03_determinant_closed_form_residue_drawn(data, n, p):
     """Closed form = elimination mod p (called directly) = det_exact on
-    drawn orders up to 64 over GF(p)."""
+    drawn orders up to 64 over GF(p), of the table and of the same table
+    given entry by entry."""
     r = data.draw(st.integers(1, n - 1).filter(lambda r: gcd(r, n) == 1))
     a = data.draw(st.integers(0, p - 1))
     b = data.draw(st.integers(0, p - 1).filter(lambda b: b != a))
@@ -160,7 +171,8 @@ def test_criterion_03_determinant_closed_form_residue_drawn(data, n, p):
     table = christoffel_matrix(m)
     closed = det_closed(m)
     assert closed == numeric._det_by_elimination(_int_rows(table), p), (n, a, b, r, p)
-    assert closed == det_exact(table), (n, a, b, r, p)
+    assert closed == det_exact(table) == det_exact(_given_entry_by_entry(table)), \
+        (n, a, b, r, p)
 
 
 def test_criterion_04_group_inverses():

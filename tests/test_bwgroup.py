@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -509,7 +511,7 @@ class TestRawRoute:
         if isinstance(outcome, type):
             return
         new, old = params(n, a1, b1, r1, modulus), params_by_scalars(n, a1, b1, r1, modulus)
-        assert _stored_canonically(new) and hash(new) == hash(old)
+        assert _stored_canonically(new) and hash(new) == hash(ChristoffelParams(*old))
         assert ChristoffelParams(n, new.a, new.b, r1) == new
         assert christoffel_matrix(new) == christoffel_matrix_by_rows(old)
         assert christoffel_matrix(new)._max == max(map(abs, christoffel_matrix(new).ints))
@@ -526,7 +528,7 @@ class TestRawRoute:
         if isinstance(_outcome(to_triple, new), type):
             return
         t, old_t = to_triple(new), to_triple_by_scalars(old)
-        assert _stored_canonically(t) and hash(t) == hash(old_t)
+        assert _stored_canonically(t) and hash(t) == hash(GroupTriple(*old_t))
         assert _outcome(from_triple, n, t) == _outcome(from_triple_by_scalars, n, old_t)
         assert from_triple(n, t) == new
         assert _outcome(t.inverse) == triple_inverse_by_scalars(old_t)
@@ -545,6 +547,27 @@ class TestRawRoute:
         assert ChristoffelParams(7, 3, half, 2) == params(7, 3, half, 2)
         assert GroupTriple(7, half, 3, 9) == GroupTriple(7, FieldScalar(half), FieldScalar(3), 9)
         assert GroupTriple(7, half, 3, 9).r == 9
+
+    @pytest.mark.parametrize("modulus", [None, 65537])
+    def test_equal_values_compare_and_hash_equal(self, modulus):
+        """Params and triples made by params, by the constructor, by the
+        group law and through a pickle or a copy hold one stored form, so
+        equal values compare and hash equal."""
+        n = 7
+        p = params(n, Fraction(1, 2), 3, 2, modulus)
+        q = params(n, Fraction(-2, 3), Fraction(5, 6), 3, modulus)
+        one, t = group_identity(n, modulus), to_triple(p)
+        same_params = [p, ChristoffelParams(n, p.a, p.b, 2), group_mul(p, one),
+                       group_mul(one, p), group_mul(group_mul(p, q), group_inverse(q)),
+                       from_triple(n, t), pickle.loads(pickle.dumps(p)), copy.deepcopy(p)]
+        same_triples = [t, GroupTriple(n, t.c, t.d, t.r), to_triple(from_triple(n, t)),
+                        t * to_triple(one), t * to_triple(q) * to_triple(q).inverse(),
+                        pickle.loads(pickle.dumps(t)), copy.copy(t)]
+        for values in (same_params, same_triples):
+            for x in values:
+                assert all(x == y and hash(x) == hash(y) for y in values), x
+            assert len(set(values)) == 1
+        assert p != q and hash(p) != hash(q) and t != to_triple(q)
 
     @pytest.mark.parametrize("modulus", [None, 65537, 2 ** 61 - 1])
     def test_mat_mul_with_and_without_the_stored_bound(self, modulus):

@@ -307,6 +307,30 @@ class TestCircularityFromLengths:
             exchange.__dict__
 
 
+    @pytest.mark.parametrize("total", [255, 100_000])
+    def test_equality_and_hash_build_no_sigma(self, monkeypatch, total):
+        """== and hash compare the compositions alone: no image list is
+        built for an exchange that build_sigma made, the public
+        constructor, a pickle or a copy."""
+        parts = (2, 3, total - 5)
+        built = build_sigma(Composition(parts))
+        exchanges = [built, IetPermutation(built.sigma, Composition(parts)),
+                     pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)]
+        other = build_sigma(Composition((3, 2, total - 5)))
+        calls = []
+        images = iet._images
+
+        def spy(parts):
+            calls.append(parts)
+            return images(parts)
+
+        monkeypatch.setattr(iet, "_images", spy)
+        for x in exchanges:
+            assert all(x == y and hash(x) == hash(y) for y in exchanges)
+            assert x != other and hash(x) != hash(other)
+        assert len(set(exchanges)) == 1 and calls == []
+
+
 class TestStandardEncoding:
     def test_section_example(self):
         word = standard_encoding(build_sigma(Composition((2, 2, 5))), ("a", "b", "c"))

@@ -39,6 +39,7 @@ from oracles import (
     determinantal_vector_by_minors,
     is_prime_by_trial_division,
     mat_mul_per_entry,
+    path_det,
 )
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -862,14 +863,15 @@ NEAR_MISSES = {
 
 class TestPathDeterminant:
     """A square matrix whose row differences are scaled edges of a path has
-    det = sign(pi) prod d_i sum(last row), read with no elimination; every
-    other matrix falls through to the elimination."""
+    det = sign(pi) prod d_i sum(last row), read off its rows by the oracle
+    path_det, which returns None for every other matrix; det_int and
+    det_exact eliminate a matrix given entry by entry and agree."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=path_matrices(7))
     def test_small_against_cofactor_expansion(self, rows):
         det = cofactor_det(rows)
-        assert numeric._path_det(tuples(rows)) == det_int(rows) == det
+        assert path_det(tuples(rows)) == det_int(rows) == det
         assert det_exact(ExactMatrix.from_rows(rows)) == det
         for p in GF_PRIMES:
             assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
@@ -879,7 +881,7 @@ class TestPathDeterminant:
     def test_against_elimination(self, rows):
         """Against the elimination fallback, called directly, up to n = 40."""
         det = numeric._det_by_elimination(rows)
-        assert numeric._path_det(tuples(rows)) == det_int(rows) == det
+        assert path_det(tuples(rows)) == det_int(rows) == det
         for p in GF_PRIMES:
             assert numeric._det_by_elimination(rows, p) == det % p
             assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
@@ -890,7 +892,7 @@ class TestPathDeterminant:
         """The reading runs on the stored residues over GF(p)."""
         rows = data.draw(residue_path_matrices(p))
         m = ExactMatrix.from_rows(rows, p)
-        assert numeric._path_det(tuples(rows)) is not None
+        assert path_det(tuples(rows)) is not None
         assert list(m.ints) == [x for row in rows for x in row]
         det = numeric._det_by_elimination(rows, p)
         assert det_exact(m) == FieldScalar.residue(det, p)
@@ -899,7 +901,7 @@ class TestPathDeterminant:
 
     def test_path_of_the_near_misses(self):
         rows = stacked(NEAR_LAST, NEAR_STEPS)
-        assert numeric._path_det(tuples(rows)) == cofactor_det(rows) != 0
+        assert path_det(tuples(rows)) == cofactor_det(rows) != 0
 
     @pytest.mark.parametrize("step", list(NEAR_MISSES.values()), ids=list(NEAR_MISSES))
     def test_near_misses_fall_through(self, step):
@@ -907,7 +909,7 @@ class TestPathDeterminant:
         stops the reading; the elimination still gives the exact value."""
         rows = stacked(NEAR_LAST, [NEAR_STEPS[0], step, *NEAR_STEPS[2:]])
         det = cofactor_det(rows)
-        assert numeric._path_det(tuples(rows)) is None
+        assert path_det(tuples(rows)) is None
         assert det_int(rows) == det_exact(ExactMatrix.from_rows(rows)) == det
         for p in GF_PRIMES:
             assert det_exact(ExactMatrix.from_rows(rows, p)) == FieldScalar.residue(det, p)
@@ -980,12 +982,12 @@ def rotation_rows(m):
 def assert_rotation_det(m):
     """det_exact of the stepped table m equals the elimination of its
     stored ints, called directly, and cofactor expansion up to n = 7; the
-    reading off row 0 runs exactly when _path_det reads the rows, from
+    reading off row 0 runs exactly when path_det reads the rows, from
     n = 2 on (one row has no pair to read).  Returns whether it ran."""
     n, p = m.rows, m.modulus
     rows = rotation_rows(m)
     read = numeric._rotation_det(m.ints[:n], m._step)
-    assert read == (numeric._path_det(rows) if n >= 2 else None)
+    assert read == (path_det(rows) if n >= 2 else None)
     det = numeric._det_by_elimination(rows)
     if n <= 7:
         assert det == cofactor_det(rows)
@@ -1048,7 +1050,7 @@ class TestRotationDeterminant:
     def test_christoffel_tables_products_and_identities(self, monkeypatch):
         """Every Christoffel table up to n = 64, the products of two and the
         identity, over Q (integer and rational letters) and GF(p), are
-        read off row 0: neither the row scan nor an elimination runs."""
+        read off row 0: no elimination runs."""
         rng = random.Random(27)
         cases = []
         for n in range(2, 65):
@@ -1063,10 +1065,9 @@ class TestRotationDeterminant:
                 cases.append((ExactMatrix.identity(n, p), FieldScalar.coerce(1, p)))
 
         def forbidden(*args):
-            raise AssertionError("det_exact scanned the rows")
+            raise AssertionError("det_exact ran an elimination")
 
-        for name in ("_path_det", "_det_by_elimination"):
-            monkeypatch.setattr(numeric, name, forbidden)
+        monkeypatch.setattr(numeric, "_det_by_elimination", forbidden)
         for m, expected in cases:
             assert m._step is not None
             assert det_exact(m) == expected

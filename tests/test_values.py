@@ -76,14 +76,23 @@ VALUES = [
 IDS = [cls.__name__ for cls, *_ in VALUES]
 
 
+def stored(value):
+    """The slots of a value, in their order."""
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
 @pytest.mark.parametrize("cls, fields, other, text", VALUES, ids=IDS)
 class TestValueClass:
     def test_equality_and_hash_follow_the_fields(self, cls, fields, other, text):
+        """Equality and hashing read the stored slots, which are the fields
+        themselves unless the class lists ``_field_names``."""
         value = cls(*fields)
         assert value == cls(*fields) and not value != cls(*fields)
-        assert hash(value) == hash(cls(*fields)) == hash(fields)
-        assert value != cls(*other) and hash(cls(*other)) == hash(other)
+        assert hash(value) == hash(cls(*fields)) == hash(stored(value))
+        assert value != cls(*other) and hash(cls(*other)) == hash(stored(cls(*other)))
         assert value != fields and len({value, cls(*fields), cls(*other)}) == 2
+        if not cls._field_names:
+            assert stored(value) == fields and stored(cls(*other)) == other
 
     def test_repr(self, cls, fields, other, text):
         assert repr(cls(*fields)) == text
