@@ -14,26 +14,24 @@ _EXPORTS = {
                 "consecutive_rows_square", "det_closed", "from_triple", "group_identity",
                 "group_inverse", "group_mul", "params", "to_triple"),
     "contfrac": ("ContinuedFraction", "cf_density_from_slope", "cf_slope_from_density",
-                 "christoffel_length", "continuant", "density_from_slope", "p_matrix",
-                 "p_product", "ppp_factorization", "semiconvergents", "slope_from_density",
-                 "stern_brocot_nodes", "stern_brocot_path"),
+                 "christoffel_length", "continuant", "p_matrix", "p_product",
+                 "ppp_factorization", "semiconvergents", "stern_brocot_nodes",
+                 "stern_brocot_path"),
     "errors": ("ChristoffelError",),
     "fibonacci": ("fib", "fib_detvec_prediction", "fib_sign", "fib_word_chain",
                   "gcd_lemma_check", "lucas"),
-    "iet": ("Composition", "IetPermutation", "build_sigma", "cycle_encodings",
-            "cyclic_restriction", "enumerate_pc_words", "is_circular", "pak_redlich_circular",
+    "iet": ("Composition", "IetPermutation", "build_sigma", "cyclic_restriction",
+            "enumerate_pc_words", "is_circular", "pak_redlich_circular",
             "restriction_word_chain", "standard_encoding", "two_interval_circular"),
     "numeric": ("ExactMatrix", "FieldScalar", "det_exact", "det_int", "mat_mul"),
     "permsign": ("Permutation", "cycle_type_string", "jacobi", "zolotareff"),
-    "sturmian": ("DeterminantalVector", "FactorMatrix", "SturmianSlope", "christoffel_chain",
+    "sturmian": ("DeterminantalVector", "FactorMatrix", "SturmianSlope",
                  "determinantal_vector", "determinantal_vector_closed",
                  "determinantal_vector_oracle", "factor_matrix", "g_chain",
                  "special_factor_determinant", "vector_merge_step"),
-    "words": ("SlopeRatio", "Word", "bw_rows", "christoffel_bw_row", "circular_factors",
-              "conjugates", "is_christoffel", "is_lyndon", "is_palindrome",
-              "is_perfectly_clustering", "is_primitive", "lower_christoffel", "lyndon_words",
-              "palindromic_factorization", "reversal", "standard_factorization",
-              "upper_christoffel"),
+    "words": ("SlopeRatio", "Word", "bw_rows", "christoffel_bw_row", "is_christoffel",
+              "is_perfectly_clustering", "lower_christoffel", "lyndon_words",
+              "palindromic_factorization", "standard_factorization", "upper_christoffel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

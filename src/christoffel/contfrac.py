@@ -12,7 +12,6 @@ fold serve only as test references.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
@@ -155,20 +154,6 @@ def ppp_factorization(cf: ContinuedFraction) -> StandardSplitMatrix:
     m = len(q) - 1
     product = p_product(q[:-1] + (q[-1] - 1,))
     return StandardSplitMatrix(product, m % 2 == 0)
-
-
-def density_from_slope(s: SlopeRatio) -> Fraction:
-    """Frequency of the high letter among all letters: S = s/(1+s)."""
-    if s.ones < 1 or s.zeros < 1:
-        raise OutOfRangeError(f"slope {s} has no density in (0, 1)")
-    return Fraction(s.ones, s.ones + s.zeros)
-
-
-def slope_from_density(density: Fraction) -> SlopeRatio:
-    """Inverse map s = S/(1-S), defined for 0 < S < 1."""
-    if not 0 < density < 1:
-        raise OutOfRangeError(f"density {density} outside (0, 1)")
-    return SlopeRatio(density.numerator, density.denominator - density.numerator)
 
 
 def cf_slope_from_density(cf: ContinuedFraction) -> ContinuedFraction:

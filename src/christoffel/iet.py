@@ -14,13 +14,12 @@ so ``build_sigma`` is O(1), sigma is built only when it is read, and the
 encoders and ``is_circular`` work from the parts.  ``_images`` is the one
 producer of image lists: it concatenates slices of one shared tuple of
 naturals, so an exchange creates no int objects.  ``_encode_parts`` is
-the one encoder of a composition, for ``standard_encoding``,
-``cycle_encodings``, the closed-form vectors, the perfectly clustering
-test and the first word of a restriction chain: below
-``_INDUCTION_CUTOFF`` letters it walks the cycle of 0 once (``_walk``),
-from it on it runs right Rauzy induction with Zorich's acceleration on
-the lengths (``_rauzy``).  ``is_circular`` runs the same induction on
-return-word lengths from the cutoff on.  ``enumerate_pc_words`` reads
+the one encoder of a composition, for ``standard_encoding``, the
+closed-form vectors, the perfectly clustering test and the first word
+of a restriction chain: below ``_INDUCTION_CUTOFF`` letters it walks the
+cycle of 0 once (``_walk``), from it on it runs right Rauzy induction
+with Zorich's acceleration on the lengths (``_rauzy``).  ``is_circular``
+runs the same induction on return-word lengths from the cutoff on.  ``enumerate_pc_words`` reads
 each word of two or three letters off the rotation whose first return
 is its exchange, with a constant number of bytes operations per word;
 ``restriction_word_chain`` says how it reuses the encoder.
@@ -296,23 +295,9 @@ def pak_redlich_circular(c1: int, c2: int, c3: int) -> bool:
     return gcd(c1 + c2, c2 + c3) == 1
 
 
-def standard_cycle(p: IetPermutation) -> tuple[int, ...]:
-    """Cycle form starting at 0 of a circular exchange."""
-    cycles = p.sigma.cycles()
-    if len(cycles) != 1:
-        raise NotCircularError(f"exchange of {p.composition.parts} is not circular")
-    return cycles[0]
-
-
 def standard_encoding(p: IetPermutation, alphabet: Sequence[Letter]) -> Word:
     """Word read off the 0-based cycle form, letter j for elements of I_j."""
     return Word(_encode_parts(p.composition.parts, alphabet))
-
-
-def cycle_encodings(p: IetPermutation, alphabet: Sequence[Letter]) -> list[Word]:
-    """The n encodings from the n cycle forms; a full conjugacy class."""
-    letters = _encode_parts(p.composition.parts, alphabet)
-    return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
 
 
 def cyclic_restriction(p: IetPermutation, k: int) -> IetPermutation:

@@ -29,7 +29,7 @@ path, and the minors follow from their order and the last row (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, takewhile
+from itertools import accumulate, compress, count, islice
 from operator import ne, sub
 from typing import Sequence
 
@@ -50,7 +50,6 @@ from .words import (
     SlopeRatio,
     Word,
     _christoffel_bw_prefixes,
-    lower_christoffel,
     palindromic_factorization,
 )
 
@@ -66,17 +65,6 @@ class SturmianSlope(Frozen):
     @classmethod
     def from_quotients(cls, quotients: Sequence[int]) -> "SturmianSlope":
         return cls(ContinuedFraction(tuple(quotients)))
-
-
-def christoffel_chain(slope: SturmianSlope, max_len: int) -> list[Word]:
-    """Chain words at the semi-convergents, up to the given length.
-
-    The first word is always 01; lengths increase strictly.  A finite
-    prefix yields a finite chain; operations that need longer words raise
-    InsufficientCFError instead.
-    """
-    return [lower_christoffel(s)
-            for s in takewhile(lambda s: s.length <= max_len, semiconvergents(slope.cf))]
 
 
 def _covering(slope: SturmianSlope, n: int) -> tuple[int, SlopeRatio]:
@@ -116,9 +104,6 @@ class FactorMatrix(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "origin", origin)
-
-    def int_rows(self) -> list[list[int]]:
-        return [list(r.letters) for r in self.rows]
 
 
 def _factor_matrix(s: SlopeRatio, n: int) -> FactorMatrix:

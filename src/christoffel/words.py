@@ -29,7 +29,6 @@ from .errors import (
     AmbiguousSplitError,
     IndexOutOfRangeError,
     InvalidSlopeError,
-    LengthOutOfRangeError,
     NoPalindromicSplitError,
     NotChristoffelError,
     NotCircularError,
@@ -143,52 +142,6 @@ class Word:
         return f"Word({self})"
 
 
-def reversal(w: Word) -> Word:
-    return Word(reversed(w.letters))
-
-
-def is_palindrome(w: Word) -> bool:
-    return w.letters == w.letters[::-1]
-
-
-def is_primitive(w: Word) -> bool:
-    """True when w is nonempty and not a power of a shorter word, that is,
-    when w occurs in ww only at the offsets 0 and |w|."""
-    n = len(w)
-    if n == 0:
-        return False
-    s = _as_text(w.letters, w.alphabet())
-    return (s + s).find(s, 1) == n
-
-
-def is_lyndon(w: Word) -> bool:
-    """Strictly smallest among its rotations (increasing lexicographic order).
-
-    The first step of Duval's Lyndon factorization (Duval, J. Algorithms
-    1983) scans the longest prefix of w that is a prefix of a power of
-    one Lyndon word, whose length j - k is the period; w is Lyndon
-    exactly when that prefix is all of w and the period is n.  At most
-    2n letter comparisons.
-    """
-    t = w.letters
-    n = len(t)
-    if n == 0:
-        return False
-    j, k = 1, 0
-    while j < n and t[k] <= t[j]:
-        k = 0 if t[k] < t[j] else k + 1
-        j += 1
-    return j - k == n
-
-
-def conjugates(w: Word) -> list[Word]:
-    """The |w| rotations in rotation order, starting at w itself."""
-    if not is_primitive(w):
-        raise NotPrimitiveError(f"word {w} is not primitive")
-    t = w.letters
-    return [Word(t[i:] + t[:i]) for i in range(len(t))]
-
-
 def bw_rows(w: Word) -> list[Word]:
     """Rows of the Burrows-Wheeler table: rotations sorted decreasingly."""
     t = w.letters
@@ -233,29 +186,18 @@ def is_perfectly_clustering(w: Word) -> bool:
     rotation sort.
     """
     from .iet import _encode_parts  # iet imports this module
-    if not is_primitive(w):
-        raise NotPrimitiveError(f"word {w} is not primitive")
     t = w.letters
+    n = len(t)
     counts = Counter(t)
     letters = sorted(counts)
-    parts = [counts[x] for x in letters]
+    s = _as_text(t, letters)
+    if not n or (s + s).find(s, 1) != n:
+        raise NotPrimitiveError(f"word {w} is not primitive")
     try:
-        encoding = _encode_parts(parts, letters)
+        encoding = _encode_parts([counts[x] for x in letters], letters)
     except NotCircularError:
         return False
-    return _as_text(t, letters) in _as_text(encoding, letters) * 2
-
-
-def circular_factors(w: Word, n: int) -> list[Word]:
-    """Distinct length-n prefixes of the rotations, sorted decreasingly."""
-    if not is_primitive(w):
-        raise NotPrimitiveError(f"word {w} is not primitive")
-    if not 0 <= n <= len(w):
-        raise LengthOutOfRangeError(f"factor length {n} outside [0, {len(w)}]")
-    t = w.letters
-    doubled = t + t
-    seen = {doubled[i:i + n] for i in range(len(t))}
-    return [Word(p) for p in sorted(seen, reverse=True)]
+    return s in _as_text(encoding, letters) * 2
 
 
 def christoffel_bw_row(slope: SlopeRatio, i: int,

@@ -2,12 +2,16 @@
 
 Each function recomputes a library result by a second, independent
 construction that is too slow or too indirect to run inside the library,
-or checks a lemma of the paper on a matrix the library built.
+or checks a lemma of the paper on a matrix the library built.  A few
+helpers (conjugates, circular factors, chain words, cycle forms, the
+Lyndon, palindrome and primitivity tests, slope/density conversion) are
+the vocabulary the tests state library results in; no library code
+calls them.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, takewhile
 from math import gcd, isqrt
 from operator import le, ne
 from typing import NamedTuple
@@ -19,12 +23,12 @@ from christoffel import (
     FactorMatrix,
     FieldScalar,
     Permutation,
+    SlopeRatio,
     Word,
     build_sigma,
     bw_rows,
     christoffel_bw_row,
     christoffel_matrix,
-    circular_factors,
     consecutive_rows_square,
     factor_matrix,
     fib,
@@ -43,6 +47,7 @@ from christoffel.errors import (
     ChristoffelError,
     InsufficientCFError,
     KindMismatchError,
+    LengthOutOfRangeError,
     NonInvertibleRowSumError,
     NoPalindromicSplitError,
     NotBijectiveError,
@@ -53,7 +58,8 @@ from christoffel.errors import (
     OutOfRangeError,
     RestrictionOutOfRangeError,
 )
-from christoffel.iet import standard_cycle
+from christoffel.iet import _encode_parts
+from christoffel.words import _as_text
 
 
 def is_prime_by_trial_division(p):
@@ -428,7 +434,7 @@ def special_factor_determinant_by_elimination(slope, n):
     longer = {u.letters for u in circular_factors(w, n + 1)}
     h = next(idx for idx, u in enumerate(matrix.rows)
              if u.letters + (0,) in longer and u.letters + (1,) in longer)
-    return determinantal_vector_by_identity_block(matrix.int_rows())[h]
+    return determinantal_vector_by_identity_block(int_rows(matrix))[h]
 
 
 def fib_detvec_prediction_by_index(n):
@@ -458,6 +464,109 @@ def fib_detvec_prediction_by_index(n):
     else:
         values = {fib(nu), fib(nu - 1), fib(nu - 2)}
     return FibPrediction(n, nu, i, composition, alphabet, tuple(sorted(values)))
+
+
+# --- words, chain words and cycle forms the tests state results in ---------
+
+def reversal(w):
+    return Word(reversed(w.letters))
+
+
+def is_palindrome(w):
+    return w.letters == w.letters[::-1]
+
+
+def is_primitive(w):
+    """True when w is nonempty and not a power of a shorter word, that is,
+    when w occurs in ww only at the offsets 0 and |w|."""
+    n = len(w)
+    if n == 0:
+        return False
+    s = _as_text(w.letters, w.alphabet())
+    return (s + s).find(s, 1) == n
+
+
+def is_lyndon(w):
+    """Strictly smallest among its rotations (increasing lexicographic order).
+
+    The first step of Duval's Lyndon factorization (Duval, J. Algorithms
+    1983) scans the longest prefix of w that is a prefix of a power of
+    one Lyndon word, whose length j - k is the period; w is Lyndon
+    exactly when that prefix is all of w and the period is n.  At most
+    2n letter comparisons.
+    """
+    t = w.letters
+    n = len(t)
+    if n == 0:
+        return False
+    j, k = 1, 0
+    while j < n and t[k] <= t[j]:
+        k = 0 if t[k] < t[j] else k + 1
+        j += 1
+    return j - k == n
+
+
+def conjugates(w):
+    """The |w| rotations in rotation order, starting at w itself."""
+    if not is_primitive(w):
+        raise NotPrimitiveError(f"word {w} is not primitive")
+    t = w.letters
+    return [Word(t[i:] + t[:i]) for i in range(len(t))]
+
+
+def circular_factors(w, n):
+    """Distinct length-n prefixes of the rotations, sorted decreasingly."""
+    if not is_primitive(w):
+        raise NotPrimitiveError(f"word {w} is not primitive")
+    if not 0 <= n <= len(w):
+        raise LengthOutOfRangeError(f"factor length {n} outside [0, {len(w)}]")
+    t = w.letters
+    doubled = t + t
+    seen = {doubled[i:i + n] for i in range(len(t))}
+    return [Word(p) for p in sorted(seen, reverse=True)]
+
+
+def christoffel_chain(slope, max_len):
+    """Chain words at the semi-convergents, up to the given length.
+
+    The first word is always 01; lengths increase strictly.  A finite
+    prefix yields a finite chain.
+    """
+    return [lower_christoffel(s)
+            for s in takewhile(lambda s: s.length <= max_len, semiconvergents(slope.cf))]
+
+
+def int_rows(matrix):
+    """The rows of a factor matrix as lists of ints."""
+    return [list(r.letters) for r in matrix.rows]
+
+
+def standard_cycle(p):
+    """Cycle form starting at 0 of a circular exchange."""
+    cycles = p.sigma.cycles()
+    if len(cycles) != 1:
+        raise NotCircularError(f"exchange of {p.composition.parts} is not circular")
+    return cycles[0]
+
+
+def cycle_encodings(p, alphabet):
+    """The n encodings from the n cycle forms; a full conjugacy class."""
+    letters = _encode_parts(p.composition.parts, alphabet)
+    return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
+
+
+def density_from_slope(s):
+    """Frequency of the high letter among all letters: S = s/(1+s)."""
+    if s.ones < 1 or s.zeros < 1:
+        raise OutOfRangeError(f"slope {s} has no density in (0, 1)")
+    return Fraction(s.ones, s.ones + s.zeros)
+
+
+def slope_from_density(density):
+    """Inverse map s = S/(1-S), defined for 0 < S < 1."""
+    if not 0 < density < 1:
+        raise OutOfRangeError(f"density {density} outside (0, 1)")
+    return SlopeRatio(density.numerator, density.denominator - density.numerator)
 
 
 def is_primitive_by_divisors(w):

@@ -337,6 +337,30 @@ MALFORMED = [
 ]
 
 
+# A value that starts with "-", bare and in the attached form argparse reads.
+NEGATIVE_VALUES = [
+    (["word", "factorize", "-5,3,-5,3,3,-5,3,3,-5,3,3"],
+     ["word", "factorize", "--", "-5,3,-5,3,3,-5,3,3,-5,3,3"]),
+    (["matrix", "det", "--n", "3", "--a", "-1/2", "--b", "1", "--r", "1"],
+     ["matrix", "det", "--n", "3", "--a=-1/2", "--b", "1", "--r", "1"]),
+    (["iet", "encode", "--composition", "2,2,5", "--alphabet", "-1,0,1"],
+     ["iet", "encode", "--composition", "2,2,5", "--alphabet=-1,0,1"]),
+]
+
+
+@pytest.mark.parametrize("bare, attached", NEGATIVE_VALUES, ids=["word", "scalar", "alphabet"])
+def test_negative_value_needs_the_attached_form(capsys, bare, attached):
+    """argparse takes a bare value that starts with "-" for an option: a
+    usage error with a usage line.  After "--" or "=" it is a value."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(bare)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.startswith("usage: christoffel ") and "Traceback" not in err
+    code, out, err = run(capsys, *attached)
+    assert code == 0 and out and err == ""
+
+
 @pytest.mark.parametrize("argv, argument", MALFORMED,
                          ids=[f"argv{k}" for k in range(len(MALFORMED))])
 def test_malformed_argument_exit_code(capsys, argv, argument):

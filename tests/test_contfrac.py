@@ -14,18 +14,22 @@ from christoffel import (
     christoffel_length,
     contfrac,
     continuant,
-    density_from_slope,
     lower_christoffel,
     p_product,
     ppp_factorization,
     semiconvergents,
-    slope_from_density,
     standard_factorization,
     stern_brocot_nodes,
     stern_brocot_path,
 )
 from christoffel.errors import InvalidCFError, OutOfRangeError
-from oracles import continuant_by_recurrence, p_product_by_fold, semiconvergents_by_prefix
+from oracles import (
+    continuant_by_recurrence,
+    density_from_slope,
+    p_product_by_fold,
+    semiconvergents_by_prefix,
+    slope_from_density,
+)
 
 CF = ContinuedFraction
 

@@ -4,7 +4,6 @@ import pytest
 
 from christoffel import (
     SturmianSlope,
-    christoffel_chain,
     cycle_type_string,
     determinantal_vector_closed,
     determinantal_vector_oracle,
@@ -22,6 +21,7 @@ from christoffel.errors import IndexTooSmallError, OutOfRangeError
 from christoffel import fibonacci
 from christoffel.fibonacci import FibPrediction
 import oracles
+from oracles import christoffel_chain
 
 FIB_SLOPE = SturmianSlope.from_quotients((0,) + (1,) * 9)
 

@@ -19,12 +19,9 @@ from christoffel import (
     SlopeRatio,
     Word,
     build_sigma,
-    conjugates,
-    cycle_encodings,
     cyclic_restriction,
     enumerate_pc_words,
     is_circular,
-    is_lyndon,
     is_perfectly_clustering,
     lower_christoffel,
     pak_redlich_circular,
@@ -54,18 +51,21 @@ from christoffel.iet import (
     _images,
     merge_position_sum,
     merge_positions,
-    standard_cycle,
 )
 from oracles import (
     compositions,
+    conjugates,
+    cycle_encodings,
     encoding_by_interval_index,
     images_by_ranges,
     is_circular_by_walk,
+    is_lyndon,
     merge_positions_by_scan,
     pc_by_bw_table,
     pc_words_by_every_composition,
     restriction_by_cycle_deletion,
     restriction_chain_by_encodings,
+    standard_cycle,
 )
 
 W = Word.parse

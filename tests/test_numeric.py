@@ -13,7 +13,6 @@ from christoffel import (
     ExactMatrix,
     FieldScalar,
     SturmianSlope,
-    christoffel_chain,
     christoffel_matrix,
     det_closed,
     det_exact,
@@ -34,9 +33,11 @@ from christoffel.errors import (
 )
 from oracles import (
     carries_its_rotation_step,
+    christoffel_chain,
     cofactor_det,
     determinantal_vector_by_identity_block,
     determinantal_vector_by_minors,
+    int_rows,
     is_prime_by_trial_division,
     mat_mul_per_entry,
     path_det,
@@ -747,7 +748,7 @@ def factor_matrices(draw):
     slope = SturmianSlope.from_quotients(quotients)
     big_n = len(christoffel_chain(slope, 10 ** 6)[-1])
     n = draw(st.integers(0, min(9, big_n - 1)))
-    return _damaged(draw, factor_matrix(slope, n).int_rows())
+    return _damaged(draw, int_rows(factor_matrix(slope, n)))
 
 
 def table_rows(m):

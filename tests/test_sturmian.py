@@ -12,15 +12,12 @@ from christoffel import (
     SturmianSlope,
     Word,
     bw_rows,
-    christoffel_chain,
     christoffel_length,
-    circular_factors,
     determinantal_vector,
     determinantal_vector_closed,
     determinantal_vector_oracle,
     factor_matrix,
     g_chain,
-    is_lyndon,
     is_perfectly_clustering,
     lower_christoffel,
     special_factor_determinant,
@@ -39,12 +36,16 @@ from christoffel.iet import _INDUCTION_CUTOFF, _encode_parts, merge_positions
 from christoffel import iet, numeric, sturmian
 from christoffel.sturmian import FactorMatrix, _covering, _factor_matrix, _standard_split
 from oracles import (
+    christoffel_chain,
+    circular_factors,
     covering_by_walk,
     determinantal_vector_by_identity_block,
     determinantal_vector_by_minors,
     factor_matrix_by_rotation_sort,
     factor_matrix_by_rows,
     g_chain_by_rotation_sort,
+    int_rows,
+    is_lyndon,
     special_factor_determinant_by_elimination,
 )
 from test_values import FACTORS
@@ -227,7 +228,7 @@ class TestOracle:
                         m = factor_matrix(slope, n)
                         if m not in seen:
                             seen.add(m)
-                            expected = determinantal_vector_by_identity_block(m.int_rows())
+                            expected = determinantal_vector_by_identity_block(int_rows(m))
                             assert determinantal_vector_oracle(m).components == expected \
                                 == determinantal_vector_closed(slope, n).components, (r, big_n, n)
 
@@ -241,7 +242,7 @@ class TestOracle:
         n = data.draw(st.integers(0, big_n - 1))
         m = factor_matrix(_slope_of(big_n, r), n)
         assert determinantal_vector_oracle(m).components \
-            == determinantal_vector_by_identity_block(m.int_rows())
+            == determinantal_vector_by_identity_block(int_rows(m))
 
     @pytest.mark.parametrize("m", [
         FactorMatrix(0, (Word(()),), (0,)),
@@ -250,7 +251,7 @@ class TestOracle:
     ], ids=["n=0", "n=1", "test_values.FACTORS"])
     def test_path_minors_on_small_matrices(self, m):
         assert determinantal_vector_oracle(m).components \
-            == determinantal_vector_by_minors(m.int_rows())
+            == determinantal_vector_by_minors(int_rows(m))
 
     @settings(max_examples=60)
     @given(data=st.data())

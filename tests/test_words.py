@@ -15,18 +15,12 @@ from christoffel import (
     build_sigma,
     bw_rows,
     christoffel_bw_row,
-    circular_factors,
-    conjugates,
     is_christoffel,
     is_circular,
-    is_lyndon,
-    is_palindrome,
     is_perfectly_clustering,
-    is_primitive,
     lower_christoffel,
     lyndon_words,
     palindromic_factorization,
-    reversal,
     standard_encoding,
     standard_factorization,
     upper_christoffel,
@@ -43,15 +37,22 @@ from christoffel.errors import (
     NotPrimitiveError,
     SizeLimitError,
 )
+from christoffel import words
 from christoffel.words import _as_text, _christoffel_bw_prefixes
 from oracles import (
     bw_christoffel_kind,
     bw_rows_by_tuple_sort,
+    circular_factors,
+    conjugates,
+    is_lyndon,
     is_lyndon_by_rotations,
+    is_palindrome,
+    is_primitive,
     is_primitive_by_divisors,
     palindromic_factorization_by_scan,
     pc_by_bw_table,
     pc_lyndon_by_bw_table,
+    reversal,
     standard_factorization_by_scan,
 )
 
@@ -360,6 +361,26 @@ class TestPerfectlyClustering:
     def test_requires_primitive(self):
         with pytest.raises(NotPrimitiveError):
             is_perfectly_clustering(W("0101"))
+
+    def test_converts_the_word_to_text_once(self, monkeypatch):
+        """The primitivity check and the search in the doubled encoding
+        read one text of the word."""
+        converted = []
+
+        def spy(t, letters):
+            converted.append(t)
+            return _as_text(t, letters)
+
+        monkeypatch.setattr(words, "_as_text", spy)
+        for w, expected in ((lower_christoffel(SlopeRatio(33333, 66667)), True),
+                            (W("acbcbcacc"), True), (W("010011"), False)):
+            converted.clear()
+            assert is_perfectly_clustering(w) is expected
+            assert sum(t is w.letters for t in converted) == 1, w
+        converted.clear()
+        with pytest.raises(NotPrimitiveError):
+            is_perfectly_clustering(W("0101"))
+        assert len(converted) == 1
 
     def test_min_rotation_of_pc_word_is_lyndon(self):
         rng = random.Random(5)
